@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .config import ModelConfig, Parameters
-from .model import TraceState
+from .model import TraceState, pack_queue_rows, queue_rows
 
 __all__ = ["CheckpointError", "FORMAT_VERSION", "save_checkpoint", "load_checkpoint"]
 
@@ -108,8 +108,8 @@ def save_checkpoint(
             "alpha": _pair_rows(config, state.alpha),
             "gamma": [[float(x) for x in row] for row in state.gamma],
             "queues": [
-                [i, j, [int(b) for b in state.queues[m]]]
-                for m, (i, j) in enumerate(config.pairs)
+                [i, j, bits]
+                for (i, j), bits in zip(config.pairs, queue_rows(config, state.queue))
             ],
             "step_count": int(state.step_count),
         }
@@ -259,10 +259,10 @@ def load_checkpoint(document: str) -> tuple[Parameters, ModelConfig, TraceState 
             gamma[i] = values
         if np.any(alpha < 0.0) or np.any(gamma < 0.0):
             raise CheckpointError("trace_state: traces must be non-negative")
-        queue_rows = _require(ts, "queues", list, "trace_state")
+        queue_docs = _require(ts, "queues", list, "trace_state")
         queues: list[list[int]] = [None] * config.n_pairs  # type: ignore[list-item]
         seen: set[tuple[int, int]] = set()
-        for idx, row in enumerate(queue_rows):
+        for idx, row in enumerate(queue_docs):
             if (
                 not isinstance(row, list)
                 or len(row) != 3
@@ -297,6 +297,11 @@ def load_checkpoint(document: str) -> tuple[Parameters, ModelConfig, TraceState 
         step_count = _require(ts, "step_count", int, "trace_state")
         if step_count < 0:
             raise CheckpointError("trace_state.step_count must be >= 0")
-        state = TraceState(alpha=alpha, gamma=gamma, queues=queues, step_count=step_count)
+        state = TraceState(
+            alpha=alpha,
+            gamma=gamma,
+            queue=pack_queue_rows(config, queues),
+            step_count=step_count,
+        )
 
     return params, config, state

@@ -185,6 +185,10 @@ def _bench_config(n_units: int, fan_in: int) -> ModelConfig:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
+    if args.steps < 1:
+        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
+    if args.fan_in < 1:
+        raise ConfigError(f"--fan-in must be >= 1, got {args.fan_in}")
     report = {"fan_in": args.fan_in, "steps": args.steps, "sweep": []}
     for n in sizes:
         if args.fan_in >= n:
@@ -292,9 +296,10 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingDiverged as exc:
         _log(f"error: {exc}")
         return 3
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         # ConfigError, CheckpointError, SeriesFormatError and flag
-        # validation all surface as ValueError subclasses
+        # validation all surface as ValueError subclasses; unreadable or
+        # missing paths (including directories) as OSError
         _log(f"error: {exc}")
         return 2
 

@@ -19,9 +19,10 @@ import numpy as np
 
 __all__ = ["ConfigError", "ModelConfig", "Parameters", "as_time_slice"]
 
-# Largest representable double; the near-window trace uses coefficients that
-# grow like (1/mu)**lag, so configs must keep that below this bound.
+# Largest representable double; the near-window trace sums coefficients that
+# grow like (1/mu)**lag, so configs must keep that sum below this bound.
 _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class ConfigError(ValueError):
@@ -106,14 +107,19 @@ class ModelConfig:
                 )
             if d < 1:
                 raise ConfigError(f"delays[({i}, {j})] must be >= 1, got {d}")
-        # Overflow guard: the near-window trace evaluates (1/mu)**lag up to
-        # lag = max_delay - 1, which must stay below the float maximum.
-        if self.delays:
-            mu_min = min(self.mus)
-            if (self.max_delay - 1) * math.log(1.0 / mu_min) >= _LOG_FLOAT_MAX:
+        # Overflow guard: a full queue gives the near-window trace
+        # sum_{s=1}^{d-1} mu**(-s), largest for the longest delay and the
+        # smallest rate. That sum, plus a relative margin for its rounding,
+        # must stay below the float maximum.
+        n = self.max_delay - 1
+        if n >= 1:
+            mu = min(self.mus)
+            log_sum = n * math.log(1.0 / mu) + math.log1p(-(mu**n)) - math.log1p(-mu)
+            if log_sum + math.log1p(2 * n * _EPS) >= _LOG_FLOAT_MAX:
                 raise ConfigError(
-                    "mus/delays overflow guard: (1/min(mus))**(max_delay-1) "
-                    "exceeds the double-precision range"
+                    "mus/delays overflow guard: the near-window sum of "
+                    "(1/min(mus))**lag over lags 1..max_delay-1 exceeds the "
+                    "double-precision range"
                 )
 
     # Derived views -------------------------------------------------------
@@ -150,21 +156,55 @@ class ModelConfig:
 
 
 class _DerivedArrays:
-    """Per-config numpy views: pair endpoints, delays, decay rates, and the
-    per-pair near-window coefficient tables mu**(-lag) for lag 1..d-1."""
+    """Per-config numpy views used by the per-step kernels.
+
+    Queue layout: all queues live in one flat bit array. Pair ``m`` owns
+    the segment ``queue_bounds[m]:queue_bounds[m + 1]`` (its last ``d - 1``
+    source values, newest first), so delay-1 pairs own none.
+    ``queue_start`` and ``queue_pre`` are the first (newest) position and
+    the source unit of each non-empty segment. ``beta_coeff[l, q]`` is
+    ``mus[l]**(-lag)`` for the lag of flat position ``q``, and
+    ``beta_bin[l, q]`` the index of (its pair, ``l``) in a flattened
+    (n_pairs, n_mu) array.
+
+    Pair-rate tables have the full (n_pairs, n_lambda) or (n_pairs, n_mu)
+    shape of the traces they meet: numpy runs an elementwise operation on
+    equal shapes as one contiguous loop, but broadcasting along the short
+    rate axis costs one loop per pair. ``post_k``/``post_l`` and ``pre_l``
+    repeat each pair's target and source unit along its rates, ``lam_k``
+    repeats the arrival rates along the pairs, ``gamma_post`` indexes the
+    flattened source trace of each pair's target, and ``arrival_k`` indexes
+    the bit that arrives on each pair in ``concatenate((slice, queue))``:
+    the source unit itself for delay 1, else the segment's oldest bit.
+    """
 
     def __init__(self, config: ModelConfig) -> None:
         pairs = config.pairs
-        self.pre = np.array([i for i, _ in pairs], dtype=np.int64)
-        self.post = np.array([j for _, j in pairs], dtype=np.int64)
+        n_lambda, n_mu = config.n_lambda, config.n_mu
+        pre = np.array([i for i, _ in pairs], dtype=np.int64)
+        post = np.array([j for _, j in pairs], dtype=np.int64)
         self.delay = np.array([config.delays[p] for p in pairs], dtype=np.int64)
         self.lam = np.asarray(config.lambdas, dtype=np.float64)
         self.mu = np.asarray(config.mus, dtype=np.float64)
-        coeffs = []
-        for d in self.delay:
-            lags = np.arange(1, int(d))
-            coeffs.append(self.mu[:, None] ** (-lags[None, :]))
-        self.beta_coeffs = tuple(coeffs)
+
+        lengths = self.delay - 1
+        self.queue_bounds = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+        queued = np.flatnonzero(lengths > 0)
+        self.queue_start = self.queue_bounds[queued]
+        self.queue_pre = pre[queued]
+        queue_pair = np.repeat(np.arange(config.n_pairs), lengths)
+        lags = np.arange(int(self.queue_bounds[-1])) - self.queue_bounds[queue_pair] + 1
+        self.beta_coeff = self.mu[:, None] ** (-lags[None, :])
+        self.beta_bin = queue_pair[None, :] * n_mu + np.arange(n_mu)[:, None]
+
+        self.post_k = np.repeat(post[:, None], n_lambda, axis=1)
+        self.post_l = np.repeat(post[:, None], n_mu, axis=1)
+        self.pre_l = np.repeat(pre[:, None], n_mu, axis=1)
+        self.lam_k = np.tile(self.lam, (config.n_pairs, 1))
+        self.gamma_post = post[:, None] * n_mu + np.arange(n_mu)
+        source = pre.copy()
+        source[queued] = config.n_units + self.queue_bounds[queued + 1] - 1
+        self.arrival_k = np.repeat(source[:, None], n_lambda, axis=1)
 
 
 @dataclass
@@ -218,6 +258,6 @@ def as_time_slice(values, n_units: int) -> np.ndarray:
         raise ValueError(
             f"time slice must be a length-{n_units} vector, got shape {arr.shape}"
         )
-    if not np.all((arr == 0) | (arr == 1)):
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValueError("time slice entries must be 0 or 1")
     return arr.astype(np.int64)

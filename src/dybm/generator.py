@@ -15,7 +15,15 @@ import numpy as np
 
 from .config import ModelConfig, Parameters
 from .learning import _normalize_series
-from .model import TraceState, _drives, _log_sigmoid, _sigmoid, advance, fire_probs, init_state
+from .model import (
+    TraceState,
+    _log_sigmoid,
+    _scaled_drives,
+    _sigmoid,
+    advance,
+    fire_probs,
+    init_state,
+)
 from .rng import step_stream
 
 __all__ = [
@@ -109,7 +117,7 @@ def eval_prediction(params: Parameters, config: ModelConfig, series) -> Predicti
     total_ll = 0.0
     correct = 0
     for x in slices:
-        z = _drives(params, state, config) / config.temperature
+        z = _scaled_drives(params, state, config)
         predicted = (_sigmoid(z) > 0.5).astype(np.int64)
         correct += int(np.sum(predicted == x))
         total_ll += float(_log_sigmoid(np.where(x == 1, z, -z)).sum())

@@ -18,7 +18,16 @@ from typing import Callable
 import numpy as np
 
 from .config import ModelConfig, Parameters, as_time_slice
-from .model import TraceState, _beta_matrix, _drives, _log_sigmoid, _sigmoid, advance, init_state
+from .model import (
+    TraceState,
+    _beta_matrix,
+    _drives,
+    _log_sigmoid,
+    _scaled_drives,
+    _sigmoid,
+    advance,
+    init_state,
+)
 
 __all__ = [
     "Gradient",
@@ -122,40 +131,35 @@ def step_gradient(
     coefficient acts on both ends of its pair). The state is not mutated.
     """
     x = as_time_slice(observed, config.n_units)
-    arr = config.arrays
-    p = _sigmoid(_drives(params, state, config) / config.temperature)
-    r = (x - p) / config.temperature
-    grad = Gradient.zeros(config)
-    grad.d_bias[:] = r
-    if config.n_pairs:
-        b = _beta_matrix(state, config)
-        grad.d_u[:] = state.alpha * r[arr.post][:, None]
-        grad.d_v[:] = -b * r[arr.post][:, None] - state.gamma[arr.post] * r[arr.pre][:, None]
-    return grad
+    return _step_grad_logp(params, state, config, x)[0]
 
 
 def _step_grad_logp(
     params: Parameters, state: TraceState, config: ModelConfig, x: np.ndarray
 ) -> tuple[Gradient, float]:
-    """Gradient and log-probability of one step, sharing the drive pass."""
+    """Gradient and log-probability of one step; the near-window trace is
+    computed once and shared by the drive and the gradient."""
     arr = config.arrays
-    z = _drives(params, state, config) / config.temperature
-    p = _sigmoid(z)
+    b = _beta_matrix(state, config)
+    z = _drives(params, state, config, b) / config.temperature
     log_p = float(_log_sigmoid(np.where(x == 1, z, -z)).sum())
-    r = (x - p) / config.temperature
-    grad = Gradient.zeros(config)
-    grad.d_bias[:] = r
-    if config.n_pairs:
-        b = _beta_matrix(state, config)
-        grad.d_u[:] = state.alpha * r[arr.post][:, None]
-        grad.d_v[:] = -b * r[arr.post][:, None] - state.gamma[arr.post] * r[arr.pre][:, None]
+    r = (x - _sigmoid(z)) / config.temperature
+    gamma_post = state.gamma.ravel()[arr.gamma_post]
+    grad = Gradient(
+        d_bias=r,
+        d_u=state.alpha * r[arr.post_k],
+        d_v=-b * r[arr.post_l] - gamma_post * r[arr.pre_l],
+    )
     return grad, log_p
 
 
 def _normalize_series(series, n_units: int) -> list[np.ndarray]:
+    """Checked int slices of a series. A valid 2-D array is checked once
+    and returned as row views, without a copy per slice; anything else is
+    checked slice by slice by ``as_time_slice``, whose errors it raises."""
     arr = np.asarray(series)
-    if arr.ndim == 2:
-        return [as_time_slice(row, n_units) for row in arr]
+    if arr.ndim == 2 and arr.shape[1] == n_units and ((arr == 0) | (arr == 1)).all():
+        return list(arr.astype(np.int64, copy=False))
     return [as_time_slice(s, n_units) for s in series]
 
 
@@ -168,7 +172,7 @@ def sequence_log_likelihood(params: Parameters, config: ModelConfig, series) -> 
     state = init_state(config)
     total = 0.0
     for x in slices:
-        z = _drives(params, state, config) / config.temperature
+        z = _scaled_drives(params, state, config)
         total += float(_log_sigmoid(np.where(x == 1, z, -z)).sum())
         state = advance(state, config, x)
     return total
@@ -177,14 +181,17 @@ def sequence_log_likelihood(params: Parameters, config: ModelConfig, series) -> 
 def sequence_gradient(params: Parameters, config: ModelConfig, series) -> Gradient:
     """Sum of step gradients along a series, traces advancing between
     steps; equals the gradient of ``sequence_log_likelihood``."""
-    grad, _ = _sequence_grad_ll(params, config, series)
+    grad, _ = _sequence_grad_ll(params, config, _normalize_series(series, config.n_units))
     return grad
 
 
 def _sequence_grad_ll(
-    params: Parameters, config: ModelConfig, series, step_nll: list[float] | None = None
+    params: Parameters,
+    config: ModelConfig,
+    slices: list[np.ndarray],
+    step_nll: list[float] | None = None,
 ) -> tuple[Gradient, float]:
-    slices = _normalize_series(series, config.n_units)
+    """Gradient and log-likelihood of an already normalised series."""
     if not slices:
         raise ValueError("series must contain at least one time slice")
     state = init_state(config)
@@ -224,7 +231,7 @@ def _check_guard(params: Parameters, epoch: int, step: int) -> None:
         if arr.size == 0:
             continue
         worst = float(np.max(np.abs(arr)))
-        if not np.all(np.isfinite(arr)) or worst > DIVERGENCE_LIMIT:
+        if not worst <= DIVERGENCE_LIMIT:  # also catches nan and inf
             raise TrainingDiverged(
                 f"parameter {name} reached magnitude {worst:.3e} "
                 f"at epoch {epoch}, step {step}; training aborted",
@@ -302,14 +309,15 @@ def train(
                     _check_guard(params, epoch, global_step)
                     epoch_ll += log_p
                     metrics.step_nll.append(-log_p)
-                    metrics.grad_norms.append(grad.norm())
+                    gnorm = grad.norm()
+                    metrics.grad_norms.append(gnorm)
                     if record_sink is not None:
                         record_sink(
                             {
                                 "epoch": epoch,
                                 "step": global_step,
                                 "log_likelihood": log_p,
-                                "grad_norm": grad.norm(),
+                                "grad_norm": gnorm,
                                 "wall_ms": elapsed_ms(),
                             }
                         )

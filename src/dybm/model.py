@@ -7,14 +7,23 @@ State carried between time steps, per model:
   delay, then decays by ``lambdas[k]`` each step.
 * ``gamma[i, l]``: source trace of unit ``i``. Each spike enters with weight
   ``mus[l]`` and decays by ``mus[l]`` each step.
-* ``queues[m]``: the last ``d - 1`` values of the source unit, newest first;
-  these are the spikes still in transit on the pair's delay line.
+* ``queue``: the spikes still in transit on every delay line, as one flat
+  ``uint8`` array of length sum(d - 1). Pair ``m`` owns one contiguous
+  segment holding the last ``d - 1`` values of its source unit, newest
+  first; delay-1 pairs own none. ``config.arrays`` holds the segment
+  offsets, and ``queue_rows`` / ``pack_queue_rows`` convert to and from
+  per-pair lists.
+
+One step shifts the whole flat array by one position, writes each
+segment's newest bit (which also overwrites the one bit that crossed each
+segment boundary) and reads each segment's oldest bit as the arrival.
 
 The near-window trace ``beta[m, l]`` is derived from the queue on every
-call, never carried recursively: carrying it forward would repeatedly
-multiply by ``1/mu`` and is numerically unstable. Its coefficients
-``mu**(-lag)`` grow toward the delay horizon on purpose (they mirror the
-near side of the weight kernel); the configuration validator bounds them.
+step, never carried recursively: carrying it forward would repeatedly
+multiply by ``1/mu`` and is numerically unstable. It is one segmented sum
+of queue bits times the precomputed ``mu**(-lag)`` table. The coefficients
+grow toward the delay horizon on purpose (they mirror the near side of the
+weight kernel); the configuration validator bounds their sum.
 
 All update functions are pure: ``advance`` returns a fresh state and leaves
 its input untouched, so snapshots can be read concurrently and compared.
@@ -22,7 +31,6 @@ its input untouched, so snapshots can be read concurrently and compared.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,58 +43,50 @@ __all__ = [
     "init_state",
     "advance",
     "beta",
+    "queue_rows",
+    "pack_queue_rows",
     "unit_energy",
     "fire_prob",
     "fire_probs",
     "cond_prob",
     "expected_footprint",
     "measured_footprint",
-    "alpha_update_variant",
 ]
-
-# Validation hook: "decay_then_add" is the recursion consistent with the
-# trace definitions (the freshly arrived spike enters with coefficient 1);
-# "add_then_decay" folds the arrival in before decaying, which skews the
-# newest term by one decay factor. The faulty variant exists only so the
-# validation suite can demonstrate that its equivalence check catches it.
-ALPHA_UPDATE_VARIANTS = ("decay_then_add", "add_then_decay")
-_alpha_update_variant = "decay_then_add"
-
-
-@contextmanager
-def alpha_update_variant(name: str):
-    """Temporarily switch the arrival-trace recursion (fault injection)."""
-    global _alpha_update_variant
-    if name not in ALPHA_UPDATE_VARIANTS:
-        raise ValueError(f"unknown alpha update variant {name!r}")
-    previous = _alpha_update_variant
-    _alpha_update_variant = name
-    try:
-        yield
-    finally:
-        _alpha_update_variant = previous
 
 
 @dataclass
 class TraceState:
     """Everything the model remembers about the past.
 
-    ``queues[m]`` is a plain list of 0/1 ints, index 0 = lag 1 (newest),
-    last index = lag ``d - 1``. ``step_count`` counts absorbed slices.
+    ``queue`` is the flat ``uint8`` array of in-transit bits described in
+    the module docstring. ``step_count`` counts absorbed slices.
     """
 
     alpha: np.ndarray
     gamma: np.ndarray
-    queues: list[list[int]]
+    queue: np.ndarray
     step_count: int = 0
 
     def copy(self) -> "TraceState":
         return TraceState(
-            self.alpha.copy(),
-            self.gamma.copy(),
-            [list(q) for q in self.queues],
-            self.step_count,
+            self.alpha.copy(), self.gamma.copy(), self.queue.copy(), self.step_count
         )
+
+
+def queue_rows(config: ModelConfig, queue: np.ndarray) -> list[list[int]]:
+    """Per-pair view of a flat queue: row ``m`` holds pair ``m``'s bits,
+    newest first (empty for delay 1)."""
+    bounds = config.arrays.queue_bounds
+    return [queue[bounds[m] : bounds[m + 1]].tolist() for m in range(config.n_pairs)]
+
+
+def pack_queue_rows(config: ModelConfig, rows) -> np.ndarray:
+    """Flat queue from per-pair rows in ``config.pairs`` order; the inverse
+    of ``queue_rows``."""
+    lengths = [len(row) for row in rows]
+    if lengths != [d - 1 for d in config.arrays.delay.tolist()]:
+        raise ValueError("queue rows do not match the pair delays")
+    return np.array([bit for row in rows for bit in row], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def init_state(config: ModelConfig) -> TraceState:
     return TraceState(
         alpha=np.zeros((config.n_pairs, config.n_lambda)),
         gamma=np.zeros((config.n_units, config.n_mu)),
-        queues=[[0] * (config.delays[p] - 1) for p in config.pairs],
+        queue=np.zeros(int(config.arrays.queue_bounds[-1]), dtype=np.uint8),
         step_count=0,
     )
 
@@ -118,37 +118,31 @@ def advance(state: TraceState, config: ModelConfig, new_slice) -> TraceState:
     """
     x = as_time_slice(new_slice, config.n_units)
     arr = config.arrays
-    n_pairs = config.n_pairs
-
-    arrived = np.empty(n_pairs, dtype=np.float64)
-    queues: list[list[int]] = []
-    for m in range(n_pairs):
-        q = state.queues[m]
-        xi = int(x[arr.pre[m]])
-        if q:
-            arrived[m] = q[-1]
-            queues.append([xi] + q[:-1])
-        else:
-            arrived[m] = xi
-            queues.append([])
-
-    if _alpha_update_variant == "decay_then_add":
-        alpha = state.alpha * arr.lam[None, :] + arrived[:, None]
-    else:
-        alpha = (state.alpha + arrived[:, None]) * arr.lam[None, :]
+    old = state.queue
+    queue = np.empty_like(old)
+    queue[1:] = old[:-1]
+    queue[arr.queue_start] = x[arr.queue_pre]
+    arrived = np.concatenate((x, old))[arr.arrival_k]
+    alpha = state.alpha * arr.lam_k + arrived
     gamma = (state.gamma + x[:, None].astype(np.float64)) * arr.mu[None, :]
-    return TraceState(alpha, gamma, queues, state.step_count + 1)
+    return TraceState(alpha, gamma, queue, state.step_count + 1)
+
+
+def _to_units(index: np.ndarray, terms: np.ndarray, n_units: int) -> np.ndarray:
+    """Sum ``terms`` into per-unit totals by the unit in ``index``."""
+    return np.bincount(index.ravel(), weights=terms.ravel(), minlength=n_units)
 
 
 def _beta_matrix(state: TraceState, config: ModelConfig) -> np.ndarray:
     """Near-window traces for all pairs, shape (n_pairs, n_mu); computed
-    fresh from the queues on every call."""
+    fresh from the queue on every call as one segmented sum over the flat
+    queue (delay-1 pairs own no bits and get zero)."""
     arr = config.arrays
-    out = np.zeros((config.n_pairs, config.n_mu))
-    for m, q in enumerate(state.queues):
-        if q:
-            out[m] = arr.beta_coeffs[m] @ np.asarray(q, dtype=np.float64)
-    return out
+    weighted = arr.beta_coeff * state.queue
+    size = config.n_pairs * config.n_mu
+    b = np.bincount(arr.beta_bin.ravel(), weights=weighted.ravel(), minlength=size)
+    # bincount returns integers when there is nothing to sum
+    return b.astype(np.float64, copy=False).reshape(config.n_pairs, config.n_mu)
 
 
 def beta(state: TraceState, config: ModelConfig, i: int, j: int, ell: int) -> float:
@@ -158,28 +152,37 @@ def beta(state: TraceState, config: ModelConfig, i: int, j: int, ell: int) -> fl
         m = config.pair_index[(i, j)]
     except KeyError:
         raise ValueError(f"pair ({i}, {j}) is not connected") from None
-    q = state.queues[m]
-    if not q:
+    arr = config.arrays
+    lo, hi = arr.queue_bounds[m], arr.queue_bounds[m + 1]
+    if lo == hi:
         return 0.0
-    return float(config.arrays.beta_coeffs[m][ell] @ np.asarray(q, dtype=np.float64))
+    return float(arr.beta_coeff[ell, lo:hi] @ state.queue[lo:hi].astype(np.float64))
 
 
-def _drives(params: Parameters, state: TraceState, config: ModelConfig) -> np.ndarray:
+def _drives(
+    params: Parameters, state: TraceState, config: ModelConfig, b: np.ndarray
+) -> np.ndarray:
     """Per-unit input drive: bias plus the trace-weighted pair terms.
 
     drive[j] = bias[j] + sum over incoming pairs (u . alpha - v . beta)
     minus, for each outgoing pair (j, i), v[(j, i)] . gamma[i]. The energy
     of firing is minus the drive; staying silent always has energy zero.
+    ``b`` is the near-window trace from ``_beta_matrix`` for this state.
     """
     arr = config.arrays
-    drive = params.bias.astype(np.float64).copy()
-    if config.n_pairs:
-        b = _beta_matrix(state, config)
-        incoming = (params.u * state.alpha).sum(axis=1) - (params.v * b).sum(axis=1)
-        drive += np.bincount(arr.post, weights=incoming, minlength=config.n_units)
-        outgoing = (params.v * state.gamma[arr.post]).sum(axis=1)
-        drive -= np.bincount(arr.pre, weights=outgoing, minlength=config.n_units)
-    return drive
+    n = config.n_units
+    gamma_post = state.gamma.ravel()[arr.gamma_post]
+    return (
+        params.bias
+        + _to_units(arr.post_k, params.u * state.alpha, n)
+        - _to_units(arr.post_l, params.v * b, n)
+        - _to_units(arr.pre_l, params.v * gamma_post, n)
+    )
+
+
+def _scaled_drives(params: Parameters, state: TraceState, config: ModelConfig) -> np.ndarray:
+    """Drive over temperature: the logit of each unit's firing probability."""
+    return _drives(params, state, config, _beta_matrix(state, config)) / config.temperature
 
 
 def unit_energy(
@@ -190,29 +193,24 @@ def unit_energy(
         raise ValueError(f"x_j must be 0 or 1, got {x_j!r}")
     if x_j == 0:
         return 0.0
-    return float(-_drives(params, state, config)[j])
+    return float(-_drives(params, state, config, _beta_matrix(state, config))[j])
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function, evaluated through exp(-|z|) so that no branch
+    can overflow."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _log_sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = -np.log1p(np.exp(-z[pos]))
-    out[~pos] = z[~pos] - np.log1p(np.exp(z[~pos]))
-    return out
+    """log(sigmoid(z)) = min(z, 0) - log(1 + exp(-|z|)), overflow-free."""
+    return np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z)))
 
 
 def fire_probs(params: Parameters, state: TraceState, config: ModelConfig) -> np.ndarray:
     """Probability that each unit fires next step, given the state."""
-    return _sigmoid(_drives(params, state, config) / config.temperature)
+    return _sigmoid(_scaled_drives(params, state, config))
 
 
 def fire_prob(params: Parameters, state: TraceState, config: ModelConfig, j: int) -> float:
@@ -234,7 +232,7 @@ def cond_prob(
     wide networks, which is why both are returned.
     """
     x = as_time_slice(slice_values, config.n_units)
-    z = _drives(params, state, config) / config.temperature
+    z = _scaled_drives(params, state, config)
     signed = np.where(x == 1, z, -z)
     log_p = float(_log_sigmoid(signed).sum())
     return float(np.exp(log_p)), log_p
@@ -256,6 +254,6 @@ def measured_footprint(state: TraceState, params: Parameters) -> Footprint:
     """Storage actually held by a state/parameter pair."""
     return Footprint(
         trace_scalars=state.alpha.size + state.gamma.size,
-        queue_bits=sum(len(q) for q in state.queues),
+        queue_bits=state.queue.size,
         param_scalars=params.bias.size + params.u.size + params.v.size,
     )

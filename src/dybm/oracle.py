@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig, Parameters, as_time_slice
-from .model import TraceState, _sigmoid
+from .model import TraceState, _sigmoid, pack_queue_rows
 
 __all__ = [
     "ExpandedWeights",
@@ -209,7 +209,9 @@ def traces_from_scratch(config: ModelConfig, history: list) -> TraceState:
         for l, mu in enumerate(config.mus):
             gamma[i, l] = sum(mu ** (n + 1 - s) * value(i, s) for s in range(1, n + 1))
 
-    return TraceState(alpha=alpha, gamma=gamma, queues=queues, step_count=n)
+    return TraceState(
+        alpha=alpha, gamma=gamma, queue=pack_queue_rows(config, queues), step_count=n
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -95,10 +96,16 @@ def random_history(rng: np.random.Generator, config: ModelConfig, length: int) -
 
 
 def check_trace_recursion(
-    seed: int = 0, cases: int = 200, max_len: int = 64
+    seed: int = 0,
+    cases: int = 200,
+    max_len: int = 64,
+    advance: Callable[..., model.TraceState] = model.advance,
 ) -> PropertyReport:
     """Incremental trace updates must equal the definitions evaluated from
-    scratch on the full history (and the queues must match exactly)."""
+    scratch on the full history (and the queues must match exactly).
+
+    ``advance`` is the step under test; passing a deliberately faulty one
+    shows that the check catches it."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cases):
@@ -106,9 +113,12 @@ def check_trace_recursion(
         history = random_history(rng, config, int(rng.integers(0, max_len + 1)))
         state = model.init_state(config)
         for x in history:
-            state = model.advance(state, config, x)
+            state = advance(state, config, x)
         direct = oracle.traces_from_scratch(config, list(history))
-        if state.queues != direct.queues or state.step_count != direct.step_count:
+        if (
+            not np.array_equal(state.queue, direct.queue)
+            or state.step_count != direct.step_count
+        ):
             worst = math.inf
             break
         err = max(

@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from dybm.config import ModelConfig, Parameters
+from dybm.model import advance
 
 settings.register_profile(
     "suite",
@@ -52,6 +53,17 @@ def histories(draw, config, min_len=0, max_len=20):
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     return (rng.random((length, config.n_units)) < 0.5).astype(np.int64)
+
+
+def add_then_decay_advance(state, config, new_slice):
+    """Faulty ``advance`` for fault injection: folds the arriving spike into
+    the arrival trace before decaying it, which skews the newest term by
+    one decay factor."""
+    nxt = advance(state, config, new_slice)
+    lam = config.arrays.lam[None, :]
+    arrived = nxt.alpha - state.alpha * lam
+    nxt.alpha = (state.alpha + arrived) * lam
+    return nxt
 
 
 @pytest.fixture

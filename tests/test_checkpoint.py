@@ -44,7 +44,7 @@ class TestRoundtrip:
         _, _, loaded_state = roundtrip(params, cfg, state)
         assert loaded_state.alpha.tobytes() == state.alpha.tobytes()
         assert loaded_state.gamma.tobytes() == state.gamma.tobytes()
-        assert loaded_state.queues == state.queues
+        assert loaded_state.queue.tobytes() == state.queue.tobytes()
         assert loaded_state.step_count == state.step_count
 
     def test_fire_probs_survive_roundtrip(self, rng):

@@ -273,3 +273,22 @@ class TestInProcessMain:
     def test_missing_file_exits_2(self, tmp_path):
         code = main(["eval", str(tmp_path / "nope.json"), str(period4_path())])
         assert code == 2
+
+
+class TestExitCodes:
+    # bad input or configuration exits 2 with an error line, never an
+    # uncaught traceback (which would exit 1, the validation-failure code)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--sizes", "8", "--steps", "0"],
+            ["bench", "--sizes", "8", "--fan-in", "0"],
+            ["eval", "{tmp}", "{data}"],
+            ["train", "{tmp}", "{data}", "--out", "{tmp}/m.json"],
+        ],
+        ids=["bench-zero-steps", "bench-zero-fan-in", "eval-directory-model", "train-directory-config"],
+    )
+    def test_bad_input_exits_2(self, argv, tmp_path, capsys):
+        code = main([arg.format(tmp=tmp_path, data=period4_path()) for arg in argv])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")

@@ -1,11 +1,34 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dybm.config import ConfigError, ModelConfig, Parameters, as_time_slice
+from dybm.learning import sequence_log_likelihood
+from dybm.model import _beta_matrix, _drives, advance, cond_prob, fire_probs, init_state
 
 from conftest import configs
+
+
+@st.composite
+def near_overflow_configs(draw):
+    """Two-unit configs whose longest delay sits within a few steps of the
+    overflow guard for the smallest near-window rate; configs the guard
+    rejects are discarded."""
+    mu = draw(st.floats(0.02, 0.6))
+    other_mu = draw(st.floats(mu, 0.95))
+    # delay at which the largest single coefficient mu**-(d-1) overflows
+    edge = int(math.log(np.finfo(np.float64).max) / -math.log(mu)) + 1
+    delays = {(0, 0): max(1, edge + draw(st.integers(-4, 2)))}
+    for pair in ((0, 1), (1, 0)):
+        if draw(st.booleans()):
+            delays[pair] = draw(st.integers(1, 6))
+    try:
+        return ModelConfig(2, (0.5,), (mu, other_mu), delays)
+    except ConfigError:
+        assume(False)
 
 
 class TestModelConfigValidation:
@@ -55,6 +78,31 @@ class TestModelConfigValidation:
         # (1/1e-3)**(300-1) is far beyond double range
         with pytest.raises(ConfigError, match="overflow"):
             ModelConfig(1, (0.5,), (1e-3,), {(0, 0): 300})
+
+    def test_overflow_guard_bounds_the_sum_not_the_largest_term(self):
+        # every coefficient 2**lag (lag <= 1023) is finite, but a full queue
+        # sums them to 2**1024 - 2, which is not
+        with pytest.raises(ConfigError, match="overflow"):
+            ModelConfig(1, (0.5,), (0.5,), {(0, 0): 1024})
+        ModelConfig(1, (0.5,), (0.5,), {(0, 0): 1023})
+
+    @given(near_overflow_configs())
+    @settings(max_examples=25)
+    def test_accepted_configs_stay_finite_on_all_ones(self, cfg):
+        # zero parameters and an all-ones history fill every queue, which
+        # gives the largest near-window trace the config allows
+        params = Parameters.zeros(cfg)
+        ones = np.ones(cfg.n_units, dtype=np.int64)
+        state = init_state(cfg)
+        for _ in range(cfg.max_delay):
+            state = advance(state, cfg, ones)
+        b = _beta_matrix(state, cfg)
+        assert np.all(np.isfinite(b))
+        assert np.all(np.isfinite(_drives(params, state, cfg, b)))
+        assert np.all(np.isfinite(fire_probs(params, state, cfg)))
+        assert math.isfinite(cond_prob(params, state, cfg, ones)[1])
+        history = np.ones((cfg.max_delay + 1, cfg.n_units), dtype=np.int64)
+        assert math.isfinite(sequence_log_likelihood(params, cfg, history))
 
     def test_overflow_guard_allows_desk_scale(self):
         cfg = ModelConfig(1, (0.5,), (0.2,), {(0, 0): 8})

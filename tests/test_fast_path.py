@@ -1,0 +1,155 @@
+"""Differential tests of the vectorised trace step against brute force.
+
+``advance`` and ``_beta_matrix`` work on the flat queue. Here they are held
+to the trace definitions evaluated directly on the history
+(``oracle.traces_from_scratch``), to the near-window sum written out lag by
+lag, and to the truncated-kernel firing probability (``naive_fire_prob``).
+Queue bits must agree exactly. The configs cover mixed delays with delay-1
+pairs, configs where every delay is 1, and empty connectivity.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dybm.config import ModelConfig, Parameters
+from dybm.learning import step_gradient
+from dybm.model import (
+    _beta_matrix,
+    advance,
+    beta,
+    expected_footprint,
+    fire_probs,
+    init_state,
+    measured_footprint,
+    pack_queue_rows,
+    queue_rows,
+)
+from dybm.oracle import expand_weights, naive_fire_prob, traces_from_scratch, truncation_horizon
+
+from conftest import configs, histories
+
+MIXED = ModelConfig(
+    3,
+    (0.5, 0.3),
+    (0.4, 0.25),
+    {(0, 0): 1, (0, 1): 3, (1, 0): 2, (1, 2): 1, (2, 0): 5, (2, 2): 4},
+)
+ALL_DELAY_ONE = ModelConfig.dense(3, lambdas=(0.45,), mus=(0.35, 0.2), delay=1)
+EMPTY = ModelConfig(3, (0.5,), (0.3,), {})
+
+
+def walk(cfg, history):
+    state = init_state(cfg)
+    for x in history:
+        state = advance(state, cfg, x)
+    return state
+
+
+def beta_by_definition(cfg, history) -> np.ndarray:
+    """beta[m, l] = sum over lag s in [1, d-1] of mus[l]**-s times the
+    source value s - 1 steps before the newest slice (zero before the
+    history starts)."""
+    n = len(history)
+    out = np.zeros((cfg.n_pairs, cfg.n_mu))
+    for m, (i, j) in enumerate(cfg.pairs):
+        for lag in range(1, cfg.delays[(i, j)]):
+            if n - lag >= 0 and history[n - lag][i]:
+                out[m] += np.asarray(cfg.mus) ** -float(lag)
+    return out
+
+
+def assert_matches_oracle(cfg, history):
+    state = walk(cfg, history)
+    direct = traces_from_scratch(cfg, list(history))
+    assert state.queue.dtype == np.uint8
+    np.testing.assert_array_equal(state.queue, direct.queue)
+    assert measured_footprint(state, Parameters.zeros(cfg)) == expected_footprint(cfg)
+    np.testing.assert_allclose(state.alpha, direct.alpha, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(state.gamma, direct.gamma, rtol=0, atol=1e-10)
+    want = beta_by_definition(cfg, history)
+    got = _beta_matrix(state, cfg)
+    assert got.shape == (cfg.n_pairs, cfg.n_mu) and got.dtype == np.float64
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+    for m, (i, j) in enumerate(cfg.pairs):
+        for ell in range(cfg.n_mu):
+            assert beta(state, cfg, i, j, ell) == pytest.approx(want[m, ell], rel=1e-14, abs=0)
+    return state
+
+
+class TestAgainstTraceDefinitions:
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_mixed_delays(self, data):
+        cfg = data.draw(configs(max_units=4, max_delay=6, allow_empty=True))
+        assert_matches_oracle(cfg, data.draw(histories(cfg, max_len=30)))
+
+    @given(st.data())
+    @settings(max_examples=20)
+    def test_every_delay_one(self, data):
+        cfg = data.draw(configs(max_units=3, max_delay=1))
+        state = assert_matches_oracle(cfg, data.draw(histories(cfg, max_len=12)))
+        assert state.queue.size == 0
+
+    @pytest.mark.parametrize("cfg", [MIXED, ALL_DELAY_ONE, EMPTY], ids=["mixed", "delay1", "empty"])
+    def test_fixed_configs(self, cfg):
+        rng = np.random.default_rng(5)
+        history = (rng.random((23, cfg.n_units)) < 0.5).astype(np.int64)
+        for length in (0, 1, 2, 7, 23):
+            assert_matches_oracle(cfg, history[:length])
+
+    def test_segments_do_not_leak_into_each_other(self):
+        # one spike of unit 2 walks down the (2, 0) queue (delay 5) and
+        # arrives after four steps; the neighbouring segments stay empty
+        history = [[0, 0, 1]] + [[0, 0, 0]] * 4
+        expected = {1: [1, 0, 0, 0], 2: [0, 1, 0, 0], 3: [0, 0, 1, 0], 4: [0, 0, 0, 1]}
+        m = MIXED.pair_index[(2, 0)]
+        for steps, bits in expected.items():
+            state = walk(MIXED, history[:steps])
+            rows = queue_rows(MIXED, state.queue)
+            assert rows[m] == bits
+            assert sum(map(sum, rows)) == 1 + rows[MIXED.pair_index[(2, 2)]].count(1)
+        arrived = walk(MIXED, history)
+        assert arrived.alpha[m].tolist() == [1.0, 1.0]
+
+    def test_queue_rows_roundtrip(self):
+        rng = np.random.default_rng(8)
+        state = walk(MIXED, (rng.random((9, 3)) < 0.5).astype(np.int64))
+        rows = queue_rows(MIXED, state.queue)
+        assert [len(r) for r in rows] == [MIXED.delays[p] - 1 for p in MIXED.pairs]
+        packed = pack_queue_rows(MIXED, rows)
+        assert packed.dtype == np.uint8
+        np.testing.assert_array_equal(packed, state.queue)
+        with pytest.raises(ValueError, match="delays"):
+            pack_queue_rows(MIXED, rows[:-1])
+
+
+class TestEmptyConnectivity:
+    def test_step_is_bias_only(self):
+        params = Parameters(np.array([0.3, -1.2, 2.0]), np.zeros((0, 1)), np.zeros((0, 1)))
+        state = walk(EMPTY, [[1, 0, 1], [0, 1, 1]])
+        assert state.queue.size == 0 and state.alpha.shape == (0, 1)
+        assert _beta_matrix(state, EMPTY).shape == (0, 1)
+        np.testing.assert_allclose(fire_probs(params, state, EMPTY), 1.0 / (1.0 + np.exp(-params.bias)))
+        grad = step_gradient(params, state, EMPTY, [1, 1, 0])
+        assert grad.d_u.shape == (0, 1) and grad.d_v.shape == (0, 1)
+
+
+class TestAgainstTruncatedKernel:
+    @pytest.mark.parametrize("cfg", [MIXED, ALL_DELAY_ONE, EMPTY], ids=["mixed", "delay1", "empty"])
+    def test_fire_probs_match_naive(self, cfg):
+        rng = np.random.default_rng(17)
+        params = Parameters(
+            bias=rng.normal(0.0, 1.0, size=cfg.n_units),
+            u=rng.normal(0.0, 1.0, size=(cfg.n_pairs, cfg.n_lambda)),
+            v=rng.normal(0.0, 1.0, size=(cfg.n_pairs, cfg.n_mu)),
+        )
+        horizon = truncation_horizon(cfg, tol=1e-13)
+        history = (rng.random((horizon + 20, cfg.n_units)) < 0.5).astype(np.int64)
+        expanded = expand_weights(params, cfg, horizon)
+        for end in (horizon - 1, horizon + 7, horizon + 20):
+            fast = fire_probs(params, walk(cfg, history[:end]), cfg)
+            window = list(history[end - (horizon - 1) : end])
+            slow = [naive_fire_prob(expanded, params.bias, cfg, window, j) for j in range(cfg.n_units)]
+            np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-10)

@@ -59,7 +59,7 @@ class TestSampleStep:
         state = init_state(cfg)
         sample_step(Parameters.zeros(cfg), state, cfg, step_stream(0, 0))
         assert state.step_count == 0
-        assert state.queues == [[0, 0]] * 4
+        assert state.queue.tolist() == [0] * 8
 
 
 class TestRollout:

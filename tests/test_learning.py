@@ -73,7 +73,7 @@ class TestStepGradient:
         before = state.copy()
         step_gradient(Parameters.zeros(cfg), state, cfg, [1, 0])
         np.testing.assert_array_equal(state.alpha, before.alpha)
-        assert state.queues == before.queues
+        np.testing.assert_array_equal(state.queue, before.queue)
 
 
 class TestSequenceLogLikelihood:

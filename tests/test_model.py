@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dybm.config import ModelConfig, Parameters
 from dybm.model import (
     advance,
-    alpha_update_variant,
     beta,
     cond_prob,
     expected_footprint,
@@ -16,11 +15,12 @@ from dybm.model import (
     fire_probs,
     init_state,
     measured_footprint,
+    queue_rows,
     unit_energy,
 )
 from dybm.oracle import traces_from_scratch
 
-from conftest import configs, configs_with_params, histories
+from conftest import add_then_decay_advance, configs, configs_with_params, histories
 
 
 def single_unit_config(delay=3, lam=0.5, mu=0.5, temperature=1.0):
@@ -33,13 +33,13 @@ class TestInitState:
         st0 = init_state(cfg)
         assert np.all(st0.alpha == 0.0)
         assert np.all(st0.gamma == 0.0)
-        assert st0.queues == [[0, 0]]
+        assert queue_rows(cfg, st0.queue) == [[0, 0]]
         assert st0.step_count == 0
 
     def test_delay_one_queues_empty(self):
         cfg = ModelConfig.dense(2, delay=1)
         st0 = init_state(cfg)
-        assert all(q == [] for q in st0.queues)
+        assert all(q == [] for q in queue_rows(cfg, st0.queue))
 
     @given(configs())
     def test_fresh_beta_is_zero(self, cfg):
@@ -59,7 +59,7 @@ class TestAdvance:
             state = advance(state, cfg, s)
         assert state.alpha[0, 0] == pytest.approx(0.5, abs=1e-15)
         assert state.gamma[0, 0] == pytest.approx(0.0625, abs=1e-15)
-        assert state.queues == [[0, 0]]
+        assert queue_rows(cfg, state.queue) == [[0, 0]]
         assert beta(state, cfg, 0, 0, 0) == 0.0
         assert state.step_count == 4
 
@@ -82,7 +82,7 @@ class TestAdvance:
         state = init_state(cfg)
         advance(state, cfg, [1])
         assert np.all(state.alpha == 0.0)
-        assert state.queues == [[0, 0]]
+        assert queue_rows(cfg, state.queue) == [[0, 0]]
         assert state.step_count == 0
 
     def test_rejects_wrong_length(self):
@@ -102,15 +102,14 @@ class TestAdvance:
         direct = traces_from_scratch(cfg, list(history))
         np.testing.assert_allclose(state.alpha, direct.alpha, atol=1e-9)
         np.testing.assert_allclose(state.gamma, direct.gamma, atol=1e-9)
-        assert state.queues == direct.queues
+        np.testing.assert_array_equal(state.queue, direct.queue)
 
     def test_faulty_variant_breaks_equivalence(self):
         cfg = single_unit_config(delay=2)
         history = [[1], [1], [0]]
-        with alpha_update_variant("add_then_decay"):
-            state = init_state(cfg)
-            for x in history:
-                state = advance(state, cfg, x)
+        state = init_state(cfg)
+        for x in history:
+            state = add_then_decay_advance(state, cfg, x)
         direct = traces_from_scratch(cfg, history)
         assert abs(state.alpha[0, 0] - direct.alpha[0, 0]) > 0.1
 
@@ -120,7 +119,7 @@ class TestBeta:
         # queue (1, 1) at delay 3, rate one half: 1/mu + 1/mu**2 = 6
         cfg = single_unit_config(delay=3, mu=0.5)
         state = init_state(cfg)
-        state.queues[0][:] = [1, 1]
+        state.queue[:] = [1, 1]
         assert beta(state, cfg, 0, 0, 0) == pytest.approx(6.0)
 
     def test_delay_one_empty_sum(self):
@@ -139,9 +138,9 @@ class TestBeta:
     def test_recomputed_fresh_each_call(self):
         cfg = single_unit_config(delay=3, mu=0.5)
         state = init_state(cfg)
-        state.queues[0][:] = [1, 0]
+        state.queue[:] = [1, 0]
         first = beta(state, cfg, 0, 0, 0)
-        state.queues[0][:] = [0, 1]
+        state.queue[:] = [0, 1]
         second = beta(state, cfg, 0, 0, 0)
         assert (first, second) == (2.0, 4.0)
 

@@ -170,14 +170,14 @@ class TestTracesFromScratch:
         fresh = init_state(cfg)
         np.testing.assert_array_equal(direct.alpha, fresh.alpha)
         np.testing.assert_array_equal(direct.gamma, fresh.gamma)
-        assert direct.queues == fresh.queues
+        np.testing.assert_array_equal(direct.queue, fresh.queue)
 
     def test_hand_worked_history(self):
         cfg = ModelConfig(1, (0.5,), (0.5,), {(0, 0): 3})
         direct = traces_from_scratch(cfg, [[1], [0], [0], [0]])
         assert direct.alpha[0, 0] == pytest.approx(0.5)
         assert direct.gamma[0, 0] == pytest.approx(0.0625)
-        assert direct.queues == [[0, 0]]
+        assert direct.queue.tolist() == [0, 0]
 
     def test_agrees_with_advance_on_random_histories(self, rng):
         from dybm.validate import random_config, random_history
@@ -191,7 +191,7 @@ class TestTracesFromScratch:
             direct = traces_from_scratch(cfg, list(history))
             np.testing.assert_allclose(state.alpha, direct.alpha, atol=1e-9)
             np.testing.assert_allclose(state.gamma, direct.gamma, atol=1e-9)
-            assert state.queues == direct.queues
+            np.testing.assert_array_equal(state.queue, direct.queue)
             assert state.step_count == direct.step_count
 
 

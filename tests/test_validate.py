@@ -1,4 +1,3 @@
-from dybm import model
 from dybm.validate import (
     check_energy_expansion,
     check_gradient_finite_difference,
@@ -6,6 +5,8 @@ from dybm.validate import (
     check_trace_recursion,
     run_all,
 )
+
+from conftest import add_then_decay_advance
 
 
 class TestChecks:
@@ -21,8 +22,7 @@ class TestChecks:
     def test_trace_recursion_catches_injected_fault(self):
         # flipping the arrival-trace recursion to fold the new spike in
         # before the decay must make the equivalence check fail
-        with model.alpha_update_variant("add_then_decay"):
-            report = check_trace_recursion(seed=3, cases=40)
+        report = check_trace_recursion(seed=3, cases=40, advance=add_then_decay_advance)
         assert not report.passed
         assert report.max_error > 1e-3
 
