@@ -63,6 +63,16 @@ def _load_run_config(path: str) -> tuple[ModelConfig, dict, dict]:
     return config, trainer, generation
 
 
+def _read_series_for(path: str, config: ModelConfig) -> np.ndarray:
+    """Read a series CSV and check that it has one column per model unit."""
+    series = read_series(path)
+    if series.shape[1] != config.n_units:
+        raise ConfigError(
+            f"{path}: series has {series.shape[1]} units, model expects {config.n_units}"
+        )
+    return series
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     config, trainer_doc, _ = _load_run_config(args.config)
     trainer = TrainerConfig(
@@ -77,15 +87,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         mode=args.mode if args.mode is not None else trainer_doc.get("mode", "full_batch"),
         shuffle_seed=trainer_doc.get("shuffle_seed"),
     )
-    dataset = []
-    for path in args.data:
-        series = read_series(path)
-        if series.shape[1] != config.n_units:
-            raise ConfigError(
-                f"{path}: series has {series.shape[1]} units, model expects "
-                f"{config.n_units}"
-            )
-        dataset.append(series)
+    dataset = [_read_series_for(path, config) for path in args.data]
     _log(
         f"training on {len(dataset)} series, mode={trainer.mode}, "
         f"learning_rate={trainer.learning_rate}, epochs={trainer.epochs}"
@@ -112,13 +114,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     params, config, _ = load_checkpoint(_read(args.model))
-    series = read_series(args.data)
-    if series.shape[1] != config.n_units:
-        raise ConfigError(
-            f"{args.data}: series has {series.shape[1]} units, model expects "
-            f"{config.n_units}"
-        )
-    scores = eval_prediction(params, config, series)
+    scores = eval_prediction(params, config, _read_series_for(args.data, config))
     print(
         json.dumps(
             {
@@ -133,14 +129,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     params, config, _ = load_checkpoint(_read(args.model))
-    primer = None
-    if args.primer is not None:
-        primer = read_series(args.primer)
-        if primer.shape[1] != config.n_units:
-            raise ConfigError(
-                f"{args.primer}: primer has {primer.shape[1]} units, model "
-                f"expects {config.n_units}"
-            )
+    primer = None if args.primer is None else _read_series_for(args.primer, config)
     cfg = RolloutConfig(horizon=args.horizon, mode=args.mode, seed=args.seed, primer=primer)
     series = rollout(params, config, cfg)
     sys.stdout.write(format_series(series))

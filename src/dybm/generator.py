@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig, Parameters
-from .learning import _normalize_series
+from .learning import _normalize_series, _walk
 from .model import (
     TraceState,
-    _log_sigmoid,
+    _log_prob,
     _scaled_drives,
     _sigmoid,
     advance,
@@ -38,8 +38,8 @@ __all__ = [
 @dataclass
 class RolloutConfig:
     """How to generate: number of steps, "sample" or "argmax", the run seed
-    (ignored by argmax), and an optional primer series absorbed before the
-    first generated step."""
+    (ignored by argmax), and an optional non-empty primer series absorbed
+    before the first generated step."""
 
     horizon: int
     mode: str = "sample"
@@ -111,17 +111,12 @@ def eval_prediction(params: Parameters, config: ModelConfig, series) -> Predicti
     predict 0); the negative log-likelihood is normalised per bit.
     """
     slices = _normalize_series(series, config.n_units)
-    if not slices:
-        raise ValueError("series must contain at least one time slice")
-    state = init_state(config)
     total_ll = 0.0
     correct = 0
-    for x in slices:
+    for state, x in _walk(config, slices):
         z = _scaled_drives(params, state, config)
-        predicted = (_sigmoid(z) > 0.5).astype(np.int64)
-        correct += int(np.sum(predicted == x))
-        total_ll += float(_log_sigmoid(np.where(x == 1, z, -z)).sum())
-        state = advance(state, config, x)
+        correct += int(np.sum((_sigmoid(z) > 0.5) == x))
+        total_ll += _log_prob(z, x)
     bits = len(slices) * config.n_units
     return PredictionMetrics(
         log_likelihood=total_ll,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .model import (
     TraceState,
     _beta_matrix,
     _drives,
-    _log_sigmoid,
+    _log_prob,
     _scaled_drives,
     _sigmoid,
     advance,
@@ -142,7 +142,6 @@ def _step_grad_logp(
     arr = config.arrays
     b = _beta_matrix(state, config)
     z = _drives(params, state, config, b) / config.temperature
-    log_p = float(_log_sigmoid(np.where(x == 1, z, -z)).sum())
     r = (x - _sigmoid(z)) / config.temperature
     gamma_post = state.gamma.ravel()[arr.gamma_post]
     grad = Gradient(
@@ -150,39 +149,49 @@ def _step_grad_logp(
         d_u=state.alpha * r[arr.post_k],
         d_v=-b * r[arr.post_l] - gamma_post * r[arr.pre_l],
     )
-    return grad, log_p
+    return grad, _log_prob(z, x)
 
 
 def _normalize_series(series, n_units: int) -> list[np.ndarray]:
-    """Checked int slices of a series. A valid 2-D array is checked once
-    and returned as row views, without a copy per slice; anything else is
-    checked slice by slice by ``as_time_slice``, whose errors it raises."""
+    """Checked int slices of a non-empty series. A valid 2-D array is
+    checked once and returned as row views, without a copy per slice;
+    anything else is checked slice by slice by ``as_time_slice``, whose
+    errors it raises."""
     arr = np.asarray(series)
     if arr.ndim == 2 and arr.shape[1] == n_units and ((arr == 0) | (arr == 1)).all():
-        return list(arr.astype(np.int64, copy=False))
-    return [as_time_slice(s, n_units) for s in series]
+        slices = list(arr.astype(np.int64, copy=False))
+    else:
+        slices = [as_time_slice(s, n_units) for s in series]
+    if not slices:
+        raise ValueError("series must contain at least one time slice")
+    return slices
+
+
+def _walk(
+    config: ModelConfig, slices: list[np.ndarray]
+) -> Iterator[tuple[TraceState, np.ndarray]]:
+    """The one pass over a series: from the zero-history start state, yield
+    each checked slice with the state that precedes it, then absorb the
+    slice into the traces."""
+    state = init_state(config)
+    for x in slices:
+        yield state, x
+        state = advance(state, config, x)
 
 
 def sequence_log_likelihood(params: Parameters, config: ModelConfig, series) -> float:
     """Log-probability of a whole series, chained step by step from the
     zero-history start state."""
-    slices = _normalize_series(series, config.n_units)
-    if not slices:
-        raise ValueError("series must contain at least one time slice")
-    state = init_state(config)
     total = 0.0
-    for x in slices:
-        z = _scaled_drives(params, state, config)
-        total += float(_log_sigmoid(np.where(x == 1, z, -z)).sum())
-        state = advance(state, config, x)
+    for state, x in _walk(config, _normalize_series(series, config.n_units)):
+        total += _log_prob(_scaled_drives(params, state, config), x)
     return total
 
 
 def sequence_gradient(params: Parameters, config: ModelConfig, series) -> Gradient:
     """Sum of step gradients along a series, traces advancing between
     steps; equals the gradient of ``sequence_log_likelihood``."""
-    grad, _ = _sequence_grad_ll(params, config, _normalize_series(series, config.n_units))
-    return grad
+    return _sequence_grad_ll(params, config, _normalize_series(series, config.n_units))[0]
 
 
 def _sequence_grad_ll(
@@ -192,18 +201,14 @@ def _sequence_grad_ll(
     step_nll: list[float] | None = None,
 ) -> tuple[Gradient, float]:
     """Gradient and log-likelihood of an already normalised series."""
-    if not slices:
-        raise ValueError("series must contain at least one time slice")
-    state = init_state(config)
     total = Gradient.zeros(config)
     ll = 0.0
-    for x in slices:
+    for state, x in _walk(config, slices):
         grad, log_p = _step_grad_logp(params, state, config, x)
         total.add_(grad)
         ll += log_p
         if step_nll is not None:
             step_nll.append(-log_p)
-        state = advance(state, config, x)
     return total, ll
 
 
@@ -215,11 +220,12 @@ def sgd_update(params: Parameters, grad: Gradient, learning_rate: float) -> Para
         or grad.d_v.shape != params.v.shape
     ):
         raise ValueError("gradient shape does not match parameters")
-    out = Parameters(
-        bias=params.bias + learning_rate * grad.d_bias,
-        u=params.u + learning_rate * grad.d_u,
-        v=params.v + learning_rate * grad.d_v,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # the result is checked below
+        out = Parameters(
+            bias=params.bias + learning_rate * grad.d_bias,
+            u=params.u + learning_rate * grad.d_u,
+            v=params.v + learning_rate * grad.d_v,
+        )
     for name, arr in (("bias", out.bias), ("u", out.u), ("v", out.v)):
         if arr.size and not np.all(np.isfinite(arr)):
             raise ValueError(f"update produced non-finite {name}")
@@ -252,7 +258,9 @@ def train(
     Traces restart from the zero-history state at every series boundary.
     Deterministic: identical inputs give bit-identical parameters.
     ``record_sink``, when given, receives one metrics dict per update
-    ({epoch, step, log_likelihood, grad_norm, wall_ms}).
+    ({epoch, step, log_likelihood, grad_norm, wall_ms}). An update that
+    leaves the finite range or passes the divergence limit raises
+    ``TrainingDiverged``.
     """
     series_list = [_normalize_series(s, config.n_units) for s in dataset]
     if not series_list:
@@ -270,58 +278,50 @@ def train(
     def elapsed_ms() -> float:
         return (time.perf_counter() - start) * 1000.0
 
+    def update(grad: Gradient, log_likelihood: float, epoch: int, step: int) -> None:
+        nonlocal params
+        try:
+            params = sgd_update(params, grad, trainer.learning_rate)
+        except ValueError as exc:  # shapes match here, so the result was non-finite
+            raise TrainingDiverged(
+                f"{exc} at epoch {epoch}, step {step}; training aborted", epoch, step
+            ) from None
+        _check_guard(params, epoch, step)
+        gnorm = grad.norm()
+        metrics.grad_norms.append(gnorm)
+        if record_sink is not None:
+            record_sink(
+                {
+                    "epoch": epoch,
+                    "step": step,
+                    "log_likelihood": log_likelihood,
+                    "grad_norm": gnorm,
+                    "wall_ms": elapsed_ms(),
+                }
+            )
+
     global_step = 0
     for epoch in range(trainer.epochs):
+        epoch_ll = 0.0
         if trainer.mode == "full_batch":
             total = Gradient.zeros(config)
-            epoch_ll = 0.0
             for series in series_list:
                 grad, ll = _sequence_grad_ll(params, config, series, metrics.step_nll)
                 total.add_(grad)
                 epoch_ll += ll
                 global_step += len(series)
-            params = sgd_update(params, total, trainer.learning_rate)
-            _check_guard(params, epoch, global_step)
-            gnorm = total.norm()
-            metrics.epoch_log_likelihood.append(epoch_ll)
-            metrics.grad_norms.append(gnorm)
-            if record_sink is not None:
-                record_sink(
-                    {
-                        "epoch": epoch,
-                        "step": global_step,
-                        "log_likelihood": epoch_ll,
-                        "grad_norm": gnorm,
-                        "wall_ms": elapsed_ms(),
-                    }
-                )
+            update(total, epoch_ll, epoch, global_step)
         else:
             order = list(range(len(series_list)))
             if rng is not None:
                 rng.shuffle(order)
-            epoch_ll = 0.0
             for series_idx in order:
-                state = init_state(config)
-                for x in series_list[series_idx]:
+                for state, x in _walk(config, series_list[series_idx]):
                     grad, log_p = _step_grad_logp(params, state, config, x)
-                    params = sgd_update(params, grad, trainer.learning_rate)
                     global_step += 1
-                    _check_guard(params, epoch, global_step)
+                    update(grad, log_p, epoch, global_step)
                     epoch_ll += log_p
                     metrics.step_nll.append(-log_p)
-                    gnorm = grad.norm()
-                    metrics.grad_norms.append(gnorm)
-                    if record_sink is not None:
-                        record_sink(
-                            {
-                                "epoch": epoch,
-                                "step": global_step,
-                                "log_likelihood": log_p,
-                                "grad_norm": gnorm,
-                                "wall_ms": elapsed_ms(),
-                            }
-                        )
-                    state = advance(state, config, x)
-            metrics.epoch_log_likelihood.append(epoch_ll)
+        metrics.epoch_log_likelihood.append(epoch_ll)
     metrics.wall_ms = elapsed_ms()
     return params, metrics

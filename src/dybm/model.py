@@ -208,6 +208,12 @@ def _log_sigmoid(z: np.ndarray) -> np.ndarray:
     return np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z)))
 
 
+def _log_prob(z: np.ndarray, x: np.ndarray) -> float:
+    """Log-probability of the 0/1 slice ``x`` when each unit fires with
+    logit ``z``; units are independent, so it is a sum over units."""
+    return float(_log_sigmoid(np.where(x == 1, z, -z)).sum())
+
+
 def fire_probs(params: Parameters, state: TraceState, config: ModelConfig) -> np.ndarray:
     """Probability that each unit fires next step, given the state."""
     return _sigmoid(_scaled_drives(params, state, config))
@@ -232,9 +238,7 @@ def cond_prob(
     wide networks, which is why both are returned.
     """
     x = as_time_slice(slice_values, config.n_units)
-    z = _scaled_drives(params, state, config)
-    signed = np.where(x == 1, z, -z)
-    log_p = float(_log_sigmoid(signed).sum())
+    log_p = _log_prob(_scaled_drives(params, state, config), x)
     return float(np.exp(log_p)), log_p
 
 

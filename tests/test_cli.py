@@ -119,6 +119,30 @@ class TestTrain:
         assert code == 3
         assert "epoch" in stderr
 
+    def test_non_finite_update_exits_3(self, tmp_path):
+        # a full-batch step overflows to inf before the magnitude guard
+        cfg = tmp_path / "steep.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "config": {
+                        "n_units": 1,
+                        "lambdas": [0.5],
+                        "mus": [0.1],
+                        "temperature": 0.01,
+                        "connectivity": [[0, 0, 300]],
+                    },
+                    "trainer": {"mode": "full_batch", "learning_rate": 1e8, "epochs": 5},
+                }
+            )
+        )
+        data = tmp_path / "ones.csv"
+        data.write_text("u0\n" + "1\n" * 300)
+        code, _, stderr = run_cli("train", cfg, data, "--out", tmp_path / "m.json")
+        assert code == 3
+        assert "epoch" in stderr
+        assert "RuntimeWarning" not in stderr
+
 
 class TestEval:
     def test_zero_param_model_scores_ln2(self, tmp_path):

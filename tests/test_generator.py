@@ -92,6 +92,12 @@ class TestRollout:
         assert plain.shape == primed.shape == (8, 2)
         assert not np.array_equal(plain, primed)
 
+    def test_empty_primer_rejected(self):
+        cfg = ModelConfig.dense(2)
+        roll = RolloutConfig(horizon=4, primer=np.zeros((0, 2), dtype=int))
+        with pytest.raises(ValueError, match="at least one time slice"):
+            rollout(Parameters.zeros(cfg), cfg, roll)
+
     def test_horizon_validated(self):
         with pytest.raises(ValueError, match="horizon"):
             RolloutConfig(horizon=0)
@@ -135,7 +141,8 @@ class TestEvalPrediction:
         assert scores.accuracy == 1.0
 
     def test_log_likelihood_consistent_with_learning(self, rng):
-        from dybm.learning import sequence_log_likelihood
+        # every consumer scores the series on the same walk, bit for bit
+        from dybm.learning import TrainerConfig, sequence_log_likelihood, train
 
         cfg = ModelConfig.dense(3, delay=2)
         params = Parameters(
@@ -144,8 +151,10 @@ class TestEvalPrediction:
         series = (rng.random((12, 3)) < 0.5).astype(int)
         scores = eval_prediction(params, cfg, series)
         want = sequence_log_likelihood(params, cfg, series)
-        assert scores.log_likelihood == pytest.approx(want, rel=1e-12)
-        assert scores.nll_per_bit == pytest.approx(-want / (12 * 3), rel=1e-12)
+        _, metrics = train(params, cfg, [series], TrainerConfig(1e-3, epochs=1))
+        assert scores.log_likelihood == want
+        assert metrics.epoch_log_likelihood[0] == want
+        assert scores.nll_per_bit == -want / (12 * 3)
 
     def test_empty_series_rejected(self):
         cfg = ModelConfig.dense(1)

@@ -252,6 +252,34 @@ class TestTrain:
         assert err.value.epoch == 0
         assert err.value.step >= 1
 
+    @pytest.mark.parametrize("mode", ["online", "full_batch"])
+    def test_empty_series_rejected_before_any_update(self, rng, mode):
+        cfg = ModelConfig.dense(2)
+        good = tiny_dataset(rng, cfg, n_series=1)[0]
+        records = []
+        with pytest.raises(ValueError, match="at least one time slice"):
+            train(
+                Parameters.zeros(cfg),
+                cfg,
+                [good, np.zeros((0, 2), dtype=int)],
+                TrainerConfig(0.1, epochs=1, mode=mode),
+                record_sink=records.append,
+            )
+        assert records == []
+
+    def test_non_finite_update_is_divergence(self):
+        # the full-batch update overflows to inf before the magnitude guard
+        # can see it
+        cfg = ModelConfig(1, (0.5,), (0.1,), {(0, 0): 300}, temperature=0.01)
+        with pytest.raises(TrainingDiverged, match="non-finite") as err:
+            train(
+                Parameters.zeros(cfg),
+                cfg,
+                [np.ones((300, 1), dtype=int)],
+                TrainerConfig(1e8, epochs=5),
+            )
+        assert err.value.epoch == 0
+
     def test_metrics_records_streamed(self, rng):
         cfg = ModelConfig.dense(2)
         dataset = tiny_dataset(rng, cfg, n_series=1, length=6)
