@@ -44,7 +44,6 @@ def main() -> None:
             "connectivity": dense_connectivity(2, 2),
         },
         "trainer": {"mode": "full_batch", "learning_rate": 0.1, "epochs": 500},
-        "generation": {"horizon": 32, "mode": "argmax", "seed": 0},
     }
     (FIXTURES / "period4_run.json").write_text(
         json.dumps(period4_run, indent=2) + "\n", encoding="utf-8"
@@ -59,7 +58,6 @@ def main() -> None:
             "connectivity": dense_connectivity(3, 2),
         },
         "trainer": {"mode": "full_batch", "learning_rate": 0.001, "epochs": 200},
-        "generation": {"horizon": 16, "mode": "sample", "seed": 0},
     }
     (FIXTURES / "random_n3_run.json").write_text(
         json.dumps(random_n3_run, indent=2) + "\n", encoding="utf-8"

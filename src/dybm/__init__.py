@@ -1,4 +1,4 @@
-"""Exact online learning and generation for multi-dimensional binary
+"""Exact online learning and sampling for multi-dimensional binary
 time series.
 
 The model assigns each ordered unit pair a conduction delay and a weight

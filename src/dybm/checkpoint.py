@@ -131,7 +131,7 @@ def _require(doc: dict, key: str, kind, where: str):
             raise CheckpointError(f"{where}.{key}: expected a number")
         return float(value)
     if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
+        if type(value) is not int:  # bool is an int subclass
             raise CheckpointError(f"{where}.{key}: expected an integer")
         return value
     if not isinstance(value, kind):
@@ -139,9 +139,11 @@ def _require(doc: dict, key: str, kind, where: str):
     return value
 
 
-def _float_list(values, where: str) -> list[float]:
+def _float_list(values, where: str, length: int | None = None) -> list[float]:
     if not isinstance(values, list):
         raise CheckpointError(f"{where}: expected a list of numbers")
+    if length is not None and len(values) != length:
+        raise CheckpointError(f"{where}: expected {length} values, got {len(values)}")
     out = []
     for idx, x in enumerate(values):
         if isinstance(x, bool) or not isinstance(x, (int, float)):
@@ -150,35 +152,60 @@ def _float_list(values, where: str) -> list[float]:
     return out
 
 
-def _pair_table(rows, config: ModelConfig, width: int, where: str) -> np.ndarray:
-    if not isinstance(rows, list):
-        raise CheckpointError(f"{where}: expected a list of [i, j, values] rows")
-    table = np.full((config.n_pairs, width), np.nan)
+def _rows(rows: list, where: str, last: str):
+    """Yield (location, pair, third item) for each [i, j, x] row, rejecting
+    malformed rows and repeated pairs."""
     seen: set[tuple[int, int]] = set()
     for idx, row in enumerate(rows):
-        if (
-            not isinstance(row, list)
-            or len(row) != 3
-            or not isinstance(row[0], int)
-            or not isinstance(row[1], int)
-        ):
-            raise CheckpointError(f"{where}[{idx}]: expected [i, j, values]")
+        at = f"{where}[{idx}]"
+        if not (isinstance(row, list) and len(row) == 3 and type(row[0]) is type(row[1]) is int):
+            raise CheckpointError(f"{at}: expected [i, j, {last}]")
         pair = (row[0], row[1])
         if pair in seen:
-            raise CheckpointError(f"{where}[{idx}]: duplicate pair {pair}")
+            raise CheckpointError(f"{at}: duplicate pair {pair}")
         seen.add(pair)
+        yield at, pair, row[2]
+
+
+def _pair_values(rows: list, config: ModelConfig, where: str, read) -> list:
+    """One value per connected pair, in ``config.pairs`` order, from rows
+    that cover every pair once. ``read(x, pair, at)`` checks and converts
+    the third item ``x`` of the row for ``pair`` found at location ``at``."""
+    out = [None] * config.n_pairs
+    covered = 0
+    for at, pair, x in _rows(rows, where, "values"):
         m = config.pair_index.get(pair)
         if m is None:
-            raise CheckpointError(f"{where}[{idx}]: pair {pair} not in connectivity")
-        values = _float_list(row[2], f"{where}[{idx}]")
-        if len(values) != width:
-            raise CheckpointError(
-                f"{where}[{idx}]: expected {width} values, got {len(values)}"
-            )
-        table[m] = values
-    if len(seen) != config.n_pairs:
-        raise CheckpointError(f"{where}: rows cover {len(seen)} of {config.n_pairs} pairs")
-    return table
+            raise CheckpointError(f"{at}: pair {pair} not in connectivity")
+        out[m] = read(x, pair, at)
+        covered += 1
+    if covered != config.n_pairs:
+        raise CheckpointError(f"{where}: rows cover {covered} of {config.n_pairs} pairs")
+    return out
+
+
+def _pair_table(rows: list, config: ModelConfig, width: int, where: str) -> np.ndarray:
+    values = _pair_values(rows, config, where, lambda x, _, at: _float_list(x, at, width))
+    return np.array(values, dtype=float).reshape(config.n_pairs, width)
+
+
+def _read_config(doc: dict, where: str) -> ModelConfig:
+    """Read the ``config`` section shared by checkpoints and run
+    configurations (``where`` names the document in errors)."""
+    cfg = _require(doc, "config", dict, where)
+    conn = _require(cfg, "connectivity", list, "config")
+    delays: dict[tuple[int, int], int] = {}
+    for at, pair, delay in _rows(conn, "config.connectivity", "delay"):
+        if type(delay) is not int:
+            raise CheckpointError(f"{at}: expected [i, j, delay]")
+        delays[pair] = delay
+    return ModelConfig(
+        n_units=_require(cfg, "n_units", int, "config"),
+        lambdas=tuple(_float_list(_require(cfg, "lambdas", list, "config"), "config.lambdas")),
+        mus=tuple(_float_list(_require(cfg, "mus", list, "config"), "config.mus")),
+        delays=delays,
+        temperature=_require(cfg, "temperature", float, "config"),
+    )
 
 
 def load_checkpoint(document: str) -> tuple[Parameters, ModelConfig, TraceState | None]:
@@ -198,34 +225,9 @@ def load_checkpoint(document: str) -> tuple[Parameters, ModelConfig, TraceState 
         raise CheckpointError(
             f"unsupported format_version {version}; this build reads {FORMAT_VERSION}"
         )
+    config = _read_config(doc, "checkpoint")
 
-    cfg_doc = _require(doc, "config", dict, "checkpoint")
-    conn = _require(cfg_doc, "connectivity", list, "config")
-    delays: dict[tuple[int, int], int] = {}
-    for idx, row in enumerate(conn):
-        if (
-            not isinstance(row, list)
-            or len(row) != 3
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in row)
-        ):
-            raise CheckpointError(f"config.connectivity[{idx}]: expected [i, j, delay]")
-        pair = (row[0], row[1])
-        if pair in delays:
-            raise CheckpointError(f"config.connectivity[{idx}]: duplicate pair {pair}")
-        delays[pair] = row[2]
-    config = ModelConfig(
-        n_units=_require(cfg_doc, "n_units", int, "config"),
-        lambdas=tuple(_float_list(_require(cfg_doc, "lambdas", list, "config"), "config.lambdas")),
-        mus=tuple(_float_list(_require(cfg_doc, "mus", list, "config"), "config.mus")),
-        delays=delays,
-        temperature=_require(cfg_doc, "temperature", float, "config"),
-    )
-
-    bias = _float_list(_require(doc, "bias", list, "checkpoint"), "bias")
-    if len(bias) != config.n_units:
-        raise CheckpointError(
-            f"bias: expected {config.n_units} entries, got {len(bias)}"
-        )
+    bias = _float_list(_require(doc, "bias", list, "checkpoint"), "bias", config.n_units)
     params = Parameters(
         bias=np.asarray(bias),
         u=_pair_table(_require(doc, "u", list, "checkpoint"), config, config.n_lambda, "u"),
@@ -249,51 +251,28 @@ def load_checkpoint(document: str) -> tuple[Parameters, ModelConfig, TraceState 
             raise CheckpointError(
                 f"trace_state.gamma: expected {config.n_units} rows, got {len(gamma_rows)}"
             )
-        gamma = np.empty((config.n_units, config.n_mu))
-        for i, row in enumerate(gamma_rows):
-            values = _float_list(row, f"trace_state.gamma[{i}]")
-            if len(values) != config.n_mu:
-                raise CheckpointError(
-                    f"trace_state.gamma[{i}]: expected {config.n_mu} values"
-                )
-            gamma[i] = values
+        gamma = np.array(
+            [
+                _float_list(row, f"trace_state.gamma[{i}]", config.n_mu)
+                for i, row in enumerate(gamma_rows)
+            ]
+        )
         if np.any(alpha < 0.0) or np.any(gamma < 0.0):
             raise CheckpointError("trace_state: traces must be non-negative")
-        queue_docs = _require(ts, "queues", list, "trace_state")
-        queues: list[list[int]] = [None] * config.n_pairs  # type: ignore[list-item]
-        seen: set[tuple[int, int]] = set()
-        for idx, row in enumerate(queue_docs):
-            if (
-                not isinstance(row, list)
-                or len(row) != 3
-                or not isinstance(row[0], int)
-                or not isinstance(row[1], int)
-                or not isinstance(row[2], list)
+
+        def bits(x, pair, at):
+            n = config.delays[pair] - 1
+            if not (
+                isinstance(x, list)
+                and len(x) == n
+                and all(type(b) is int and b in (0, 1) for b in x)
             ):
-                raise CheckpointError(f"trace_state.queues[{idx}]: expected [i, j, bits]")
-            pair = (row[0], row[1])
-            if pair in seen:
-                raise CheckpointError(f"trace_state.queues[{idx}]: duplicate pair {pair}")
-            seen.add(pair)
-            m = config.pair_index.get(pair)
-            if m is None:
-                raise CheckpointError(
-                    f"trace_state.queues[{idx}]: pair {pair} not in connectivity"
-                )
-            bits = row[2]
-            if len(bits) != config.delays[pair] - 1 or any(
-                not isinstance(b, int) or isinstance(b, bool) or b not in (0, 1)
-                for b in bits
-            ):
-                raise CheckpointError(
-                    f"trace_state.queues[{idx}]: expected {config.delays[pair] - 1} "
-                    "bits, each 0 or 1"
-                )
-            queues[m] = [int(b) for b in bits]
-        if len(seen) != config.n_pairs:
-            raise CheckpointError(
-                f"trace_state.queues: rows cover {len(seen)} of {config.n_pairs} pairs"
-            )
+                raise CheckpointError(f"{at}: expected {n} bits, each 0 or 1")
+            return x
+
+        queues = _pair_values(
+            _require(ts, "queues", list, "trace_state"), config, "trace_state.queues", bits
+        )
         step_count = _require(ts, "step_count", int, "trace_state")
         if step_count < 0:
             raise CheckpointError("trace_state.step_count must be >= 0")

@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import _read_config, load_checkpoint, save_checkpoint
 from .config import ConfigError, ModelConfig, Parameters
 from .generator import RolloutConfig, eval_prediction, rollout
 from .learning import TrainerConfig, TrainingDiverged, sgd_update, step_gradient, train
@@ -32,35 +32,22 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _load_run_config(path: str) -> tuple[ModelConfig, dict, dict]:
-    """Read a run configuration file: model config plus trainer and
-    generation sections."""
+def _load_run_config(path: str) -> tuple[ModelConfig, dict]:
+    """Read a run configuration file: the checkpoint's ``config`` section
+    plus an optional ``trainer`` section."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "config" not in doc:
-        raise ConfigError(f"{path}: expected an object with a 'config' section")
-    cfg = doc["config"]
     try:
-        delays = {(int(i), int(j)): int(d) for i, j, d in cfg["connectivity"]}
-        config = ModelConfig(
-            n_units=cfg["n_units"],
-            lambdas=tuple(cfg["lambdas"]),
-            mus=tuple(cfg["mus"]),
-            delays=delays,
-            temperature=cfg.get("temperature", 1.0),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: invalid config section: {exc}") from exc
+        config = _read_config(doc, "run config")
+    except ValueError as exc:  # CheckpointError or ConfigError
+        raise ConfigError(f"{path}: {exc}") from exc
     trainer = doc.get("trainer", {})
-    generation = doc.get("generation", {})
-    if not isinstance(trainer, dict) or not isinstance(generation, dict):
-        raise ConfigError(f"{path}: trainer/generation sections must be objects")
-    return config, trainer, generation
+    if not isinstance(trainer, dict):
+        raise ConfigError(f"{path}: trainer section must be an object")
+    return config, trainer
 
 
 def _read_series_for(path: str, config: ModelConfig) -> np.ndarray:
@@ -74,16 +61,14 @@ def _read_series_for(path: str, config: ModelConfig) -> np.ndarray:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    config, trainer_doc, _ = _load_run_config(args.config)
+    config, trainer_doc = _load_run_config(args.config)
     trainer = TrainerConfig(
         learning_rate=(
             args.learning_rate
             if args.learning_rate is not None
-            else float(trainer_doc.get("learning_rate", 1e-3))
+            else trainer_doc.get("learning_rate", 1e-3)
         ),
-        epochs=(
-            args.epochs if args.epochs is not None else int(trainer_doc.get("epochs", 1))
-        ),
+        epochs=args.epochs if args.epochs is not None else trainer_doc.get("epochs", 1),
         mode=args.mode if args.mode is not None else trainer_doc.get("mode", "full_batch"),
         shuffle_seed=trainer_doc.get("shuffle_seed"),
     )

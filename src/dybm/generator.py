@@ -1,4 +1,4 @@
-"""Autoregressive generation and prediction scoring.
+"""Autoregressive rollout and prediction scoring.
 
 A trained model defines the distribution of the next slice given the past,
 so rolling it forward (sample a slice, feed it back, repeat) is itself a

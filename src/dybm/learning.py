@@ -11,6 +11,7 @@ mid-sequence loses nothing.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -85,6 +86,10 @@ class Gradient:
         )
 
 
+def _is_count(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 0
+
+
 @dataclass
 class TrainerConfig:
     """How to run training.
@@ -101,12 +106,17 @@ class TrainerConfig:
     shuffle_seed: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not rate > 0:
+            raise ValueError(f"learning_rate must be a positive number, got {rate!r}")
+        if not _is_count(self.epochs):
+            raise ValueError(f"epochs must be an integer >= 0, got {self.epochs!r}")
         if self.mode not in ("online", "full_batch"):
             raise ValueError(f"mode must be 'online' or 'full_batch', got {self.mode!r}")
+        if self.shuffle_seed is not None and not _is_count(self.shuffle_seed):
+            raise ValueError(
+                f"shuffle_seed must be None or an integer >= 0, got {self.shuffle_seed!r}"
+            )
 
 
 @dataclass

@@ -5,7 +5,6 @@ criterion. Each test prints its verdict before asserting so the report is
 complete even on failure.
 """
 
-import json
 import math
 import subprocess
 import sys
@@ -14,6 +13,7 @@ import numpy as np
 import pytest
 
 from dybm.checkpoint import load_checkpoint
+from dybm.cli import _load_run_config
 from dybm.config import ModelConfig, Parameters
 from dybm.fixtures import (
     PERIOD4_CYCLE,
@@ -42,15 +42,9 @@ def report(number, name, passed, detail):
 
 
 def load_run_config(path):
-    doc = json.loads(path.read_text())
-    cfg = doc["config"]
-    return ModelConfig(
-        n_units=cfg["n_units"],
-        lambdas=tuple(cfg["lambdas"]),
-        mus=tuple(cfg["mus"]),
-        delays={(i, j): d for i, j, d in cfg["connectivity"]},
-        temperature=cfg["temperature"],
-    )
+    # the reader `dybm train` uses, so the fixtures are held to its schema
+    config, _ = _load_run_config(path)
+    return config
 
 
 def test_criterion_1_gradient_exactness():

@@ -113,11 +113,15 @@ class TestMalformedDocuments:
         with pytest.raises(CheckpointError, match="pairs"):
             load_checkpoint(json.dumps(doc))
 
-    def test_duplicate_pair_rejected(self):
-        cfg = ModelConfig.dense(2)
-        doc = json.loads(save_checkpoint(Parameters.zeros(cfg), cfg))
-        doc["u"][1] = doc["u"][0]
-        with pytest.raises(CheckpointError, match="duplicate"):
+    @pytest.mark.parametrize("table", ["u", "v", "trace_state.alpha", "trace_state.queues"])
+    def test_duplicate_pair_rejected(self, table):
+        # every [i, j, values] table goes through the one row reader
+        cfg = ModelConfig.dense(2, delay=3)
+        doc = json.loads(save_checkpoint(Parameters.zeros(cfg), cfg, init_state(cfg)))
+        rows = doc["trace_state"] if "." in table else doc
+        rows = rows[table.split(".")[-1]]
+        rows[1] = rows[0]
+        with pytest.raises(CheckpointError, match=f"{table}\\[1\\]: duplicate"):
             load_checkpoint(json.dumps(doc))
 
     def test_wrong_queue_length(self, rng):

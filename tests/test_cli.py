@@ -11,6 +11,8 @@ from dybm.config import ModelConfig, Parameters
 from dybm.fixtures import period4_path, period4_run_path, random_n3_path, random_n3_run_path
 from dybm.seriesio import parse_series
 
+_MISSING = object()
+
 
 def run_cli(*argv):
     """Invoke the CLI in a subprocess; returns (exit_code, stdout, stderr)."""
@@ -316,3 +318,35 @@ class TestExitCodes:
         code = main([arg.format(tmp=tmp_path, data=period4_path()) for arg in argv])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            pytest.param("config", "connectivity", [[0, 1, 2], [0, 1, 5]], id="duplicate-pair"),
+            pytest.param("config", "connectivity", [[0, 1, 2.9]], id="fractional-delay"),
+            pytest.param("config", "n_units", 2.7, id="fractional-n-units"),
+            pytest.param("config", "connectivity", [["0", "1", 2]], id="string-indices"),
+            pytest.param("config", "temperature", _MISSING, id="missing-temperature"),
+            pytest.param("trainer", "learning_rate", None, id="null-learning-rate"),
+            pytest.param("trainer", "learning_rate", "abc", id="string-learning-rate"),
+            pytest.param("trainer", "learning_rate", True, id="bool-learning-rate"),
+            pytest.param("trainer", "epochs", None, id="null-epochs"),
+            pytest.param("trainer", "epochs", [3], id="list-epochs"),
+            pytest.param("trainer", "epochs", 2.7, id="fractional-epochs"),
+            pytest.param("trainer", "shuffle_seed", 1.5, id="fractional-shuffle-seed"),
+            pytest.param("trainer", "shuffle_seed", "x", id="string-shuffle-seed"),
+        ],
+    )
+    def test_bad_run_config_exits_2(self, section, key, value, tmp_path, capsys):
+        doc = json.loads(period4_run_path().read_text())
+        if value is _MISSING:
+            del doc[section][key]
+        else:
+            doc[section][key] = value
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        code = main(["train", str(path), str(period4_path()), "--out", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert key in err

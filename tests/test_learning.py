@@ -325,6 +325,25 @@ class TestTrainerConfig:
         with pytest.raises(ValueError):
             TrainerConfig(0.0, epochs=1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", None),
+            ("learning_rate", "abc"),
+            ("learning_rate", True),
+            ("epochs", None),
+            ("epochs", [3]),
+            ("epochs", 2.7),
+            ("shuffle_seed", 1.5),
+            ("shuffle_seed", "x"),
+        ],
+        ids=["lr-null", "lr-string", "lr-bool", "epochs-null", "epochs-list", "epochs-fraction",
+             "seed-fraction", "seed-string"],
+    )
+    def test_rejects_mistyped_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainerConfig(**{"learning_rate": 0.1, "epochs": 1, field: value})
+
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
             TrainerConfig(0.1, epochs=1, mode="minibatch")
