@@ -122,14 +122,23 @@ def save_checkpoint(
 # Reading
 
 
+def _number(x, at: str) -> float:
+    """A JSON number as a float; an integer too large for a double is an
+    error, not an uncaught OverflowError."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise CheckpointError(f"{at}: expected a number")
+    try:
+        return float(x)
+    except OverflowError:
+        raise CheckpointError(f"{at}: number too large for a double") from None
+
+
 def _require(doc: dict, key: str, kind, where: str):
     if not isinstance(doc, dict) or key not in doc:
         raise CheckpointError(f"{where}: missing field '{key}'")
     value = doc[key]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise CheckpointError(f"{where}.{key}: expected a number")
-        return float(value)
+        return _number(value, f"{where}.{key}")
     if kind is int:
         if type(value) is not int:  # bool is an int subclass
             raise CheckpointError(f"{where}.{key}: expected an integer")
@@ -144,12 +153,7 @@ def _float_list(values, where: str, length: int | None = None) -> list[float]:
         raise CheckpointError(f"{where}: expected a list of numbers")
     if length is not None and len(values) != length:
         raise CheckpointError(f"{where}: expected {length} values, got {len(values)}")
-    out = []
-    for idx, x in enumerate(values):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise CheckpointError(f"{where}[{idx}]: expected a number")
-        out.append(float(x))
-    return out
+    return [_number(x, f"{where}[{idx}]") for idx, x in enumerate(values)]
 
 
 def _rows(rows: list, where: str, last: str):

@@ -21,7 +21,8 @@ __all__ = ["ConfigError", "ModelConfig", "Parameters", "as_time_slice"]
 
 # Largest representable double; the near-window trace sums coefficients that
 # grow like (1/mu)**lag, so configs must keep that sum below this bound.
-_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+_LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -110,16 +111,21 @@ class ModelConfig:
         # Overflow guard: a full queue gives the near-window trace
         # sum_{s=1}^{d-1} mu**(-s), largest for the longest delay and the
         # smallest rate. That sum, plus a relative margin for its rounding,
-        # must stay below the float maximum.
+        # must stay below the float maximum. A lag count beyond the float
+        # range always overflows (every rate is below 1); it is compared
+        # exactly, as an int, because converting it would raise.
         n = self.max_delay - 1
         if n >= 1:
             mu = min(self.mus)
-            log_sum = n * math.log(1.0 / mu) + math.log1p(-(mu**n)) - math.log1p(-mu)
-            if log_sum + math.log1p(2 * n * _EPS) >= _LOG_FLOAT_MAX:
+            overflow = n > _FLOAT_MAX
+            if not overflow:
+                log_sum = n * math.log(1.0 / mu) + math.log1p(-(mu**n)) - math.log1p(-mu)
+                overflow = log_sum + math.log1p(2 * n * _EPS) >= _LOG_FLOAT_MAX
+            if overflow:
                 raise ConfigError(
                     "mus/delays overflow guard: the near-window sum of "
-                    "(1/min(mus))**lag over lags 1..max_delay-1 exceeds the "
-                    "double-precision range"
+                    "(1/min(mus))**lag over lags 1..d-1 of the longest "
+                    "connectivity delay d exceeds the double-precision range"
                 )
 
     # Derived views -------------------------------------------------------

@@ -5,7 +5,9 @@ fixed features, so the per-step gradient is available in closed form and
 the sequence log-likelihood is concave: full-batch ascent with a small
 enough rate can never decrease it. Online mode applies one update per
 observed slice; the traces do not depend on the parameters, so updating
-mid-sequence loses nothing.
+mid-sequence loses nothing. For the same reason full-batch training builds
+each series' traces once, as feature blocks, and rescores the blocks with
+new parameters every epoch.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -24,8 +26,10 @@ from .model import (
     _beta_matrix,
     _drives,
     _log_prob,
+    _log_probs,
     _scaled_drives,
     _sigmoid,
+    _to_units,
     advance,
     init_state,
 )
@@ -45,6 +49,10 @@ __all__ = [
 # Ascent is unregularised; runaway parameters indicate a misconfigured run
 # (the homeostatic pull of the expectation term is the only stabiliser).
 DIVERGENCE_LIMIT = 1e6
+
+# Feature bytes full-batch training may keep across epochs; a dataset whose
+# features do not fit is rebuilt every epoch in blocks of at most this size.
+_FEATURE_BYTES = 1 << 25
 
 
 class TrainingDiverged(RuntimeError):
@@ -90,6 +98,17 @@ def _is_count(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 0
 
 
+def _is_finite_real(x) -> bool:
+    """A non-bool real that converts to a finite float (an integer too
+    large for a double does not)."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 @dataclass
 class TrainerConfig:
     """How to run training.
@@ -107,8 +126,8 @@ class TrainerConfig:
 
     def __post_init__(self) -> None:
         rate = self.learning_rate
-        if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not rate > 0:
-            raise ValueError(f"learning_rate must be a positive number, got {rate!r}")
+        if not (_is_finite_real(rate) and rate > 0):
+            raise ValueError(f"learning_rate must be a positive finite number, got {rate!r}")
         if not _is_count(self.epochs):
             raise ValueError(f"epochs must be an integer >= 0, got {self.epochs!r}")
         if self.mode not in ("online", "full_batch"):
@@ -189,6 +208,114 @@ def _walk(
         state = advance(state, config, x)
 
 
+@dataclass
+class _Block:
+    """Features of T consecutive slices of one series, stacked along a
+    leading step axis: the slices ``x`` (T, N), the arrival traces
+    ``alpha`` (T, M, K), the near-window traces ``beta`` (T, M, L) and the
+    source traces of each pair's target ``gamma_post`` (T, M, L), each
+    taken from the state before its slice. ``post_k``, ``post_l`` and
+    ``pre_l`` are the pair-to-unit indices of ``config.arrays`` offset by
+    ``t * N``, so that one bincount sums every step's pair terms into that
+    step's units."""
+
+    x: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    gamma_post: np.ndarray
+    post_k: np.ndarray
+    post_l: np.ndarray
+    pre_l: np.ndarray
+
+
+def _step_bytes(config: ModelConfig) -> int:
+    """Bytes of one slice's features in a ``_Block``."""
+    m = config.n_pairs
+    return 8 * (config.n_units + 2 * m * config.n_lambda + 4 * m * config.n_mu)
+
+
+def _block(config: ModelConfig, slices: list[np.ndarray]) -> _Block:
+    """A block for consecutive ``slices`` whose trace arrays are still to
+    be filled, one step at a time, by ``_blocks``."""
+    arr = config.arrays
+    steps, m = len(slices), config.n_pairs
+    offset = config.n_units * np.arange(steps)[:, None, None]
+    return _Block(
+        x=np.stack(slices),
+        alpha=np.empty((steps, m, config.n_lambda)),
+        beta=np.empty((steps, m, config.n_mu)),
+        gamma_post=np.empty((steps, m, config.n_mu)),
+        post_k=arr.post_k + offset,
+        post_l=arr.post_l + offset,
+        pre_l=arr.pre_l + offset,
+    )
+
+
+def _blocks(config: ModelConfig, slices: list[np.ndarray], max_steps: int) -> Iterator[_Block]:
+    """One ``_walk`` over a series, as feature blocks of at most
+    ``max_steps`` consecutive slices; the traces carry across block ends.
+    Each state is copied into its block as the walk reaches it, so no more
+    than one block's features and one state are held at a time."""
+    gamma_post = config.arrays.gamma_post
+    for t, (state, _) in enumerate(_walk(config, slices)):
+        i = t % max_steps
+        if i == 0:
+            if t:
+                yield block
+            block = _block(config, slices[t : t + max_steps])
+        block.alpha[i] = state.alpha
+        block.beta[i] = _beta_matrix(state, config)
+        block.gamma_post[i] = state.gamma.ravel()[gamma_post]
+    yield block
+
+
+def _block_steps(config: ModelConfig) -> int:
+    """Most slices whose features fit in ``_FEATURE_BYTES`` (at least one)."""
+    return max(1, _FEATURE_BYTES // _step_bytes(config))
+
+
+def _block_grad_logp(params: Parameters, config: ModelConfig, block: _Block) -> np.ndarray:
+    """``_step_grad_logp``'s elementwise arithmetic applied to every step
+    of a block at once. Row t holds step t's bias, u and v gradients,
+    flattened, then its log-probability (the layout ``_sequence_grad_ll``
+    reads)."""
+    arr = config.arrays
+    shape = block.x.shape
+
+    def units(index: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        return _to_units(index, terms, block.x.size).reshape(shape)
+
+    drives = (
+        params.bias
+        + units(block.post_k, params.u * block.alpha)
+        - units(block.post_l, params.v * block.beta)
+        - units(block.pre_l, params.v * block.gamma_post)
+    )
+    z = drives / config.temperature
+    r = (block.x - _sigmoid(z)) / config.temperature
+    d_u = block.alpha * r[:, arr.post_k]
+    d_v = -block.beta * r[:, arr.post_l] - block.gamma_post * r[:, arr.pre_l]
+    steps = len(r)
+    return np.concatenate(
+        (r, d_u.reshape(steps, -1), d_v.reshape(steps, -1), _log_probs(z, block.x)[:, None]),
+        axis=1,
+    )
+
+
+def _batch_features(
+    config: ModelConfig, series_list: list[list[np.ndarray]]
+) -> Callable[[], list[Iterable[_Block]]]:
+    """Each full-batch epoch's feature blocks, one iterable per series.
+    When the whole dataset's features fit in ``_FEATURE_BYTES`` they are
+    built once and kept; otherwise every epoch walks the series again and
+    builds blocks that each fit."""
+    max_steps = _block_steps(config)
+    if sum(map(len, series_list)) * _step_bytes(config) <= _FEATURE_BYTES:
+        kept = [list(_blocks(config, slices, max_steps)) for slices in series_list]
+        return lambda: kept
+    return lambda: [_blocks(config, slices, max_steps) for slices in series_list]
+
+
 def sequence_log_likelihood(params: Parameters, config: ModelConfig, series) -> float:
     """Log-probability of a whole series, chained step by step from the
     zero-history start state."""
@@ -201,25 +328,33 @@ def sequence_log_likelihood(params: Parameters, config: ModelConfig, series) -> 
 def sequence_gradient(params: Parameters, config: ModelConfig, series) -> Gradient:
     """Sum of step gradients along a series, traces advancing between
     steps; equals the gradient of ``sequence_log_likelihood``."""
-    return _sequence_grad_ll(params, config, _normalize_series(series, config.n_units))[0]
+    slices = _normalize_series(series, config.n_units)
+    return _sequence_grad_ll(params, config, _blocks(config, slices, _block_steps(config)))[0]
 
 
 def _sequence_grad_ll(
     params: Parameters,
     config: ModelConfig,
-    slices: list[np.ndarray],
+    blocks: Iterable[_Block],
     step_nll: list[float] | None = None,
 ) -> tuple[Gradient, float]:
-    """Gradient and log-likelihood of an already normalised series."""
-    total = Gradient.zeros(config)
-    ll = 0.0
-    for state, x in _walk(config, slices):
-        grad, log_p = _step_grad_logp(params, state, config, x)
-        total.add_(grad)
-        ll += log_p
+    """Gradient and log-likelihood of one series from its feature blocks.
+
+    Both are summed from zero one step at a time, as a per-step loop adds
+    them: a cumulative sum with the running total prepended keeps that
+    order across blocks, where a sum over the step axis may add pairwise
+    and round differently."""
+    n, k, l = config.n_units, config.n_lambda, config.n_mu
+    u_end = n + config.n_pairs * k
+    total = np.zeros(u_end + config.n_pairs * l + 1)
+    for block in blocks:
+        rows = _block_grad_logp(params, config, block)
+        running = np.concatenate((total[None], rows))
+        total = np.cumsum(running, axis=0, out=running)[-1].copy()
         if step_nll is not None:
-            step_nll.append(-log_p)
-    return total, ll
+            step_nll.extend((-rows[:, -1]).tolist())
+    grad = Gradient(total[:n], total[n:u_end].reshape(-1, k), total[u_end:-1].reshape(-1, l))
+    return grad, float(total[-1])
 
 
 def sgd_update(params: Parameters, grad: Gradient, learning_rate: float) -> Parameters:
@@ -310,13 +445,15 @@ def train(
                 }
             )
 
+    if trainer.mode == "full_batch":
+        epoch_features = _batch_features(config, series_list)
     global_step = 0
     for epoch in range(trainer.epochs):
         epoch_ll = 0.0
         if trainer.mode == "full_batch":
             total = Gradient.zeros(config)
-            for series in series_list:
-                grad, ll = _sequence_grad_ll(params, config, series, metrics.step_nll)
+            for series, blocks in zip(series_list, epoch_features()):
+                grad, ll = _sequence_grad_ll(params, config, blocks, metrics.step_nll)
                 total.add_(grad)
                 epoch_ll += ll
                 global_step += len(series)

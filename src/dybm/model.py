@@ -211,7 +211,13 @@ def _log_sigmoid(z: np.ndarray) -> np.ndarray:
 def _log_prob(z: np.ndarray, x: np.ndarray) -> float:
     """Log-probability of the 0/1 slice ``x`` when each unit fires with
     logit ``z``; units are independent, so it is a sum over units."""
-    return float(_log_sigmoid(np.where(x == 1, z, -z)).sum())
+    return float(_log_probs(z, x))
+
+
+def _log_probs(z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``_log_prob`` summed over the last (unit) axis only, so slices
+    stacked along leading axes get one log-probability each."""
+    return _log_sigmoid(np.where(x == 1, z, -z)).sum(axis=-1)
 
 
 def fire_probs(params: Parameters, state: TraceState, config: ModelConfig) -> np.ndarray:

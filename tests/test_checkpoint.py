@@ -140,6 +140,13 @@ class TestMalformedDocuments:
         with pytest.raises(CheckpointError, match="non-negative"):
             load_checkpoint(json.dumps(doc))
 
+    def test_integer_beyond_double_range_rejected(self):
+        cfg = ModelConfig.dense(1)
+        doc = json.loads(save_checkpoint(Parameters.zeros(cfg), cfg))
+        doc["bias"] = [10**400]
+        with pytest.raises(CheckpointError, match=r"bias\[0\]: number too large"):
+            load_checkpoint(json.dumps(doc))
+
     def test_non_finite_parameter_rejected(self):
         cfg = ModelConfig.dense(1)
         doc = json.loads(save_checkpoint(Parameters.zeros(cfg), cfg))

@@ -218,7 +218,7 @@ class TestValidate:
         code, stdout, _ = run_cli("validate", "--seed", "0")
         assert code == 0
         lines = stdout.strip().splitlines()
-        assert len(lines) == 4
+        assert len(lines) == 5
         assert all(line.startswith("PASS") for line in lines)
         assert all("max error" in line for line in lines)
 
@@ -327,9 +327,13 @@ class TestExitCodes:
             pytest.param("config", "n_units", 2.7, id="fractional-n-units"),
             pytest.param("config", "connectivity", [["0", "1", 2]], id="string-indices"),
             pytest.param("config", "temperature", _MISSING, id="missing-temperature"),
+            pytest.param("config", "temperature", 10**400, id="huge-temperature"),
+            pytest.param("config", "lambdas", [10**400], id="huge-lambda"),
+            pytest.param("config", "connectivity", [[0, 0, 10**400]], id="huge-delay"),
             pytest.param("trainer", "learning_rate", None, id="null-learning-rate"),
             pytest.param("trainer", "learning_rate", "abc", id="string-learning-rate"),
             pytest.param("trainer", "learning_rate", True, id="bool-learning-rate"),
+            pytest.param("trainer", "learning_rate", 10**400, id="huge-learning-rate"),
             pytest.param("trainer", "epochs", None, id="null-epochs"),
             pytest.param("trainer", "epochs", [3], id="list-epochs"),
             pytest.param("trainer", "epochs", 2.7, id="fractional-epochs"),

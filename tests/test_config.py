@@ -104,6 +104,12 @@ class TestModelConfigValidation:
         history = np.ones((cfg.max_delay + 1, cfg.n_units), dtype=np.int64)
         assert math.isfinite(sequence_log_likelihood(params, cfg, history))
 
+    def test_overflow_guard_rejects_delay_beyond_double_range(self):
+        # the lag count cannot be converted to a float; it must still be
+        # rejected by the guard, not by an OverflowError
+        with pytest.raises(ConfigError, match="overflow guard"):
+            ModelConfig(1, (0.5,), (0.5,), {(0, 0): 10**400})
+
     def test_overflow_guard_allows_desk_scale(self):
         cfg = ModelConfig(1, (0.5,), (0.2,), {(0, 0): 8})
         assert cfg.max_delay == 8

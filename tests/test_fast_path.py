@@ -6,6 +6,9 @@ to the trace definitions evaluated directly on the history
 lag, and to the truncated-kernel firing probability (``naive_fire_prob``).
 Queue bits must agree exactly. The configs cover mixed delays with delay-1
 pairs, configs where every delay is 1, and empty connectivity.
+
+The full-batch block scorer is held to the per-step gradient and
+log-probability summed along the walk, bit for bit.
 """
 
 import numpy as np
@@ -13,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dybm import learning
 from dybm.config import ModelConfig, Parameters
-from dybm.learning import step_gradient
+from dybm.learning import Gradient, step_gradient
 from dybm.model import (
     _beta_matrix,
     advance,
@@ -38,6 +42,9 @@ MIXED = ModelConfig(
 )
 ALL_DELAY_ONE = ModelConfig.dense(3, lambdas=(0.45,), mus=(0.35, 0.2), delay=1)
 EMPTY = ModelConfig(3, (0.5,), (0.3,), {})
+# one unit: a sum over the step axis of (T, 1) arrays adds pairwise, which
+# rounds differently from the per-step loop
+ONE_UNIT = ModelConfig(1, (0.6, 0.3), (0.45,), {(0, 0): 3})
 
 
 def walk(cfg, history):
@@ -153,3 +160,44 @@ class TestAgainstTruncatedKernel:
             window = list(history[end - (horizon - 1) : end])
             slow = [naive_fire_prob(expanded, params.bias, cfg, window, j) for j in range(cfg.n_units)]
             np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-10)
+
+
+def per_step_sums(params, cfg, slices):
+    """Gradient, log-likelihood and per-step NLLs, one step at a time."""
+    total = Gradient.zeros(cfg)
+    ll, nll = 0.0, []
+    for state, x in learning._walk(cfg, slices):
+        grad, log_p = learning._step_grad_logp(params, state, cfg, x)
+        total.add_(grad)
+        ll += log_p
+        nll.append(-log_p)
+    return total, ll, nll
+
+
+class TestBlockScorer:
+    @pytest.mark.parametrize("block_steps", [None, 4], ids=["one-block", "split"])
+    @pytest.mark.parametrize(
+        "cfg", [MIXED, ALL_DELAY_ONE, EMPTY, ONE_UNIT], ids=["mixed", "delay1", "empty", "one-unit"]
+    )
+    def test_matches_per_step_sums_bit_for_bit(self, cfg, block_steps, monkeypatch):
+        if block_steps is not None:
+            monkeypatch.setattr(learning, "_FEATURE_BYTES", block_steps * learning._step_bytes(cfg))
+        rng = np.random.default_rng(11)
+        params = Parameters(
+            bias=rng.normal(0.0, 1.0, size=cfg.n_units),
+            u=rng.normal(0.0, 1.0, size=(cfg.n_pairs, cfg.n_lambda)),
+            v=rng.normal(0.0, 1.0, size=(cfg.n_pairs, cfg.n_mu)),
+        )
+        slices = list((rng.random((37, cfg.n_units)) < 0.5).astype(np.int64))
+        blocks = list(learning._blocks(cfg, slices, learning._block_steps(cfg)))
+        assert len(blocks) == (1 if block_steps is None else 10)
+        nll = []
+        grad, ll = learning._sequence_grad_ll(params, cfg, blocks, nll)
+        want, want_ll, want_nll = per_step_sums(params, cfg, slices)
+        public = learning.sequence_gradient(params, cfg, slices)
+        for got in (grad, public):
+            assert np.array_equal(got.d_bias, want.d_bias)
+            assert np.array_equal(got.d_u, want.d_u)
+            assert np.array_equal(got.d_v, want.d_v)
+        assert ll == want_ll
+        assert nll == want_nll

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from dybm import learning
 from dybm.config import ModelConfig, Parameters
 from dybm.learning import (
     Gradient,
@@ -331,13 +332,14 @@ class TestTrainerConfig:
             ("learning_rate", None),
             ("learning_rate", "abc"),
             ("learning_rate", True),
+            ("learning_rate", 10**400),
             ("epochs", None),
             ("epochs", [3]),
             ("epochs", 2.7),
             ("shuffle_seed", 1.5),
             ("shuffle_seed", "x"),
         ],
-        ids=["lr-null", "lr-string", "lr-bool", "epochs-null", "epochs-list", "epochs-fraction",
+        ids=["lr-null", "lr-string", "lr-bool", "lr-huge-int", "epochs-null", "epochs-list", "epochs-fraction",
              "seed-fraction", "seed-string"],
     )
     def test_rejects_mistyped_field(self, field, value):
@@ -350,3 +352,54 @@ class TestTrainerConfig:
 
     def test_epochs_zero_allowed(self):
         assert TrainerConfig(0.1, epochs=0).epochs == 0
+
+
+class TestFullBatchFeatureCache:
+    CFG = ModelConfig(2, (0.5, 0.2), (0.3,), {(0, 0): 1, (0, 1): 3, (1, 0): 2, (1, 1): 4})
+    EPOCHS = 4
+
+    def run(self, monkeypatch, cap=None):
+        """Full-batch training with ``advance`` calls counted and the bytes
+        of every feature block recorded."""
+        if cap is not None:
+            monkeypatch.setattr(learning, "_FEATURE_BYTES", cap)
+        calls, block_bytes = [], []
+        advance_, block_ = learning.advance, learning._block
+
+        def counted(*args):
+            calls.append(1)
+            return advance_(*args)
+
+        def measured(*args):
+            block = block_(*args)
+            block_bytes.append(sum(a.nbytes for a in vars(block).values()))
+            return block
+
+        monkeypatch.setattr(learning, "advance", counted)
+        monkeypatch.setattr(learning, "_block", measured)
+        rng = np.random.default_rng(21)
+        dataset = [(rng.random((t, 2)) < 0.5).astype(int) for t in (9, 14, 6)]
+        params, metrics = train(
+            Parameters.zeros(self.CFG), self.CFG, dataset, TrainerConfig(0.05, epochs=self.EPOCHS)
+        )
+        monkeypatch.undo()
+        return params, metrics, len(calls), block_bytes
+
+    def test_traces_built_once_when_they_fit(self, monkeypatch):
+        _, _, calls, block_bytes = self.run(monkeypatch)
+        assert calls == 9 + 14 + 6
+        assert len(block_bytes) == 3
+
+    def test_rebuilt_in_bounded_blocks_when_they_do_not(self, monkeypatch):
+        cap = 4 * learning._step_bytes(self.CFG)  # less than the shortest series
+        kept_params, kept, _, _ = self.run(monkeypatch)
+        params, metrics, calls, block_bytes = self.run(monkeypatch, cap)
+        assert calls == self.EPOCHS * (9 + 14 + 6)
+        assert max(block_bytes) <= cap
+        assert len(block_bytes) == self.EPOCHS * (3 + 4 + 2)
+        assert params.bias.tobytes() == kept_params.bias.tobytes()
+        assert params.u.tobytes() == kept_params.u.tobytes()
+        assert params.v.tobytes() == kept_params.v.tobytes()
+        assert metrics.epoch_log_likelihood == kept.epoch_log_likelihood
+        assert metrics.step_nll == kept.step_nll
+        assert metrics.grad_norms == kept.grad_norms

@@ -1,4 +1,10 @@
+from dataclasses import replace
+
+import numpy as np
+
+from dybm import learning
 from dybm.validate import (
+    check_block_gradient,
     check_energy_expansion,
     check_gradient_finite_difference,
     check_tiny_bm,
@@ -12,7 +18,7 @@ from conftest import add_then_decay_advance
 class TestChecks:
     def test_all_pass_with_default_seed(self):
         reports = run_all(seed=0)
-        assert len(reports) == 4
+        assert len(reports) == 5
         for report in reports:
             assert report.passed, report.line()
 
@@ -31,6 +37,21 @@ class TestChecks:
         assert check_energy_expansion(seed=1, cases=25).passed
         assert check_gradient_finite_difference(seed=1, cases=10).passed
         assert check_tiny_bm(seed=1).passed
+        assert check_block_gradient(seed=1, cases=10).passed
+
+    def test_block_gradient_catches_injected_fault(self, monkeypatch):
+        # scoring each step's features against the next step's slice must
+        # make the block check fail
+        block = learning._block
+
+        def shifted(*args):
+            b = block(*args)
+            return replace(b, x=np.roll(b.x, 1, axis=0))
+
+        monkeypatch.setattr(learning, "_block", shifted)
+        report = check_block_gradient(seed=3, cases=20)
+        assert not report.passed
+        assert report.max_error > 1e-3
 
     def test_report_line_format(self):
         report = check_trace_recursion(seed=2, cases=5)
