@@ -182,6 +182,8 @@ class _DerivedArrays:
     flattened source trace of each pair's target, and ``arrival_k`` indexes
     the bit that arrives on each pair in ``concatenate((slice, queue))``:
     the source unit itself for delay 1, else the segment's oldest bit.
+    ``bank_shapes`` and ``n_params`` are the bank shapes and total size of
+    ``Parameters`` and ``Gradient``.
     """
 
     def __init__(self, config: ModelConfig) -> None:
@@ -212,48 +214,75 @@ class _DerivedArrays:
         source[queued] = config.n_units + self.queue_bounds[queued + 1] - 1
         self.arrival_k = np.repeat(source[:, None], n_lambda, axis=1)
 
+        self.bank_shapes = ((config.n_units,), (config.n_pairs, n_lambda), (config.n_pairs, n_mu))
+        self.n_params = config.n_units + config.n_pairs * (n_lambda + n_mu)
 
-@dataclass
-class Parameters:
+
+class _FlatBanks:
+    """Three banks of reals kept in one flat float64 vector ``theta``, each
+    raveled row-major in turn. ``banks`` holds them as reshaped views of
+    ``theta`` (a write through either shows in the other), ``names`` their
+    names and ``shapes`` their shapes; none of these can be rebound."""
+
+    __slots__ = ("_theta", "_shapes", "_banks")
+    theta = property(lambda self: self._theta)
+    shapes = property(lambda self: self._shapes)
+    banks = property(lambda self: self._banks)
+
+    def __new__(cls, *banks):
+        arrays = [np.asarray(b, dtype=np.float64) for b in banks]
+        return cls._wrap(np.concatenate([a.ravel() for a in arrays]), tuple(a.shape for a in arrays))
+
+    @classmethod
+    def _wrap(cls, theta: np.ndarray, shapes: tuple):
+        """An instance over ``theta`` itself, not a copy."""
+        self = object.__new__(cls)
+        a = math.prod(shapes[0])
+        b = a + math.prod(shapes[1])
+        self._theta, self._shapes = theta, shapes
+        self._banks = (
+            theta[:a].reshape(shapes[0]),
+            theta[a:b].reshape(shapes[1]),
+            theta[b:].reshape(shapes[2]),
+        )
+        return self
+
+    @classmethod
+    def zeros(cls, config: ModelConfig):
+        """All zero; as parameters, every unit fires with probability one half."""
+        return cls._wrap(np.zeros(config.arrays.n_params), config.arrays.bank_shapes)
+
+    def copy(self):
+        return self._wrap(self.theta.copy(), self.shapes)
+
+    def __reduce__(self):  # so that copy.deepcopy and pickle keep the banks views
+        return type(self)._wrap, (self.theta, self.shapes)
+
+
+class Parameters(_FlatBanks):
     """Learnable state: per-unit bias plus per-pair u and v coefficient rows.
 
     Rows of ``u`` and ``v`` follow ``config.pairs`` order; columns follow
-    ``lambdas`` / ``mus`` order.
+    ``lambdas`` / ``mus`` order. ``bias``, ``u`` and ``v`` are views into
+    ``theta``, in that order; the constructor copies them into a new one.
     """
 
-    bias: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
+    __slots__ = ()
+    names = ("bias", "u", "v")
+    bias = property(lambda self: self._banks[0])
+    u = property(lambda self: self._banks[1])
+    v = property(lambda self: self._banks[2])
 
-    def __post_init__(self) -> None:
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        self.u = np.asarray(self.u, dtype=np.float64)
-        self.v = np.asarray(self.v, dtype=np.float64)
-
-    @classmethod
-    def zeros(cls, config: ModelConfig) -> "Parameters":
-        """Neutral start: every unit fires with probability one half."""
-        return cls(
-            bias=np.zeros(config.n_units),
-            u=np.zeros((config.n_pairs, config.n_lambda)),
-            v=np.zeros((config.n_pairs, config.n_mu)),
-        )
+    def __new__(cls, bias, u, v):
+        return super().__new__(cls, bias, u, v)
 
     def validate_for(self, config: ModelConfig) -> None:
-        shapes = {
-            "bias": (self.bias.shape, (config.n_units,)),
-            "u": (self.u.shape, (config.n_pairs, config.n_lambda)),
-            "v": (self.v.shape, (config.n_pairs, config.n_mu)),
-        }
-        for name, (got, want) in shapes.items():
+        for name, got, want in zip(self.names, self.shapes, config.arrays.bank_shapes):
             if got != want:
                 raise ValueError(f"parameter {name} has shape {got}, expected {want}")
-        for name, arr in (("bias", self.bias), ("u", self.u), ("v", self.v)):
-            if arr.size and not np.all(np.isfinite(arr)):
-                raise ValueError(f"parameter {name} contains non-finite entries")
-
-    def copy(self) -> "Parameters":
-        return Parameters(self.bias.copy(), self.u.copy(), self.v.copy())
+        if not np.isfinite(self.theta).all():
+            name = next(n for n, bank in zip(self.names, self.banks) if not np.isfinite(bank).all())
+            raise ValueError(f"parameter {name} contains non-finite entries")
 
 
 def as_time_slice(values, n_units: int) -> np.ndarray:

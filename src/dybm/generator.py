@@ -90,7 +90,8 @@ def rollout(params: Parameters, config: ModelConfig, rollout_cfg: RolloutConfig)
         else:
             x = argmax_step(params, state, config)
         out[t] = x
-        state = advance(state, config, x)
+        if t + 1 < rollout_cfg.horizon:  # nothing reads the state after the last slice
+            state = advance(state, config, x)
     return out
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .config import ModelConfig, Parameters, as_time_slice
+from .config import ModelConfig, Parameters, _FlatBanks, as_time_slice
 from .model import (
     TraceState,
     _beta_matrix,
@@ -64,34 +64,27 @@ class TrainingDiverged(RuntimeError):
         self.step = step
 
 
-@dataclass
-class Gradient:
-    """One log-likelihood gradient contribution, shaped like Parameters."""
+class Gradient(_FlatBanks):
+    """One log-likelihood gradient contribution, laid out like Parameters:
+    ``d_bias``, ``d_u`` and ``d_v`` are views into ``theta``."""
 
-    d_bias: np.ndarray
-    d_u: np.ndarray
-    d_v: np.ndarray
+    __slots__ = ()
+    names = ("d_bias", "d_u", "d_v")
+    d_bias = property(lambda self: self._banks[0])
+    d_u = property(lambda self: self._banks[1])
+    d_v = property(lambda self: self._banks[2])
 
-    @classmethod
-    def zeros(cls, config: ModelConfig) -> "Gradient":
-        return cls(
-            d_bias=np.zeros(config.n_units),
-            d_u=np.zeros((config.n_pairs, config.n_lambda)),
-            d_v=np.zeros((config.n_pairs, config.n_mu)),
-        )
+    def __new__(cls, d_bias, d_u, d_v):
+        return super().__new__(cls, d_bias, d_u, d_v)
 
     def add_(self, other: "Gradient") -> "Gradient":
-        self.d_bias += other.d_bias
-        self.d_u += other.d_u
-        self.d_v += other.d_v
+        self._theta += other.theta
         return self
 
     def norm(self) -> float:
-        return math.sqrt(
-            float(np.sum(self.d_bias**2))
-            + float(np.sum(self.d_u**2))
-            + float(np.sum(self.d_v**2))
-        )
+        # one sum per bank: a single sum over theta would round the
+        # recorded grad_norm values differently
+        return math.sqrt(sum(float((bank * bank).sum()) for bank in self.banks))
 
 
 def _is_count(x) -> bool:
@@ -171,13 +164,11 @@ def _step_grad_logp(
     arr = config.arrays
     b = _beta_matrix(state, config)
     z = _drives(params, state, config, b) / config.temperature
-    r = (x - _sigmoid(z)) / config.temperature
     gamma_post = state.gamma.ravel()[arr.gamma_post]
-    grad = Gradient(
-        d_bias=r,
-        d_u=state.alpha * r[arr.post_k],
-        d_v=-b * r[arr.post_l] - gamma_post * r[arr.pre_l],
-    )
+    grad = Gradient._wrap(np.empty(arr.n_params), arr.bank_shapes)
+    r = np.divide(x - _sigmoid(z), config.temperature, out=grad.d_bias)
+    np.multiply(state.alpha, r[arr.post_k], out=grad.d_u)
+    np.subtract(-b * r[arr.post_l], gamma_post * r[arr.pre_l], out=grad.d_v)
     return grad, _log_prob(z, x)
 
 
@@ -200,12 +191,14 @@ def _walk(
     config: ModelConfig, slices: list[np.ndarray]
 ) -> Iterator[tuple[TraceState, np.ndarray]]:
     """The one pass over a series: from the zero-history start state, yield
-    each checked slice with the state that precedes it, then absorb the
-    slice into the traces."""
+    each checked slice with the state that precedes it. A slice is absorbed
+    into the traces only when the next one is reached, so the state after
+    the last slice, which no caller reads, is never built."""
     state = init_state(config)
-    for x in slices:
+    for t, x in enumerate(slices):
+        if t:
+            state = advance(state, config, slices[t - 1])
         yield state, x
-        state = advance(state, config, x)
 
 
 @dataclass
@@ -276,9 +269,8 @@ def _block_steps(config: ModelConfig) -> int:
 
 def _block_grad_logp(params: Parameters, config: ModelConfig, block: _Block) -> np.ndarray:
     """``_step_grad_logp``'s elementwise arithmetic applied to every step
-    of a block at once. Row t holds step t's bias, u and v gradients,
-    flattened, then its log-probability (the layout ``_sequence_grad_ll``
-    reads)."""
+    of a block at once. Row t holds step t's gradient, laid out as a
+    ``Gradient.theta``, then its log-probability."""
     arr = config.arrays
     shape = block.x.shape
 
@@ -344,44 +336,34 @@ def _sequence_grad_ll(
     them: a cumulative sum with the running total prepended keeps that
     order across blocks, where a sum over the step axis may add pairwise
     and round differently."""
-    n, k, l = config.n_units, config.n_lambda, config.n_mu
-    u_end = n + config.n_pairs * k
-    total = np.zeros(u_end + config.n_pairs * l + 1)
+    arr = config.arrays
+    total = np.zeros(arr.n_params + 1)
     for block in blocks:
         rows = _block_grad_logp(params, config, block)
         running = np.concatenate((total[None], rows))
         total = np.cumsum(running, axis=0, out=running)[-1].copy()
         if step_nll is not None:
             step_nll.extend((-rows[:, -1]).tolist())
-    grad = Gradient(total[:n], total[n:u_end].reshape(-1, k), total[u_end:-1].reshape(-1, l))
-    return grad, float(total[-1])
+    return Gradient._wrap(total[:-1], arr.bank_shapes), float(total[-1])
 
 
 def sgd_update(params: Parameters, grad: Gradient, learning_rate: float) -> Parameters:
     """One ascent step: parameters plus learning_rate times gradient."""
-    if (
-        grad.d_bias.shape != params.bias.shape
-        or grad.d_u.shape != params.u.shape
-        or grad.d_v.shape != params.v.shape
-    ):
+    if grad.shapes != params.shapes:
         raise ValueError("gradient shape does not match parameters")
     with np.errstate(over="ignore", invalid="ignore"):  # the result is checked below
-        out = Parameters(
-            bias=params.bias + learning_rate * grad.d_bias,
-            u=params.u + learning_rate * grad.d_u,
-            v=params.v + learning_rate * grad.d_v,
-        )
-    for name, arr in (("bias", out.bias), ("u", out.u), ("v", out.v)):
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise ValueError(f"update produced non-finite {name}")
+        out = Parameters._wrap(params.theta + learning_rate * grad.theta, params.shapes)
+    if not np.isfinite(out.theta).all():
+        name = next(n for n, bank in zip(out.names, out.banks) if not np.isfinite(bank).all())
+        raise ValueError(f"update produced non-finite {name}")
     return out
 
 
 def _check_guard(params: Parameters, epoch: int, step: int) -> None:
-    for name, arr in (("bias", params.bias), ("u", params.u), ("v", params.v)):
-        if arr.size == 0:
-            continue
-        worst = float(np.max(np.abs(arr)))
+    if np.abs(params.theta).max(initial=0.0) <= DIVERGENCE_LIMIT:
+        return
+    for name, bank in zip(params.names, params.banks):
+        worst = float(np.abs(bank).max(initial=0.0))
         if not worst <= DIVERGENCE_LIMIT:  # also catches nan and inf
             raise TrainingDiverged(
                 f"parameter {name} reached magnitude {worst:.3e} "

@@ -265,5 +265,5 @@ def measured_footprint(state: TraceState, params: Parameters) -> Footprint:
     return Footprint(
         trace_scalars=state.alpha.size + state.gamma.size,
         queue_bits=state.queue.size,
-        param_scalars=params.bias.size + params.u.size + params.v.size,
+        param_scalars=params.theta.size,
     )

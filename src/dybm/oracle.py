@@ -233,16 +233,13 @@ def fd_gradient(params: Parameters, config: ModelConfig, series, h: float = 1e-5
         return val
 
     out = Gradient.zeros(config)
-    for name in ("bias", "u", "v"):
-        base = getattr(params, name)
-        target = getattr(out, "d_" + name)
-        for idx in np.ndindex(base.shape):
-            probe = params.copy()
-            getattr(probe, name)[idx] = base[idx] + h
-            up = ll(probe)
-            getattr(probe, name)[idx] = base[idx] - h
-            down = ll(probe)
-            target[idx] = (up - down) / (2.0 * h)
+    for i, base in enumerate(params.theta):
+        probe = params.copy()
+        probe.theta[i] = base + h
+        up = ll(probe)
+        probe.theta[i] = base - h
+        down = ll(probe)
+        out.theta[i] = (up - down) / (2.0 * h)
     return out
 
 

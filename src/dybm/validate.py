@@ -81,11 +81,8 @@ def random_config(
 
 
 def random_params(rng: np.random.Generator, config: ModelConfig, scale: float = 0.8) -> Parameters:
-    return Parameters(
-        bias=rng.normal(0.0, scale, size=config.n_units),
-        u=rng.normal(0.0, scale, size=(config.n_pairs, config.n_lambda)),
-        v=rng.normal(0.0, scale, size=(config.n_pairs, config.n_mu)),
-    )
+    arr = config.arrays
+    return Parameters._wrap(rng.normal(0.0, scale, size=arr.n_params), arr.bank_shapes)
 
 
 def random_history(rng: np.random.Generator, config: ModelConfig, length: int) -> np.ndarray:
@@ -178,10 +175,6 @@ def check_energy_expansion(seed: int = 0, cases: int = 100) -> PropertyReport:
     )
 
 
-def _grad_arrays(g: learning.Gradient) -> list[np.ndarray]:
-    return [g.d_bias, g.d_u, g.d_v]
-
-
 def check_gradient_finite_difference(
     seed: int = 0, cases: int = 50, h: float = 1e-5
 ) -> PropertyReport:
@@ -198,11 +191,9 @@ def check_gradient_finite_difference(
         series = random_history(rng, config, int(rng.integers(1, 21)))
         analytic = learning.sequence_gradient(params, config, series)
         numeric = oracle.fd_gradient(params, config, series, h=h)
-        for a, f in zip(_grad_arrays(analytic), _grad_arrays(numeric)):
-            if a.size == 0:
-                continue
-            bound = np.maximum(1e-5 * np.maximum(np.abs(a), np.abs(f)), 1e-8)
-            worst = max(worst, float(np.max(np.abs(a - f) / bound)))
+        a, f = analytic.theta, numeric.theta
+        bound = np.maximum(1e-5 * np.maximum(np.abs(a), np.abs(f)), 1e-8)
+        worst = max(worst, float(np.max(np.abs(a - f) / bound)))
     return PropertyReport(
         name="analytic gradients match finite differences",
         passed=worst <= 1.0,
@@ -235,8 +226,7 @@ def check_block_gradient(seed: int = 0, cases: int = 50) -> PropertyReport:
         blocks = learning._blocks(config, slices, int(rng.integers(1, len(slices) + 1)))
         block, block_ll = learning._sequence_grad_ll(params, config, blocks)
         pairs = zip(
-            _grad_arrays(block) + [np.array([block_ll])],
-            _grad_arrays(per_step) + [np.array([per_step_ll])],
+            block.banks + (np.array([block_ll]),), per_step.banks + (np.array([per_step_ll]),)
         )
         for a, b in pairs:
             scale = float(np.max(np.maximum(np.abs(a), np.abs(b)), initial=0.0))

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -141,11 +143,18 @@ class TestParameters:
         with pytest.raises(ValueError, match="bias"):
             p.validate_for(cfg)
 
-    def test_validate_rejects_non_finite(self):
+    @pytest.mark.parametrize(
+        "banks, named",
+        [(["bias"], "bias"), (["u"], "u"), (["v"], "v"), (["v", "u"], "u")],
+        ids=["bias", "u", "v", "u-and-v"],
+    )
+    def test_validate_rejects_non_finite(self, banks, named):
+        # the message names the first bank, in theta order, that holds one
         cfg = ModelConfig.dense(2)
         p = Parameters.zeros(cfg)
-        p.u[0, 0] = np.inf
-        with pytest.raises(ValueError, match="u"):
+        for bank in banks:
+            getattr(p, bank)[-1] = np.inf
+        with pytest.raises(ValueError, match=f"^parameter {named} contains non-finite entries$"):
             p.validate_for(cfg)
 
     def test_copy_is_independent(self):
@@ -154,6 +163,38 @@ class TestParameters:
         q = p.copy()
         q.bias[0] = 5.0
         assert p.bias[0] == 0.0
+        assert not np.shares_memory(p.theta, q.theta)
+        assert np.shares_memory(q.bias, q.theta) and q.theta[0] == 5.0
+
+    def test_banks_are_views_of_one_theta(self):
+        bias, u, v = np.arange(2.0), np.arange(8.0).reshape(4, 2) + 10, np.arange(4.0).reshape(4, 1) + 20
+        p = Parameters(bias, u, v)
+        assert p.theta.dtype == np.float64 and p.theta.shape == (14,)
+        assert np.array_equal(p.theta, np.concatenate([bias.ravel(), u.ravel(), v.ravel()]))
+        assert p.shapes == ((2,), (4, 2), (4, 1))
+        for bank in (p.bias, p.u, p.v):
+            assert np.shares_memory(bank, p.theta)
+        p.u[1, 0] = -5.0
+        assert p.theta[2 + 2] == -5.0
+        p.theta[-1] = 7.0
+        assert p.v[3, 0] == 7.0
+        bias[0] = 99.0  # the constructor copied its arguments
+        assert p.bias[0] == 0.0
+
+    def test_banks_cannot_be_rebound(self):
+        p = Parameters.zeros(ModelConfig.dense(2))
+        with pytest.raises(AttributeError):
+            p.u = np.ones((4, 1))
+        with pytest.raises(AttributeError):
+            p.theta = np.ones(10)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))])
+    def test_copies_keep_banks_as_views(self, clone):
+        p = Parameters(np.zeros(2), np.ones((4, 1)), np.full((4, 1), 2.0))
+        q = clone(p)
+        q.v[0, 0] = 9.0
+        assert q.theta[6] == 9.0
+        assert np.array_equal(q.theta, np.concatenate([q.bias, q.u.ravel(), q.v.ravel()]))
 
 
 class TestAsTimeSlice:

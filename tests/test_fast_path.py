@@ -201,3 +201,21 @@ class TestBlockScorer:
             assert np.array_equal(got.d_v, want.d_v)
         assert ll == want_ll
         assert nll == want_nll
+
+    @pytest.mark.parametrize(
+        "cfg", [MIXED, ALL_DELAY_ONE, EMPTY, ONE_UNIT], ids=["mixed", "delay1", "empty", "one-unit"]
+    )
+    def test_one_slice_gradient_theta_is_the_block_row(self, cfg):
+        # a block row is laid out as Gradient.theta followed by log p; with
+        # one step there is nothing to sum, so the two agree exactly
+        rng = np.random.default_rng(5)
+        params = Parameters(
+            bias=rng.normal(0.0, 1.0, size=cfg.n_units),
+            u=rng.normal(0.0, 1.0, size=(cfg.n_pairs, cfg.n_lambda)),
+            v=rng.normal(0.0, 1.0, size=(cfg.n_pairs, cfg.n_mu)),
+        )
+        x = (rng.random(cfg.n_units) < 0.5).astype(np.int64)
+        row = learning._block_grad_logp(params, cfg, next(learning._blocks(cfg, [x], 1)))[0]
+        grad = learning.sequence_gradient(params, cfg, [x])
+        assert np.array_equal(grad.theta, row[:-1])
+        assert grad.shapes == params.shapes

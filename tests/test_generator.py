@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dybm import generator, learning
 from dybm.config import ModelConfig, Parameters
 from dybm.generator import PredictionMetrics, RolloutConfig, eval_prediction, rollout, sample_step
 from dybm.model import advance, fire_probs, init_state
@@ -173,3 +174,37 @@ class TestEvalPrediction:
         )
         scores = eval_prediction(params, cfg, np.tile(PERIOD4_CYCLE, (32, 1)))
         assert scores.nll_per_bit < 0.11  # -ln(0.9)
+
+
+class TestAdvanceCalls:
+    """Each walk absorbs a slice only when a later slice needs the state:
+    the state after the last slice is never built."""
+
+    CFG = ModelConfig.dense(2, delay=3)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+
+        def counting(*args):
+            counted.append(1)
+            return advance(*args)
+
+        for module in (learning, generator):
+            monkeypatch.setattr(module, "advance", counting)
+        return counted
+
+    @pytest.mark.parametrize("steps", [1, 2, 9])
+    def test_scoring_a_series(self, calls, rng, steps):
+        series = (rng.random((steps, 2)) < 0.5).astype(int)
+        learning.sequence_log_likelihood(Parameters.zeros(self.CFG), self.CFG, series)
+        assert len(calls) == steps - 1
+        eval_prediction(Parameters.zeros(self.CFG), self.CFG, series)
+        assert len(calls) == 2 * (steps - 1)
+
+    @pytest.mark.parametrize("mode", ["sample", "argmax"])
+    @pytest.mark.parametrize("primer, horizon", [(0, 1), (0, 6), (3, 1), (3, 6)])
+    def test_rollout(self, calls, rng, mode, primer, horizon):
+        series = (rng.random((primer, 2)) < 0.5).astype(int) if primer else None
+        rollout(Parameters.zeros(self.CFG), self.CFG, RolloutConfig(horizon, mode, 1, series))
+        assert len(calls) == primer + horizon - 1

@@ -191,13 +191,75 @@ class TestSgdUpdate:
         with pytest.raises(ValueError, match="shape"):
             sgd_update(Parameters.zeros(cfg), Gradient.zeros(other), 0.1)
 
-    def test_non_finite_result_rejected(self):
+    @pytest.mark.parametrize(
+        "banks, named",
+        [(["bias"], "bias"), (["u"], "u"), (["v"], "v"), (["v", "u"], "u")],
+        ids=["bias", "u", "v", "u-and-v"],
+    )
+    def test_non_finite_result_rejected(self, banks, named):
+        # the message names the first bank, in theta order, that went non-finite
         cfg = ModelConfig.dense(1)
         params = Parameters.zeros(cfg)
         grad = Gradient.zeros(cfg)
-        grad.d_bias[0] = np.inf
-        with pytest.raises(ValueError, match="non-finite"):
+        for bank in banks:
+            getattr(grad, "d_" + bank)[0] = np.inf
+        with pytest.raises(ValueError, match=f"^update produced non-finite {named}$"):
             sgd_update(params, grad, 1.0)
+
+    def test_update_is_one_axpy_over_theta(self, rng):
+        cfg = ModelConfig.dense(2, lambdas=(0.5, 0.3))
+        params = Parameters(rng.normal(size=2), rng.normal(size=(4, 2)), rng.normal(size=(4, 1)))
+        grad = Gradient(rng.normal(size=2), rng.normal(size=(4, 2)), rng.normal(size=(4, 1)))
+        out = sgd_update(params, grad, 0.3)
+        assert out.theta.tobytes() == (params.theta + 0.3 * grad.theta).tobytes()
+        assert out.shapes == params.shapes and not np.shares_memory(out.theta, params.theta)
+
+
+class TestGradientLayout:
+    def test_banks_are_views_of_one_theta(self):
+        g = Gradient(d_bias=[1.0, 2.0], d_u=[[3.0], [4.0]], d_v=[[5.0, 6.0], [7.0, 8.0]])
+        assert np.array_equal(g.theta, np.arange(1.0, 9.0))
+        for bank in (g.d_bias, g.d_u, g.d_v):
+            assert np.shares_memory(bank, g.theta)
+        g.d_v[1, 0] = -1.0
+        assert g.theta[6] == -1.0
+
+    def test_add_and_norm(self):
+        g = Gradient([3.0], [[0.0]], [[4.0]])
+        h = g.copy().add_(g)
+        assert np.array_equal(h.theta, [6.0, 0.0, 8.0]) and g.theta[0] == 3.0
+        assert g.norm() == 5.0
+
+
+class TestCheckGuard:
+    CFG = ModelConfig.dense(2, lambdas=(0.5, 0.3))  # bias (2,), u (4, 2), v (4, 1)
+
+    @pytest.mark.parametrize(
+        "writes, named, worst",
+        [
+            ({"bias": -2.5e6}, "bias", "2.500e+06"),
+            ({"u": 1.0000005e6}, "u", "1.000e+06"),
+            ({"v": np.nan}, "v", "nan"),
+            ({"bias": 999999.0, "u": -7.25e6, "v": 9e9}, "u", "7.250e+06"),
+            ({"v": -np.inf, "u": 3e6}, "u", "3.000e+06"),
+        ],
+        ids=["bias", "u-just-over", "v-nan", "first-of-u-and-v", "u-before-inf-v"],
+    )
+    def test_names_first_failing_bank(self, writes, named, worst):
+        params = Parameters.zeros(self.CFG)
+        for bank, value in writes.items():
+            getattr(params, bank).flat[-1] = value
+        with pytest.raises(TrainingDiverged) as err:
+            learning._check_guard(params, 3, 7)
+        assert str(err.value) == (
+            f"parameter {named} reached magnitude {worst} at epoch 3, step 7; training aborted"
+        )
+        assert (err.value.epoch, err.value.step) == (3, 7)
+
+    def test_limit_itself_passes(self):
+        params = Parameters.zeros(self.CFG)
+        params.theta[:] = -learning.DIVERGENCE_LIMIT
+        learning._check_guard(params, 0, 0)
 
 
 def tiny_dataset(rng, cfg, n_series=2, length=12):
@@ -387,14 +449,14 @@ class TestFullBatchFeatureCache:
 
     def test_traces_built_once_when_they_fit(self, monkeypatch):
         _, _, calls, block_bytes = self.run(monkeypatch)
-        assert calls == 9 + 14 + 6
+        assert calls == (9 - 1) + (14 - 1) + (6 - 1)  # one advance between slices
         assert len(block_bytes) == 3
 
     def test_rebuilt_in_bounded_blocks_when_they_do_not(self, monkeypatch):
         cap = 4 * learning._step_bytes(self.CFG)  # less than the shortest series
         kept_params, kept, _, _ = self.run(monkeypatch)
         params, metrics, calls, block_bytes = self.run(monkeypatch, cap)
-        assert calls == self.EPOCHS * (9 + 14 + 6)
+        assert calls == self.EPOCHS * ((9 - 1) + (14 - 1) + (6 - 1))
         assert max(block_bytes) <= cap
         assert len(block_bytes) == self.EPOCHS * (3 + 4 + 2)
         assert params.bias.tobytes() == kept_params.bias.tobytes()

@@ -282,6 +282,7 @@ class TestFootprint:
         expected = expected_footprint(cfg)
         measured = measured_footprint(state, params)
         assert measured == expected
+        assert measured.param_scalars == params.theta.size
         assert expected.trace_scalars == cfg.n_pairs * cfg.n_lambda + cfg.n_units * cfg.n_mu
         assert expected.queue_bits == sum(d - 1 for d in cfg.delays.values())
         assert expected.param_scalars == cfg.n_units + cfg.n_pairs * (cfg.n_lambda + cfg.n_mu)
