@@ -14,17 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig, Parameters
-from .learning import _normalize_series, _walk
-from .model import (
-    TraceState,
-    _log_prob,
-    _scaled_drives,
-    _sigmoid,
-    advance,
-    fire_probs,
-    init_state,
-)
-from .rng import step_stream
+from .learning import _is_count, _normalize_series, _score
+from .model import TraceState, advance, fire_probs, init_state
+from .rng import _reseater, step_stream
 
 __all__ = [
     "RolloutConfig",
@@ -47,8 +39,10 @@ class RolloutConfig:
     primer: object = None
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        if not (_is_count(self.horizon) and self.horizon >= 1):
+            raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
+        if not _is_count(self.seed):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.mode not in ("sample", "argmax"):
             raise ValueError(f"mode must be 'sample' or 'argmax', got {self.mode!r}")
 
@@ -76,17 +70,21 @@ def rollout(params: Parameters, config: ModelConfig, rollout_cfg: RolloutConfig)
     """Generate ``horizon`` slices autoregressively; returns (horizon, N).
 
     The primer, when given, is absorbed first; generated slices are then
-    fed back one at a time. Sampling uses one Philox substream per step
-    (see ``rng.step_stream``), so runs are reproducible given the seed.
+    fed back one at a time. Step ``t`` samples from the substream
+    ``rng.step_stream(seed, t)``, so runs are reproducible given the seed.
+    The rollout builds one Philox, the step-0 stream, and re-seats it at
+    each step, which gives the same draws as a fresh jumped stream per step.
     """
     state = init_state(config)
     if rollout_cfg.primer is not None:
         for x in _normalize_series(rollout_cfg.primer, config.n_units):
             state = advance(state, config, x)
+    if rollout_cfg.mode == "sample":
+        stream_at = _reseater(step_stream(rollout_cfg.seed, 0))
     out = np.empty((rollout_cfg.horizon, config.n_units), dtype=np.int64)
     for t in range(rollout_cfg.horizon):
         if rollout_cfg.mode == "sample":
-            x = sample_step(params, state, config, step_stream(rollout_cfg.seed, t))
+            x = sample_step(params, state, config, stream_at(t))
         else:
             x = argmax_step(params, state, config)
         out[t] = x
@@ -112,12 +110,7 @@ def eval_prediction(params: Parameters, config: ModelConfig, series) -> Predicti
     predict 0); the negative log-likelihood is normalised per bit.
     """
     slices = _normalize_series(series, config.n_units)
-    total_ll = 0.0
-    correct = 0
-    for state, x in _walk(config, slices):
-        z = _scaled_drives(params, state, config)
-        correct += int(np.sum((_sigmoid(z) > 0.5) == x))
-        total_ll += _log_prob(z, x)
+    total_ll, correct = _score(params, config, slices)
     bits = len(slices) * config.n_units
     return PredictionMetrics(
         log_likelihood=total_ll,

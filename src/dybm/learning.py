@@ -16,6 +16,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -311,10 +312,33 @@ def _batch_features(
 def sequence_log_likelihood(params: Parameters, config: ModelConfig, series) -> float:
     """Log-probability of a whole series, chained step by step from the
     zero-history start state."""
-    total = 0.0
-    for state, x in _walk(config, _normalize_series(series, config.n_units)):
-        total += _log_prob(_scaled_drives(params, state, config), x)
-    return total
+    return _score(params, config, _normalize_series(series, config.n_units))[0]
+
+
+def _score(params: Parameters, config: ModelConfig, slices: list[np.ndarray]) -> tuple[float, int]:
+    """Log-likelihood of a series, and how many of its bits the firing
+    probabilities predict when thresholded at one half (ties predict 0).
+
+    One ``_walk`` computes each step's logits; they are stacked in blocks
+    of at most ``_block_steps`` steps, and each block is scored at once.
+    Scoring a block makes several temporaries of its size (the stacked
+    slices, the logits, the sigmoid and the log-probability terms), so
+    blocks keep that memory independent of series length. The training
+    cap is loose here, as a logit row holds N doubles where a feature row
+    holds N + M·(2·n_lambda + 4·n_mu), but it does bound every block by
+    ``_FEATURE_BYTES``.
+    The per-step log-probabilities are added one at a time in step order,
+    so the total rounds exactly as a per-step loop's does."""
+    max_steps = _block_steps(config)
+    walk = _walk(config, slices)
+    total, correct = 0.0, 0
+    for start in range(0, len(slices), max_steps):
+        x = np.stack(slices[start : start + max_steps])
+        z = np.stack([_scaled_drives(params, state, config) for state, _ in islice(walk, len(x))])
+        for log_p in _log_probs(z, x).tolist():
+            total += log_p
+        correct += int(np.count_nonzero((_sigmoid(z) > 0.5) == x))
+    return total, correct
 
 
 def sequence_gradient(params: Parameters, config: ModelConfig, series) -> Gradient:

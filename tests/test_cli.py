@@ -319,6 +319,17 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("mode", ["sample", "argmax"])
+    def test_negative_seed_exits_2(self, mode, tmp_path, capsys):
+        # argmax ignores the seed, but a bad one is still rejected
+        cfg = ModelConfig.dense(2)
+        model = tmp_path / "m.json"
+        model.write_text(save_checkpoint(Parameters.zeros(cfg), cfg))
+        code = main(["generate", str(model), "--horizon", "3", "--mode", mode, "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: seed must be an integer >= 0")
+
     @pytest.mark.parametrize(
         "section, key, value",
         [

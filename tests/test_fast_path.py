@@ -8,7 +8,8 @@ Queue bits must agree exactly. The configs cover mixed delays with delay-1
 pairs, configs where every delay is 1, and empty connectivity.
 
 The full-batch block scorer is held to the per-step gradient and
-log-probability summed along the walk, bit for bit.
+log-probability summed along the walk, bit for bit, and so is the logit
+scorer behind ``eval_prediction`` and ``sequence_log_likelihood``.
 """
 
 import numpy as np
@@ -18,11 +19,13 @@ from hypothesis import strategies as st
 
 from dybm import learning
 from dybm.config import ModelConfig, Parameters
+from dybm.generator import eval_prediction
 from dybm.learning import Gradient, step_gradient
 from dybm.model import (
     _beta_matrix,
     advance,
     beta,
+    cond_prob,
     expected_footprint,
     fire_probs,
     init_state,
@@ -45,6 +48,13 @@ EMPTY = ModelConfig(3, (0.5,), (0.3,), {})
 # one unit: a sum over the step axis of (T, 1) arrays adds pairwise, which
 # rounds differently from the per-step loop
 ONE_UNIT = ModelConfig(1, (0.6, 0.3), (0.45,), {(0, 0): 3})
+# wide enough that numpy sums a slice's 160 unit terms pairwise
+RING = ModelConfig(
+    160,
+    (0.5, 0.8),
+    (0.5, 0.8),
+    {((j - r) % 160, j): 1 + (r - 1) % 4 for j in range(160) for r in (1, 2, 3)},
+)
 
 
 def walk(cfg, history):
@@ -219,3 +229,38 @@ class TestBlockScorer:
         grad = learning.sequence_gradient(params, cfg, [x])
         assert np.array_equal(grad.theta, row[:-1])
         assert grad.shapes == params.shapes
+
+
+class TestLogitScorer:
+    """``eval_prediction`` and ``sequence_log_likelihood`` score stacked
+    logits a block at a time; the totals must still be the per-step chain.
+    Several series, because a sum in another order often rounds the same."""
+
+    @pytest.fixture
+    def case(self):
+        rng = np.random.default_rng(23)
+        params = Parameters(
+            bias=rng.normal(-0.5, 1.0, size=RING.n_units),
+            u=rng.normal(0.0, 0.5, size=(RING.n_pairs, RING.n_lambda)),
+            v=rng.normal(0.0, 0.5, size=(RING.n_pairs, RING.n_mu)),
+        )
+        return params, (rng.random((6, 24, RING.n_units)) < 0.3).astype(np.int64)
+
+    @pytest.mark.parametrize("block_steps", [None, 3], ids=["one-block", "blocks-of-3"])
+    def test_matches_chained_cond_prob(self, case, block_steps, monkeypatch):
+        params, dataset = case
+        if block_steps is not None:
+            monkeypatch.setattr(learning, "_FEATURE_BYTES", block_steps * learning._step_bytes(RING))
+            assert learning._block_steps(RING) == block_steps
+        for series in dataset:
+            chained, correct = 0.0, 0
+            state = init_state(RING)
+            for x in series:
+                chained += cond_prob(params, state, RING, x)[1]
+                correct += int(np.sum((fire_probs(params, state, RING) > 0.5) == x))
+                state = advance(state, RING, x)
+            scores = eval_prediction(params, RING, series)
+            assert scores.log_likelihood == chained
+            assert learning.sequence_log_likelihood(params, RING, series) == chained
+            assert scores.accuracy == correct / series.size
+            assert scores.nll_per_bit == -chained / series.size

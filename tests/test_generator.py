@@ -7,7 +7,35 @@ from dybm import generator, learning
 from dybm.config import ModelConfig, Parameters
 from dybm.generator import PredictionMetrics, RolloutConfig, eval_prediction, rollout, sample_step
 from dybm.model import advance, fire_probs, init_state
-from dybm.rng import step_stream
+from dybm.rng import _reseater, step_stream
+
+# step numbers for stream tests: out of order, with one repeated
+STEPS = (1000, 0, 5, 123456, 2, 1, 5)
+
+
+def jumped(seed, t):
+    """The splitting rule written out: the seed's Philox jumped t times."""
+    return np.random.Generator(np.random.Philox(seed).jumped(t))
+
+
+class TestStepStream:
+    @pytest.mark.parametrize("seed", [0, 42, 2**40 + 3])
+    def test_step_stream_is_the_jumped_stream(self, seed):
+        for t in STEPS:
+            np.testing.assert_array_equal(step_stream(seed, t).random(256), jumped(seed, t).random(256))
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**40 + 3])
+    def test_reseated_stream_is_the_jumped_stream(self, seed):
+        stream_at = _reseater(step_stream(seed, 0))
+        for t in STEPS:
+            np.testing.assert_array_equal(stream_at(t).random(256), jumped(seed, t).random(256))
+
+    def test_numpy_integer_step(self):
+        np.testing.assert_array_equal(step_stream(3, np.int64(5)).random(8), jumped(3, 5).random(8))
+
+    def test_negative_step_rejected(self):
+        with pytest.raises(ValueError, match="step"):
+            step_stream(0, -1)
 
 
 class TestSampleStep:
@@ -102,6 +130,32 @@ class TestRollout:
     def test_horizon_validated(self):
         with pytest.raises(ValueError, match="horizon"):
             RolloutConfig(horizon=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("horizon", 2.5), ("horizon", True), ("seed", -1), ("seed", 1.5), ("seed", True)],
+    )
+    def test_bad_value_names_its_field(self, field, value):
+        kwargs = {"horizon": 3, "seed": 0, field: value}
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer >= \d, got {value!r}$"):
+            RolloutConfig(**kwargs)
+
+    @pytest.mark.parametrize("primer", [None, [[1, 0, 1], [0, 1, 1], [1, 1, 0]]])
+    def test_sample_mode_is_the_per_step_stream_loop(self, rng, primer):
+        # step t draws from step_stream(seed, t), however the rollout builds it
+        cfg = ModelConfig.dense(3, delay=2)
+        params = Parameters(
+            bias=rng.normal(size=3), u=rng.normal(size=(9, 1)), v=rng.normal(size=(9, 1))
+        )
+        out = rollout(params, cfg, RolloutConfig(horizon=24, mode="sample", seed=77, primer=primer))
+        state = init_state(cfg)
+        for x in primer or []:
+            state = advance(state, cfg, x)
+        want = []
+        for t in range(24):
+            want.append(sample_step(params, state, cfg, step_stream(77, t)))
+            state = advance(state, cfg, want[-1])
+        np.testing.assert_array_equal(out, want)
 
     def test_mode_validated(self):
         with pytest.raises(ValueError, match="mode"):
