@@ -7,7 +7,8 @@ enough rate can never decrease it. Online mode applies one update per
 observed slice; the traces do not depend on the parameters, so updating
 mid-sequence loses nothing. For the same reason full-batch training builds
 each series' traces once, as feature blocks, and rescores the blocks with
-new parameters every epoch.
+new parameters every epoch. One scorer, ``_grad_logp``, serves both modes:
+an online step is the features of one state, a block those of many.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ import numpy as np
 from .config import ModelConfig, Parameters, _FlatBanks, as_time_slice
 from .model import (
     TraceState,
-    _beta_matrix,
     _drives,
-    _log_prob,
+    _features,
+    _Features,
     _log_probs,
     _scaled_drives,
     _sigmoid,
-    _to_units,
     advance,
     init_state,
 )
@@ -160,37 +160,47 @@ def step_gradient(
 def _step_grad_logp(
     params: Parameters, state: TraceState, config: ModelConfig, x: np.ndarray
 ) -> tuple[Gradient, float]:
-    """Gradient and log-probability of one step; the near-window trace is
-    computed once and shared by the drive and the gradient."""
+    """Gradient and log-probability of one step, from one ``_grad_logp``
+    call over the state's features."""
     arr = config.arrays
-    b = _beta_matrix(state, config)
-    z = _drives(params, state, config, b) / config.temperature
-    gamma_post = state.gamma.ravel()[arr.gamma_post]
-    grad = Gradient._wrap(np.empty(arr.n_params), arr.bank_shapes)
-    r = np.divide(x - _sigmoid(z), config.temperature, out=grad.d_bias)
-    np.multiply(state.alpha, r[arr.post_k], out=grad.d_u)
-    np.subtract(-b * r[arr.post_l], gamma_post * r[arr.pre_l], out=grad.d_v)
-    return grad, _log_prob(z, x)
+    row = _grad_logp(params, config, _features(state, config, x), np.empty(arr.n_params + 1))
+    return Gradient._wrap(row[:-1], arr.bank_shapes), float(row[-1])
 
 
-def _normalize_series(series, n_units: int) -> list[np.ndarray]:
-    """Checked int slices of a non-empty series. A valid 2-D array is
-    checked once and returned as row views, without a copy per slice;
+def _grad_logp(params: Parameters, config: ModelConfig, f: _Features, out: np.ndarray) -> np.ndarray:
+    """The one scorer, of one step or of a block: writes each step's
+    gradient, laid out as a ``Gradient.theta``, then its log-probability
+    into ``out``, shaped (…, n_params + 1) like ``f.x`` with its last axis
+    widened, and returns it. The arithmetic is elementwise per step, so a
+    block row is its step scored alone, bit for bit."""
+    a = config.n_units
+    b = a + config.arrays.post_k.size
+    z = _drives(params, f, config) / config.temperature
+    r = np.divide(f.x - _sigmoid(z), config.temperature, out=out[..., :a])
+    flat = r.ravel()  # the feature indices address the flattened unit axis
+    np.multiply(f.alpha, flat[f.post_k], out=out[..., a:b].reshape(f.alpha.shape))
+    d_v = out[..., b:-1].reshape(f.beta.shape)
+    np.subtract(-f.beta * flat[f.post_l], f.gamma_post * flat[f.pre_l], out=d_v)
+    out[..., -1] = _log_probs(z, f.x)
+    return out
+
+
+def _normalize_series(series, n_units: int) -> np.ndarray:
+    """The checked (T, N) int64 array of a non-empty series. A valid 2-D
+    array is checked once, without a copy when it is already int64;
     anything else is checked slice by slice by ``as_time_slice``, whose
     errors it raises."""
     arr = np.asarray(series)
     if arr.ndim == 2 and arr.shape[1] == n_units and ((arr == 0) | (arr == 1)).all():
-        slices = list(arr.astype(np.int64, copy=False))
+        slices = arr.astype(np.int64, copy=False)
     else:
-        slices = [as_time_slice(s, n_units) for s in series]
-    if not slices:
+        slices = np.array([as_time_slice(s, n_units) for s in series], dtype=np.int64)
+    if not len(slices):
         raise ValueError("series must contain at least one time slice")
     return slices
 
 
-def _walk(
-    config: ModelConfig, slices: list[np.ndarray]
-) -> Iterator[tuple[TraceState, np.ndarray]]:
+def _walk(config: ModelConfig, slices: np.ndarray) -> Iterator[tuple[TraceState, np.ndarray]]:
     """The one pass over a series: from the zero-history start state, yield
     each checked slice with the state that precedes it. A slice is absorbed
     into the traces only when the next one is reached, so the state after
@@ -202,40 +212,20 @@ def _walk(
         yield state, x
 
 
-@dataclass
-class _Block:
-    """Features of T consecutive slices of one series, stacked along a
-    leading step axis: the slices ``x`` (T, N), the arrival traces
-    ``alpha`` (T, M, K), the near-window traces ``beta`` (T, M, L) and the
-    source traces of each pair's target ``gamma_post`` (T, M, L), each
-    taken from the state before its slice. ``post_k``, ``post_l`` and
-    ``pre_l`` are the pair-to-unit indices of ``config.arrays`` offset by
-    ``t * N``, so that one bincount sums every step's pair terms into that
-    step's units."""
-
-    x: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma_post: np.ndarray
-    post_k: np.ndarray
-    post_l: np.ndarray
-    pre_l: np.ndarray
-
-
 def _step_bytes(config: ModelConfig) -> int:
-    """Bytes of one slice's features in a ``_Block``."""
+    """Bytes of one slice's features in a block."""
     m = config.n_pairs
     return 8 * (config.n_units + 2 * m * config.n_lambda + 4 * m * config.n_mu)
 
 
-def _block(config: ModelConfig, slices: list[np.ndarray]) -> _Block:
-    """A block for consecutive ``slices`` whose trace arrays are still to
-    be filled, one step at a time, by ``_blocks``."""
+def _block(config: ModelConfig, slices: np.ndarray) -> _Features:
+    """Features of consecutive ``slices`` on a leading step axis, whose
+    trace arrays are still to be filled, one step at a time, by ``_blocks``."""
     arr = config.arrays
     steps, m = len(slices), config.n_pairs
     offset = config.n_units * np.arange(steps)[:, None, None]
-    return _Block(
-        x=np.stack(slices),
+    return _Features(
+        x=slices,
         alpha=np.empty((steps, m, config.n_lambda)),
         beta=np.empty((steps, m, config.n_mu)),
         gamma_post=np.empty((steps, m, config.n_mu)),
@@ -245,21 +235,21 @@ def _block(config: ModelConfig, slices: list[np.ndarray]) -> _Block:
     )
 
 
-def _blocks(config: ModelConfig, slices: list[np.ndarray], max_steps: int) -> Iterator[_Block]:
+def _blocks(config: ModelConfig, slices: np.ndarray, max_steps: int) -> Iterator[_Features]:
     """One ``_walk`` over a series, as feature blocks of at most
     ``max_steps`` consecutive slices; the traces carry across block ends.
     Each state is copied into its block as the walk reaches it, so no more
     than one block's features and one state are held at a time."""
-    gamma_post = config.arrays.gamma_post
     for t, (state, _) in enumerate(_walk(config, slices)):
         i = t % max_steps
         if i == 0:
             if t:
                 yield block
             block = _block(config, slices[t : t + max_steps])
-        block.alpha[i] = state.alpha
-        block.beta[i] = _beta_matrix(state, config)
-        block.gamma_post[i] = state.gamma.ravel()[gamma_post]
+        f = _features(state, config)
+        block.alpha[i] = f.alpha
+        block.beta[i] = f.beta
+        block.gamma_post[i] = f.gamma_post
     yield block
 
 
@@ -268,36 +258,9 @@ def _block_steps(config: ModelConfig) -> int:
     return max(1, _FEATURE_BYTES // _step_bytes(config))
 
 
-def _block_grad_logp(params: Parameters, config: ModelConfig, block: _Block) -> np.ndarray:
-    """``_step_grad_logp``'s elementwise arithmetic applied to every step
-    of a block at once. Row t holds step t's gradient, laid out as a
-    ``Gradient.theta``, then its log-probability."""
-    arr = config.arrays
-    shape = block.x.shape
-
-    def units(index: np.ndarray, terms: np.ndarray) -> np.ndarray:
-        return _to_units(index, terms, block.x.size).reshape(shape)
-
-    drives = (
-        params.bias
-        + units(block.post_k, params.u * block.alpha)
-        - units(block.post_l, params.v * block.beta)
-        - units(block.pre_l, params.v * block.gamma_post)
-    )
-    z = drives / config.temperature
-    r = (block.x - _sigmoid(z)) / config.temperature
-    d_u = block.alpha * r[:, arr.post_k]
-    d_v = -block.beta * r[:, arr.post_l] - block.gamma_post * r[:, arr.pre_l]
-    steps = len(r)
-    return np.concatenate(
-        (r, d_u.reshape(steps, -1), d_v.reshape(steps, -1), _log_probs(z, block.x)[:, None]),
-        axis=1,
-    )
-
-
 def _batch_features(
-    config: ModelConfig, series_list: list[list[np.ndarray]]
-) -> Callable[[], list[Iterable[_Block]]]:
+    config: ModelConfig, series_list: list[np.ndarray]
+) -> Callable[[], list[Iterable[_Features]]]:
     """Each full-batch epoch's feature blocks, one iterable per series.
     When the whole dataset's features fit in ``_FEATURE_BYTES`` they are
     built once and kept; otherwise every epoch walks the series again and
@@ -315,17 +278,17 @@ def sequence_log_likelihood(params: Parameters, config: ModelConfig, series) -> 
     return _score(params, config, _normalize_series(series, config.n_units))[0]
 
 
-def _score(params: Parameters, config: ModelConfig, slices: list[np.ndarray]) -> tuple[float, int]:
+def _score(params: Parameters, config: ModelConfig, slices: np.ndarray) -> tuple[float, int]:
     """Log-likelihood of a series, and how many of its bits the firing
     probabilities predict when thresholded at one half (ties predict 0).
 
     One ``_walk`` computes each step's logits; they are stacked in blocks
     of at most ``_block_steps`` steps, and each block is scored at once.
-    Scoring a block makes several temporaries of its size (the stacked
-    slices, the logits, the sigmoid and the log-probability terms), so
-    blocks keep that memory independent of series length. The training
-    cap is loose here, as a logit row holds N doubles where a feature row
-    holds N + M·(2·n_lambda + 4·n_mu), but it does bound every block by
+    Scoring a block makes several temporaries of its size (the logits,
+    the sigmoid and the log-probability terms), so blocks keep that memory
+    independent of series length. The training cap is loose here, as a
+    logit row holds N doubles where a feature row holds
+    N + M·(2·n_lambda + 4·n_mu), but it does bound every block by
     ``_FEATURE_BYTES``.
     The per-step log-probabilities are added one at a time in step order,
     so the total rounds exactly as a per-step loop's does."""
@@ -333,7 +296,7 @@ def _score(params: Parameters, config: ModelConfig, slices: list[np.ndarray]) ->
     walk = _walk(config, slices)
     total, correct = 0.0, 0
     for start in range(0, len(slices), max_steps):
-        x = np.stack(slices[start : start + max_steps])
+        x = slices[start : start + max_steps]
         z = np.stack([_scaled_drives(params, state, config) for state, _ in islice(walk, len(x))])
         for log_p in _log_probs(z, x).tolist():
             total += log_p
@@ -351,23 +314,25 @@ def sequence_gradient(params: Parameters, config: ModelConfig, series) -> Gradie
 def _sequence_grad_ll(
     params: Parameters,
     config: ModelConfig,
-    blocks: Iterable[_Block],
+    blocks: Iterable[_Features],
     step_nll: list[float] | None = None,
 ) -> tuple[Gradient, float]:
     """Gradient and log-likelihood of one series from its feature blocks.
 
     Both are summed from zero one step at a time, as a per-step loop adds
-    them: a cumulative sum with the running total prepended keeps that
-    order across blocks, where a sum over the step axis may add pairwise
-    and round differently."""
+    them: each block is scored below a first row holding the running
+    total, and a cumulative sum down the rows keeps that order across
+    blocks, where a sum over the step axis may add pairwise and round
+    differently."""
     arr = config.arrays
     total = np.zeros(arr.n_params + 1)
     for block in blocks:
-        rows = _block_grad_logp(params, config, block)
-        running = np.concatenate((total[None], rows))
-        total = np.cumsum(running, axis=0, out=running)[-1].copy()
+        rows = np.empty((len(block.x) + 1, arr.n_params + 1))
+        rows[0] = total
+        _grad_logp(params, config, block, rows[1:])
         if step_nll is not None:
-            step_nll.extend((-rows[:, -1]).tolist())
+            step_nll.extend((-rows[1:, -1]).tolist())
+        total = np.cumsum(rows, axis=0, out=rows)[-1].copy()
     return Gradient._wrap(total[:-1], arr.bank_shapes), float(total[-1])
 
 

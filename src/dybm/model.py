@@ -25,12 +25,17 @@ of queue bits times the precomputed ``mu**(-lag)`` table. The coefficients
 grow toward the delay horizon on purpose (they mirror the near side of the
 weight kernel); the configuration validator bounds their sum.
 
+The next slice's conditional reads a state only through its features
+(``_Features``). One state's features and a stack of T states' go through
+the same drive, which firing probabilities, energies and learning share.
+
 All update functions are pure: ``advance`` returns a fresh state and leaves
 its input untouched, so snapshots can be read concurrently and compared.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,11 +133,6 @@ def advance(state: TraceState, config: ModelConfig, new_slice) -> TraceState:
     return TraceState(alpha, gamma, queue, state.step_count + 1)
 
 
-def _to_units(index: np.ndarray, terms: np.ndarray, n_units: int) -> np.ndarray:
-    """Sum ``terms`` into per-unit totals by the unit in ``index``."""
-    return np.bincount(index.ravel(), weights=terms.ravel(), minlength=n_units)
-
-
 def _beta_matrix(state: TraceState, config: ModelConfig) -> np.ndarray:
     """Near-window traces for all pairs, shape (n_pairs, n_mu); computed
     fresh from the queue on every call as one segmented sum over the flat
@@ -145,6 +145,11 @@ def _beta_matrix(state: TraceState, config: ModelConfig) -> np.ndarray:
     return b.astype(np.float64, copy=False).reshape(config.n_pairs, config.n_mu)
 
 
+def _check_index(kind: str, index: int, size: int) -> None:
+    if not 0 <= index < size:
+        raise IndexError(f"{kind} index {index} out of range")
+
+
 def beta(state: TraceState, config: ModelConfig, i: int, j: int, ell: int) -> float:
     """Near-window trace of pair (i, j) for decay rate index ``ell``:
     sum over lag s in [1, d-1] of mus[ell]**(-s) * queue[s - 1]."""
@@ -152,6 +157,7 @@ def beta(state: TraceState, config: ModelConfig, i: int, j: int, ell: int) -> fl
         m = config.pair_index[(i, j)]
     except KeyError:
         raise ValueError(f"pair ({i}, {j}) is not connected") from None
+    _check_index("rate", ell, config.n_mu)
     arr = config.arrays
     lo, hi = arr.queue_bounds[m], arr.queue_bounds[m + 1]
     if lo == hi:
@@ -159,30 +165,61 @@ def beta(state: TraceState, config: ModelConfig, i: int, j: int, ell: int) -> fl
     return float(arr.beta_coeff[ell, lo:hi] @ state.queue[lo:hi].astype(np.float64))
 
 
-def _drives(
-    params: Parameters, state: TraceState, config: ModelConfig, b: np.ndarray
-) -> np.ndarray:
-    """Per-unit input drive: bias plus the trace-weighted pair terms.
+@dataclass
+class _Features:
+    """What the conditional of the next slice ``x`` reads of one state, or
+    of T states stacked on a leading step axis: the arrival traces
+    ``alpha`` (…, M, K), the near-window traces ``beta`` (…, M, L) and the
+    source traces of each pair's target ``gamma_post`` (…, M, L); ``x`` is
+    None when only the drive is wanted. ``post_k``, ``post_l`` and
+    ``pre_l`` give each pair term's unit in the flattened (…, N) unit axis,
+    offset by ``t * N`` for step ``t``, so one bincount sums every step's
+    pair terms into that step's units."""
+
+    x: np.ndarray | None
+    alpha: np.ndarray
+    beta: np.ndarray
+    gamma_post: np.ndarray
+    post_k: np.ndarray
+    post_l: np.ndarray
+    pre_l: np.ndarray
+
+
+def _features(state: TraceState, config: ModelConfig, x: np.ndarray | None = None) -> _Features:
+    """Features of one state: its own ``alpha``, its near-window trace
+    computed once, and ``config.arrays``' pair-to-unit indices."""
+    arr = config.arrays
+    b = _beta_matrix(state, config)
+    gamma_post = state.gamma.ravel()[arr.gamma_post]
+    return _Features(x, state.alpha, b, gamma_post, arr.post_k, arr.post_l, arr.pre_l)
+
+
+def _drives(params: Parameters, f: _Features, config: ModelConfig) -> np.ndarray:
+    """Per-unit input drive of every state in ``f``: bias plus the
+    trace-weighted pair terms.
 
     drive[j] = bias[j] + sum over incoming pairs (u . alpha - v . beta)
     minus, for each outgoing pair (j, i), v[(j, i)] . gamma[i]. The energy
     of firing is minus the drive; staying silent always has energy zero.
-    ``b`` is the near-window trace from ``_beta_matrix`` for this state.
+    The sums are taken over the flattened unit axis and subtracted in
+    place, which rounds as ``bias + a - b - c`` does.
     """
-    arr = config.arrays
-    n = config.n_units
-    gamma_post = state.gamma.ravel()[arr.gamma_post]
-    return (
-        params.bias
-        + _to_units(arr.post_k, params.u * state.alpha, n)
-        - _to_units(arr.post_l, params.v * b, n)
-        - _to_units(arr.pre_l, params.v * gamma_post, n)
-    )
+    shape = f.alpha.shape[:-2] + (config.n_units,)
+    size = math.prod(shape)
+
+    def units(index: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        return np.bincount(index.ravel(), weights=terms.ravel(), minlength=size)
+
+    drive = params.bias + units(f.post_k, params.u * f.alpha).reshape(shape)
+    flat = drive.reshape(size)
+    flat -= units(f.post_l, params.v * f.beta)
+    flat -= units(f.pre_l, params.v * f.gamma_post)
+    return drive
 
 
 def _scaled_drives(params: Parameters, state: TraceState, config: ModelConfig) -> np.ndarray:
     """Drive over temperature: the logit of each unit's firing probability."""
-    return _drives(params, state, config, _beta_matrix(state, config)) / config.temperature
+    return _drives(params, _features(state, config), config) / config.temperature
 
 
 def unit_energy(
@@ -191,9 +228,10 @@ def unit_energy(
     """Energy contribution of unit ``j`` taking value ``x_j`` next step."""
     if x_j not in (0, 1):
         raise ValueError(f"x_j must be 0 or 1, got {x_j!r}")
+    _check_index("unit", j, config.n_units)
     if x_j == 0:
         return 0.0
-    return float(-_drives(params, state, config, _beta_matrix(state, config))[j])
+    return float(-_drives(params, _features(state, config), config)[j])
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -208,15 +246,10 @@ def _log_sigmoid(z: np.ndarray) -> np.ndarray:
     return np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z)))
 
 
-def _log_prob(z: np.ndarray, x: np.ndarray) -> float:
-    """Log-probability of the 0/1 slice ``x`` when each unit fires with
-    logit ``z``; units are independent, so it is a sum over units."""
-    return float(_log_probs(z, x))
-
-
 def _log_probs(z: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``_log_prob`` summed over the last (unit) axis only, so slices
-    stacked along leading axes get one log-probability each."""
+    """Log-probability of the 0/1 slice ``x`` when each unit fires with
+    logit ``z``. Units are independent, so it is a sum over the last (unit)
+    axis; slices stacked along leading axes get one log-probability each."""
     return _log_sigmoid(np.where(x == 1, z, -z)).sum(axis=-1)
 
 
@@ -228,8 +261,7 @@ def fire_probs(params: Parameters, state: TraceState, config: ModelConfig) -> np
 def fire_prob(params: Parameters, state: TraceState, config: ModelConfig, j: int) -> float:
     """Single-unit firing probability; sigmoid of drive over temperature,
     evaluated with the sign-branched form so large drives cannot overflow."""
-    if not 0 <= j < config.n_units:
-        raise IndexError(f"unit index {j} out of range")
+    _check_index("unit", j, config.n_units)
     return float(fire_probs(params, state, config)[j])
 
 
@@ -244,7 +276,7 @@ def cond_prob(
     wide networks, which is why both are returned.
     """
     x = as_time_slice(slice_values, config.n_units)
-    log_p = _log_prob(_scaled_drives(params, state, config), x)
+    log_p = float(_log_probs(_scaled_drives(params, state, config), x))
     return float(np.exp(log_p)), log_p
 
 

@@ -216,7 +216,7 @@ def check_block_gradient(seed: int = 0, cases: int = 50) -> PropertyReport:
     for _ in range(cases):
         config = random_config(rng, max_units=3, max_delay=5, max_rates=2)
         params = random_params(rng, config)
-        slices = list(random_history(rng, config, int(rng.integers(1, 41))))
+        slices = random_history(rng, config, int(rng.integers(1, 41)))
         per_step = learning.Gradient.zeros(config)
         per_step_ll = 0.0
         for state, x in learning._walk(config, slices):

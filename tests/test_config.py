@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 from dybm.config import ConfigError, ModelConfig, Parameters, as_time_slice
 from dybm.learning import sequence_log_likelihood
-from dybm.model import _beta_matrix, _drives, advance, cond_prob, fire_probs, init_state
+from dybm.model import (
+    _beta_matrix,
+    _drives,
+    _features,
+    advance,
+    cond_prob,
+    fire_probs,
+    init_state,
+)
 
 from conftest import configs
 
@@ -100,7 +108,7 @@ class TestModelConfigValidation:
             state = advance(state, cfg, ones)
         b = _beta_matrix(state, cfg)
         assert np.all(np.isfinite(b))
-        assert np.all(np.isfinite(_drives(params, state, cfg, b)))
+        assert np.all(np.isfinite(_drives(params, _features(state, cfg), cfg)))
         assert np.all(np.isfinite(fire_probs(params, state, cfg)))
         assert math.isfinite(cond_prob(params, state, cfg, ones)[1])
         history = np.ones((cfg.max_delay + 1, cfg.n_units), dtype=np.int64)

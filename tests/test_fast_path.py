@@ -198,7 +198,7 @@ class TestBlockScorer:
             u=rng.normal(0.0, 1.0, size=(cfg.n_pairs, cfg.n_lambda)),
             v=rng.normal(0.0, 1.0, size=(cfg.n_pairs, cfg.n_mu)),
         )
-        slices = list((rng.random((37, cfg.n_units)) < 0.5).astype(np.int64))
+        slices = (rng.random((37, cfg.n_units)) < 0.5).astype(np.int64)
         blocks = list(learning._blocks(cfg, slices, learning._block_steps(cfg)))
         assert len(blocks) == (1 if block_steps is None else 10)
         nll = []
@@ -217,18 +217,32 @@ class TestBlockScorer:
     )
     def test_one_slice_gradient_theta_is_the_block_row(self, cfg):
         # a block row is laid out as Gradient.theta followed by log p; with
-        # one step there is nothing to sum, so the two agree exactly
+        # one step there is nothing to sum, so the two agree exactly, and
+        # each row of a longer block is its step scored alone, bit for bit
         rng = np.random.default_rng(5)
         params = Parameters(
             bias=rng.normal(0.0, 1.0, size=cfg.n_units),
             u=rng.normal(0.0, 1.0, size=(cfg.n_pairs, cfg.n_lambda)),
             v=rng.normal(0.0, 1.0, size=(cfg.n_pairs, cfg.n_mu)),
         )
-        x = (rng.random(cfg.n_units) < 0.5).astype(np.int64)
-        row = learning._block_grad_logp(params, cfg, next(learning._blocks(cfg, [x], 1)))[0]
-        grad = learning.sequence_gradient(params, cfg, [x])
+
+        def score(slices):
+            block = next(learning._blocks(cfg, slices, len(slices)))
+            out = np.empty((len(slices), cfg.arrays.n_params + 1))
+            return learning._grad_logp(params, cfg, block, out)
+
+        x = (rng.random((1, cfg.n_units)) < 0.5).astype(np.int64)
+        row = score(x)[0]
+        grad = learning.sequence_gradient(params, cfg, x)
         assert np.array_equal(grad.theta, row[:-1])
         assert grad.shapes == params.shapes
+
+        slices = (rng.random((9, cfg.n_units)) < 0.5).astype(np.int64)
+        rows = score(slices)
+        for row, (state, x) in zip(rows, learning._walk(cfg, slices), strict=True):
+            grad, log_p = learning._step_grad_logp(params, state, cfg, x)
+            assert grad.theta.tobytes() == row[:-1].tobytes()
+            assert np.float64(log_p).tobytes() == row[-1].tobytes()
 
 
 class TestLogitScorer:

@@ -236,6 +236,39 @@ class TestFireProb:
         assert fire_prob(strong, state, cfg, 0) > fire_prob(weak, state, cfg, 0)
 
 
+class TestIndexRange:
+    """Unit and rate indices outside their range raise the same IndexError,
+    instead of wrapping around to the last unit or rate."""
+
+    # pair (0, 1) queues two bits; the delay-1 pair (1, 0) queues none
+    CFG = ModelConfig(2, (0.5,), (0.3, 0.6), {(0, 1): 3, (1, 0): 1})
+
+    @pytest.mark.parametrize("j", [-1, -2, 2, 7])
+    def test_fire_prob(self, j):
+        with pytest.raises(IndexError, match=rf"^unit index {j} out of range$"):
+            fire_prob(Parameters.zeros(self.CFG), init_state(self.CFG), self.CFG, j)
+
+    @pytest.mark.parametrize("x_j", [0, 1])
+    @pytest.mark.parametrize("j", [-1, -2, 2, 7])
+    def test_unit_energy(self, j, x_j):
+        with pytest.raises(IndexError, match=rf"^unit index {j} out of range$"):
+            unit_energy(Parameters.zeros(self.CFG), init_state(self.CFG), self.CFG, j, x_j)
+
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 0)], ids=["queued", "delay1"])
+    @pytest.mark.parametrize("ell", [-1, -2, 2, 5])
+    def test_beta_rate(self, ell, pair):
+        with pytest.raises(IndexError, match=rf"^rate index {ell} out of range$"):
+            beta(init_state(self.CFG), self.CFG, *pair, ell)
+
+    def test_in_range_indices_still_answer(self):
+        cfg, state = self.CFG, init_state(self.CFG)
+        state.queue[:] = [1, 0]
+        assert [beta(state, cfg, 0, 1, ell) for ell in (0, 1)] == [1 / 0.3, 1 / 0.6]
+        assert beta(state, cfg, 1, 0, 1) == 0.0
+        params = Parameters(np.array([0.4, -0.9]), np.zeros((2, 1)), np.zeros((2, 2)))
+        assert unit_energy(params, state, cfg, 1, 1) == pytest.approx(0.9)
+
+
 class TestCondProb:
     def test_zero_params_uniform(self):
         cfg = ModelConfig.dense(3)
