@@ -14,7 +14,8 @@ per-pair values of both sides, their medians and quartiles and how many
 pairs the working tree won; plus the seeds, the run length, each run's
 ``correct`` flag and failure counts, the ``check failed`` lines of any run
 whose checks did not hold, and the host line of the first run. Exits 1,
-after writing the file, when any run was not correct.
+after writing the file, when any run was not correct. On SIGTERM, as on
+Ctrl-C, it kills the running benchmark and removes the export.
 
 Runs are sequential, so a full set takes about
 10 x 2 x (run seconds + set-up) per workload.
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -58,6 +60,12 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, di
     lines = done.stdout.strip().splitlines()
     problems = [line for line in done.stderr.splitlines() if line.startswith("check failed")]
     return json.loads(lines[0])["env"], json.loads(lines[-1]), problems
+
+
+def _exit_on_signal(signum, frame):
+    """SIGTERM as SystemExit, which unwinds like Ctrl-C: ``subprocess.run``
+    kills its child and the temporary export is removed."""
+    raise SystemExit(128 + signum)
 
 
 def _summary(values: list[float]) -> dict:
@@ -121,14 +129,18 @@ def main(argv=None) -> int:
         "host": None,
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as base:
-        _export(head, Path(base))
-        trees = {"base": Path(base), "change": ROOT}
-        for workload in (w["name"] for w in spec["workloads"]):
-            doc["workloads"][workload], host = _workload(
-                trees, workload, seeds, seconds, spec["end_to_end"]
-            )
-            doc["host"] = doc["host"] or host
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
+    try:
+        with tempfile.TemporaryDirectory(prefix="bench-base-") as base:
+            _export(head, Path(base))
+            trees = {"base": Path(base), "change": ROOT}
+            for workload in (w["name"] for w in spec["workloads"]):
+                doc["workloads"][workload], host = _workload(
+                    trees, workload, seeds, seconds, spec["end_to_end"]
+                )
+                doc["host"] = doc["host"] or host
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)

@@ -17,16 +17,14 @@ Layout (all indices 0-based):
       }
     }
 
-Floats are written as decimals with 17 significant digits, which round-trip
-double precision exactly; the writer is hand-rolled because the standard
-encoder does not let the float format be pinned. Loading a saved document
+The standard encoder writes each float as the shortest decimal that reads
+back to the same double (``-0.0`` included), so loading a saved document
 reproduces parameters and traces bit for bit.
 """
 
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -46,43 +44,8 @@ class CheckpointError(ValueError):
 # Writing
 
 
-def _emit(value, out: list[str]) -> None:
-    if isinstance(value, dict):
-        out.append("{")
-        for idx, (key, item) in enumerate(value.items()):
-            if idx:
-                out.append(",")
-            out.append(json.dumps(key))
-            out.append(":")
-            _emit(item, out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for idx, item in enumerate(value):
-            if idx:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
-    elif isinstance(value, (bool, np.bool_)):
-        raise CheckpointError("booleans do not appear in checkpoints")
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        x = float(value)
-        if not math.isfinite(x):
-            raise CheckpointError(f"cannot serialise non-finite number {x!r}")
-        out.append(format(x, ".17g"))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    else:
-        raise CheckpointError(f"cannot serialise {type(value).__name__}")
-
-
 def _pair_rows(config: ModelConfig, table: np.ndarray) -> list:
-    return [
-        [i, j, [float(x) for x in table[m]]]
-        for m, (i, j) in enumerate(config.pairs)
-    ]
+    return [[i, j, row] for (i, j), row in zip(config.pairs, table.tolist())]
 
 
 def save_checkpoint(
@@ -99,23 +62,24 @@ def save_checkpoint(
             "mus": list(config.mus),
             "connectivity": [[i, j, config.delays[(i, j)]] for i, j in config.pairs],
         },
-        "bias": [float(x) for x in params.bias],
+        "bias": params.bias.tolist(),
         "u": _pair_rows(config, params.u),
         "v": _pair_rows(config, params.v),
     }
     if state is not None:
         doc["trace_state"] = {
             "alpha": _pair_rows(config, state.alpha),
-            "gamma": [[float(x) for x in row] for row in state.gamma],
+            "gamma": state.gamma.tolist(),
             "queues": [
                 [i, j, bits]
                 for (i, j), bits in zip(config.pairs, queue_rows(config, state.queue))
             ],
             "step_count": int(state.step_count),
         }
-    out: list[str] = []
-    _emit(doc, out)
-    return "".join(out)
+    try:
+        return json.dumps(doc, separators=(",", ":"), allow_nan=False)
+    except ValueError:  # parameters are checked above, so a trace is non-finite
+        raise CheckpointError("trace state contains non-finite entries") from None
 
 
 # ---------------------------------------------------------------------------

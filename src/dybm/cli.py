@@ -47,6 +47,9 @@ def _load_run_config(path: str) -> tuple[ModelConfig, dict]:
     trainer = doc.get("trainer", {})
     if not isinstance(trainer, dict):
         raise ConfigError(f"{path}: trainer section must be an object")
+    for key in trainer:
+        if key not in ("mode", "learning_rate", "epochs", "shuffle_seed"):
+            raise ConfigError(f"{path}: unknown trainer field '{key}'")
     return config, trainer
 
 

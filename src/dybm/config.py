@@ -12,6 +12,7 @@ is what keeps online learning exact with bounded memory.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,6 +29,22 @@ _EPS = float(np.finfo(np.float64).eps)
 
 class ConfigError(ValueError):
     """Raised when a model configuration violates an invariant."""
+
+
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float; a bool, a string or a number beyond the double
+    range is an error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is beyond the double-precision range") from None
 
 
 def _check_rates(name: str, rates: tuple[float, ...]) -> None:
@@ -56,13 +73,23 @@ class ModelConfig:
     temperature: float = 1.0
 
     def __post_init__(self) -> None:
+        if not _is_integer(self.n_units):
+            raise ConfigError(f"n_units must be an integer, got {self.n_units!r}")
         self.n_units = int(self.n_units)
-        self.lambdas = tuple(float(r) for r in self.lambdas)
-        self.mus = tuple(float(r) for r in self.mus)
-        self.delays = {
-            (int(i), int(j)): int(d) for (i, j), d in dict(self.delays).items()
-        }
-        self.temperature = float(self.temperature)
+        self.lambdas = tuple(_real(f"lambdas[{k}]", r) for k, r in enumerate(self.lambdas))
+        self.mus = tuple(_real(f"mus[{k}]", r) for k, r in enumerate(self.mus))
+        delays = {}
+        for (i, j), d in dict(self.delays).items():
+            # plain ints pass the first test; a config may hold thousands of pairs
+            if not (type(i) is type(j) is type(d) is int):
+                if not (_is_integer(i) and _is_integer(j) and _is_integer(d)):
+                    raise ConfigError(
+                        f"delays[({i!r}, {j!r})] = {d!r}: unit indices and delay must be integers"
+                    )
+                i, j, d = int(i), int(j), int(d)
+            delays[(i, j)] = d
+        self.delays = delays
+        self.temperature = _real("temperature", self.temperature)
         self.validate()
 
     @classmethod

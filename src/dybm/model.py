@@ -158,11 +158,7 @@ def beta(state: TraceState, config: ModelConfig, i: int, j: int, ell: int) -> fl
     except KeyError:
         raise ValueError(f"pair ({i}, {j}) is not connected") from None
     _check_index("rate", ell, config.n_mu)
-    arr = config.arrays
-    lo, hi = arr.queue_bounds[m], arr.queue_bounds[m + 1]
-    if lo == hi:
-        return 0.0
-    return float(arr.beta_coeff[ell, lo:hi] @ state.queue[lo:hi].astype(np.float64))
+    return float(_beta_matrix(state, config)[m, ell])
 
 
 @dataclass

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dybm.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from dybm.config import ConfigError, ModelConfig, Parameters
@@ -11,15 +12,25 @@ from dybm.model import advance, fire_probs, init_state
 from conftest import configs_with_params, histories
 
 
+# signed zero, subnormals and integer-valued floats: the spellings a
+# fixed-precision writer gets wrong or makes ambiguous with JSON integers
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -2.2250738585072014e-309, 1.0, -7.0, 2.0**60]
+
+
 def roundtrip(params, config, state=None):
     return load_checkpoint(save_checkpoint(params, config, state))
 
 
 class TestRoundtrip:
-    @given(configs_with_params(max_units=3, max_delay=5, scale=2.0))
+    @given(
+        configs_with_params(max_units=3, max_delay=5, scale=2.0),
+        st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(SPECIAL_FLOATS)), max_size=6),
+    )
     @settings(max_examples=30)
-    def test_bit_identical_parameters(self, cfg_params):
+    def test_bit_identical_parameters(self, cfg_params, specials):
         cfg, params = cfg_params
+        for k, x in specials:
+            params.theta[k % params.theta.size] = x
         loaded_params, loaded_cfg, loaded_state = roundtrip(params, cfg)
         assert loaded_state is None
         assert loaded_cfg.n_units == cfg.n_units
@@ -71,11 +82,18 @@ class TestRoundtrip:
         )
         assert save_checkpoint(params, cfg) == save_checkpoint(params, cfg)
 
-    def test_seventeen_digit_floats(self):
-        cfg = ModelConfig(1, (0.5,), (0.25,), {(0, 0): 2})
-        params = Parameters(np.array([1.0 / 3.0]), np.zeros((1, 1)), np.zeros((1, 1)))
+    def test_shortest_round_trip_floats(self):
+        # each float is spelled as Python's repr: the shortest decimal that
+        # reads back to the same double, with a sign on zero and a ".0" on
+        # integer values
+        cfg = ModelConfig(4, (0.5,), (0.25,), {(0, 0): 2})
+        bias = np.array([1.0 / 3.0, 1.0, -0.0, 5e-324])
+        params = Parameters(bias, np.zeros((1, 1)), np.zeros((1, 1)))
         text = save_checkpoint(params, cfg)
-        assert "0.33333333333333331" in text
+        assert '"bias":[0.3333333333333333,1.0,-0.0,5e-324]' in text
+        loaded, _, _ = load_checkpoint(text)
+        assert loaded.bias.tobytes() == bias.tobytes()
+        assert save_checkpoint(loaded, cfg) == text
 
 
 class TestMalformedDocuments:
@@ -146,6 +164,14 @@ class TestMalformedDocuments:
         doc["bias"] = [10**400]
         with pytest.raises(CheckpointError, match=r"bias\[0\]: number too large"):
             load_checkpoint(json.dumps(doc))
+
+    @pytest.mark.parametrize("trace", ["alpha", "gamma"])
+    def test_non_finite_trace_not_saved(self, trace):
+        cfg = ModelConfig.dense(2, delay=3)
+        state = init_state(cfg)
+        getattr(state, trace)[1, 0] = np.nan
+        with pytest.raises(CheckpointError, match="non-finite"):
+            save_checkpoint(Parameters.zeros(cfg), cfg, state)
 
     def test_non_finite_parameter_rejected(self):
         cfg = ModelConfig.dense(1)

@@ -350,6 +350,7 @@ class TestExitCodes:
             pytest.param("trainer", "epochs", 2.7, id="fractional-epochs"),
             pytest.param("trainer", "shuffle_seed", 1.5, id="fractional-shuffle-seed"),
             pytest.param("trainer", "shuffle_seed", "x", id="string-shuffle-seed"),
+            pytest.param("trainer", "learning_rte", 0.5, id="unknown-trainer-key"),
         ],
     )
     def test_bad_run_config_exits_2(self, section, key, value, tmp_path, capsys):

@@ -120,6 +120,39 @@ class TestModelConfigValidation:
         with pytest.raises(ConfigError, match="overflow guard"):
             ModelConfig(1, (0.5,), (0.5,), {(0, 0): 10**400})
 
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            pytest.param((2.7, (0.5,), (0.5,), {(0, 1): 2}), "n_units", id="fractional-n-units"),
+            pytest.param((True, (0.5,), (0.5,), {(0, 0): 2}), "n_units", id="bool-n-units"),
+            pytest.param((2, (0.5,), (0.5,), {(0.9, 1.2): 2}), r"delays\[\(0.9, 1.2\)\]", id="fractional-index"),
+            pytest.param((2, (0.5,), (0.5,), {(0, 1): 2.9}), r"delays\[\(0, 1\)\]", id="fractional-delay"),
+            pytest.param((2, (0.5,), (0.5,), {(0, 1): True}), r"delays\[\(0, 1\)\]", id="bool-delay"),
+            pytest.param((2, ("0.5",), (0.5,), {(0, 1): 2}), r"lambdas\[0\]", id="string-rate"),
+            pytest.param((2, (10**400,), (0.5,), {(0, 1): 2}), r"lambdas\[0\]", id="huge-rate"),
+            pytest.param((2, (0.5,), (0.5,), {(0, 1): 2}, 10**400), "temperature", id="huge-temperature"),
+            pytest.param((2, (0.5,), (0.5,), {(0, 1): 2}, "1"), "temperature", id="string-temperature"),
+            pytest.param((2, (0.5,), (0.5,), {(0, 1): 2}, True), "temperature", id="bool-temperature"),
+        ],
+    )
+    def test_rejects_values_it_would_truncate(self, args, field):
+        with pytest.raises(ConfigError, match=field):
+            ModelConfig(*args)
+
+    def test_accepts_numpy_scalars_and_rate_lists(self):
+        cfg = ModelConfig(
+            np.int64(2),
+            [np.float32(0.5), 0.25],
+            np.array([0.25]),
+            {(np.int32(0), np.int64(1)): np.int8(3), (1, 1): 1},
+            np.float64(2.0),
+        )
+        assert cfg.n_units == 2 and type(cfg.n_units) is int
+        assert cfg.lambdas == (0.5, 0.25) and cfg.mus == (0.25,)
+        assert cfg.delays == {(0, 1): 3, (1, 1): 1}
+        assert all(type(k) is int for pair in cfg.delays for k in pair)
+        assert cfg.temperature == 2.0 and type(cfg.temperature) is float
+
     def test_overflow_guard_allows_desk_scale(self):
         cfg = ModelConfig(1, (0.5,), (0.2,), {(0, 0): 8})
         assert cfg.max_delay == 8

@@ -116,6 +116,19 @@ class TestAgainstTraceDefinitions:
         for length in (0, 1, 2, 7, 23):
             assert_matches_oracle(cfg, history[:length])
 
+    def test_beta_is_the_drive_beta_bit_for_bit(self):
+        # long segments give dozens of lags per sum, where a dot product
+        # and the drive's bincount can round differently
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            delays = {(i, j): int(rng.integers(1, 40)) for i in range(3) for j in range(3)}
+            cfg = ModelConfig(3, (0.5,), tuple(rng.uniform(0.3, 0.95, size=2)), delays)
+            state = walk(cfg, (rng.random((60, 3)) < 0.5).astype(np.int64))
+            want = _beta_matrix(state, cfg)
+            for m, (i, j) in enumerate(cfg.pairs):
+                for ell in range(cfg.n_mu):
+                    assert beta(state, cfg, i, j, ell) == want[m, ell]
+
     def test_segments_do_not_leak_into_each_other(self):
         # one spike of unit 2 walks down the (2, 0) queue (delay 5) and
         # arrives after four steps; the neighbouring segments stay empty
