@@ -37,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
 PAIRS = 10
+STDERR_TAIL = 40  # lines of a crashed run's stderr to show
 
 
 def _git(*args: str) -> bytes:
@@ -51,12 +52,17 @@ def _export(rev: str, dest: Path) -> None:
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict, list[str]]:
     """One benchmark run; returns (environment line, result line, the
-    ``check failed`` lines it wrote to stderr)."""
-    done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=True,
-    )
+    ``check failed`` lines it wrote to stderr). A crashed run's last stderr
+    lines (its traceback) are printed before the error is raised."""
+    try:
+        done = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+            cwd=tree, capture_output=True, text=True, check=True,
+        )
+    except subprocess.CalledProcessError as exc:
+        print(*exc.stderr.splitlines()[-STDERR_TAIL:], sep="\n", file=sys.stderr)
+        raise
     lines = done.stdout.strip().splitlines()
     problems = [line for line in done.stderr.splitlines() if line.startswith("check failed")]
     return json.loads(lines[0])["env"], json.loads(lines[-1]), problems

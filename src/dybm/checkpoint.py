@@ -29,7 +29,7 @@ import json
 import numpy as np
 
 from .config import ModelConfig, Parameters
-from .model import TraceState, pack_queue_rows, queue_rows
+from .model import TraceState, init_state, pack_queue_rows, queue_rows
 
 __all__ = ["CheckpointError", "FORMAT_VERSION", "save_checkpoint", "load_checkpoint"]
 
@@ -53,6 +53,12 @@ def save_checkpoint(
 ) -> str:
     """Serialise a model (and optionally its trace state) to JSON text."""
     params.validate_for(config)
+    if state is not None:
+        blank = init_state(config)
+        for name in ("alpha", "gamma", "queue"):
+            got, want = getattr(state, name).shape, getattr(blank, name).shape
+            if got != want:
+                raise CheckpointError(f"trace_state.{name} has shape {got}, expected {want}")
     doc = {
         "format_version": FORMAT_VERSION,
         "config": {
@@ -97,12 +103,30 @@ def _number(x, at: str) -> float:
         raise CheckpointError(f"{at}: number too large for a double") from None
 
 
+def _parse(document: str, what: str) -> dict:
+    """A JSON document whose root is an object (``what`` names it in errors);
+    nesting too deep for the decoder is malformed, not a RecursionError."""
+    try:
+        doc = json.loads(document)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise CheckpointError(f"malformed {what} JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"{what} root must be a JSON object")
+    return doc
+
+
+def _known(doc: dict, keys, where: str) -> None:
+    """Reject the first key of ``doc`` outside ``keys``, naming it."""
+    for key in doc:
+        if key not in keys:
+            raise CheckpointError(f"{where}: unknown field '{key}'")
+
+
 def _require(doc: dict, key: str, kind, where: str):
-    if not isinstance(doc, dict) or key not in doc:
+    """``doc[key]``, present and a ``kind`` (``object`` lets its owner check it)."""
+    if key not in doc:
         raise CheckpointError(f"{where}: missing field '{key}'")
     value = doc[key]
-    if kind is float:
-        return _number(value, f"{where}.{key}")
     if kind is int:
         if type(value) is not int:  # bool is an int subclass
             raise CheckpointError(f"{where}.{key}: expected an integer")
@@ -159,8 +183,10 @@ def _pair_table(rows: list, config: ModelConfig, width: int, where: str) -> np.n
 
 def _read_config(doc: dict, where: str) -> ModelConfig:
     """Read the ``config`` section shared by checkpoints and run
-    configurations (``where`` names the document in errors)."""
+    configurations (``where`` names the document in errors). Only the
+    section's shape is checked here; ``ModelConfig`` checks the values."""
     cfg = _require(doc, "config", dict, where)
+    _known(cfg, ("n_units", "temperature", "lambdas", "mus", "connectivity"), "config")
     conn = _require(cfg, "connectivity", list, "config")
     delays: dict[tuple[int, int], int] = {}
     for at, pair, delay in _rows(conn, "config.connectivity", "delay"):
@@ -168,11 +194,11 @@ def _read_config(doc: dict, where: str) -> ModelConfig:
             raise CheckpointError(f"{at}: expected [i, j, delay]")
         delays[pair] = delay
     return ModelConfig(
-        n_units=_require(cfg, "n_units", int, "config"),
-        lambdas=tuple(_float_list(_require(cfg, "lambdas", list, "config"), "config.lambdas")),
-        mus=tuple(_float_list(_require(cfg, "mus", list, "config"), "config.mus")),
+        n_units=_require(cfg, "n_units", object, "config"),
+        lambdas=_require(cfg, "lambdas", list, "config"),
+        mus=_require(cfg, "mus", list, "config"),
         delays=delays,
-        temperature=_require(cfg, "temperature", float, "config"),
+        temperature=_require(cfg, "temperature", object, "config"),
     )
 
 
@@ -182,12 +208,7 @@ def load_checkpoint(document: str) -> tuple[Parameters, ModelConfig, TraceState 
     Raises CheckpointError for malformed documents or unknown versions, and
     ConfigError when the embedded configuration violates an invariant.
     """
-    try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"malformed checkpoint JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CheckpointError("checkpoint root must be a JSON object")
+    doc = _parse(document, "checkpoint")
     version = _require(doc, "format_version", int, "checkpoint")
     if version != FORMAT_VERSION:
         raise CheckpointError(
@@ -225,8 +246,9 @@ def load_checkpoint(document: str) -> tuple[Parameters, ModelConfig, TraceState 
                 for i, row in enumerate(gamma_rows)
             ]
         )
-        if np.any(alpha < 0.0) or np.any(gamma < 0.0):
-            raise CheckpointError("trace_state: traces must be non-negative")
+        # NaN fails both comparisons, so it is rejected with the infinities
+        if not all(((a >= 0.0) & (a < np.inf)).all() for a in (alpha, gamma)):
+            raise CheckpointError("trace_state: traces must be finite and non-negative")
 
         def bits(x, pair, at):
             n = config.delays[pair] - 1

@@ -13,11 +13,12 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
-from .checkpoint import _read_config, load_checkpoint, save_checkpoint
-from .config import ConfigError, ModelConfig, Parameters
+from .checkpoint import _known, _parse, _read_config, _require, load_checkpoint, save_checkpoint
+from .config import ConfigError, ModelConfig, Parameters, _count
 from .generator import RolloutConfig, eval_prediction, rollout
 from .learning import TrainerConfig, TrainingDiverged, sgd_update, step_gradient, train
 from .model import advance, expected_footprint, init_state, measured_footprint
@@ -35,21 +36,15 @@ def _log(message: str) -> None:
 def _load_run_config(path: str) -> tuple[ModelConfig, dict]:
     """Read a run configuration file: the checkpoint's ``config`` section
     plus an optional ``trainer`` section."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
+    text = _read(path)
     try:
+        doc = _parse(text, "run config")
+        _known(doc, ("config", "trainer"), "run config")
         config = _read_config(doc, "run config")
+        trainer = _require(doc, "trainer", dict, "run config") if "trainer" in doc else {}
+        _known(trainer, [f.name for f in fields(TrainerConfig)], "trainer")
     except ValueError as exc:  # CheckpointError or ConfigError
         raise ConfigError(f"{path}: {exc}") from exc
-    trainer = doc.get("trainer", {})
-    if not isinstance(trainer, dict):
-        raise ConfigError(f"{path}: trainer section must be an object")
-    for key in trainer:
-        if key not in ("mode", "learning_rate", "epochs", "shuffle_seed"):
-            raise ConfigError(f"{path}: unknown trainer field '{key}'")
     return config, trainer
 
 
@@ -65,16 +60,11 @@ def _read_series_for(path: str, config: ModelConfig) -> np.ndarray:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     config, trainer_doc = _load_run_config(args.config)
-    trainer = TrainerConfig(
-        learning_rate=(
-            args.learning_rate
-            if args.learning_rate is not None
-            else trainer_doc.get("learning_rate", 1e-3)
-        ),
-        epochs=args.epochs if args.epochs is not None else trainer_doc.get("epochs", 1),
-        mode=args.mode if args.mode is not None else trainer_doc.get("mode", "full_batch"),
-        shuffle_seed=trainer_doc.get("shuffle_seed"),
-    )
+    # file-format defaults, then the file's trainer section, then the flags
+    flags = {"learning_rate": args.learning_rate, "epochs": args.epochs, "mode": args.mode}
+    settings = {"learning_rate": 1e-3, "epochs": 1, **trainer_doc}
+    settings.update((key, value) for key, value in flags.items() if value is not None)
+    trainer = TrainerConfig(**settings)
     dataset = [_read_series_for(path, config) for path in args.data]
     _log(
         f"training on {len(dataset)} series, mode={trainer.mode}, "
@@ -139,8 +129,7 @@ def _cmd_kernel_dump(args: argparse.Namespace) -> int:
     i, j = args.pre, args.post
     if (i, j) not in config.pair_index:
         raise ConfigError(f"pair ({i}, {j}) is not connected in this model")
-    if args.max_delta < 1:
-        raise ConfigError(f"--max-delta must be >= 1, got {args.max_delta}")
+    _count("--max-delta", args.max_delta, 1)
     print("delta,w_forward,w_reverse,w_total")
     for delta in range(1, args.max_delta + 1):
         fwd = forward_kernel(params, config, i, j, delta)
@@ -162,10 +151,8 @@ def _bench_config(n_units: int, fan_in: int) -> ModelConfig:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
-    if args.steps < 1:
-        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
-    if args.fan_in < 1:
-        raise ConfigError(f"--fan-in must be >= 1, got {args.fan_in}")
+    _count("--steps", args.steps, 1)
+    _count("--fan-in", args.fan_in, 1)
     report = {"fan_in": args.fan_in, "steps": args.steps, "sweep": []}
     for n in sizes:
         if args.fan_in >= n:

@@ -36,6 +36,13 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _count(name: str, value, minimum: int = 0) -> int:
+    """``value`` as an int >= ``minimum``; a bool, float or string is an error."""
+    if not (_is_integer(value) and value >= minimum):
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def _real(name: str, value) -> float:
     """``value`` as a float; a bool, a string or a number beyond the double
     range is an error."""
@@ -47,14 +54,23 @@ def _real(name: str, value) -> float:
         raise ConfigError(f"{name} is beyond the double-precision range") from None
 
 
-def _check_rates(name: str, rates: tuple[float, ...]) -> None:
-    if len(rates) == 0:
+def _positive(name: str, value) -> float:
+    """``value`` as a positive finite float."""
+    x = _real(name, value)
+    if not 0.0 < x < math.inf:
+        raise ConfigError(f"{name} must be a positive finite real, got {value!r}")
+    return x
+
+
+def _rates(name: str, values) -> tuple[float, ...]:
+    """``values`` as a non-empty tuple of decay rates, each inside (0, 1)."""
+    rates = tuple(_real(f"{name}[{k}]", r) for k, r in enumerate(values))
+    if not rates:
         raise ConfigError(f"{name} must contain at least one decay rate")
-    for idx, r in enumerate(rates):
-        if not (0.0 < r < 1.0) or not math.isfinite(r):
-            raise ConfigError(
-                f"{name}[{idx}] must lie strictly inside (0, 1), got {r!r}"
-            )
+    for k, r in enumerate(rates):
+        if not 0.0 < r < 1.0:
+            raise ConfigError(f"{name}[{k}] must lie strictly inside (0, 1), got {r!r}")
+    return rates
 
 
 @dataclass
@@ -73,11 +89,9 @@ class ModelConfig:
     temperature: float = 1.0
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.n_units):
-            raise ConfigError(f"n_units must be an integer, got {self.n_units!r}")
-        self.n_units = int(self.n_units)
-        self.lambdas = tuple(_real(f"lambdas[{k}]", r) for k, r in enumerate(self.lambdas))
-        self.mus = tuple(_real(f"mus[{k}]", r) for k, r in enumerate(self.mus))
+        self.n_units = _count("n_units", self.n_units, 1)
+        self.lambdas = _rates("lambdas", self.lambdas)
+        self.mus = _rates("mus", self.mus)
         delays = {}
         for (i, j), d in dict(self.delays).items():
             # plain ints pass the first test; a config may hold thousands of pairs
@@ -89,7 +103,7 @@ class ModelConfig:
                 i, j, d = int(i), int(j), int(d)
             delays[(i, j)] = d
         self.delays = delays
-        self.temperature = _real("temperature", self.temperature)
+        self.temperature = _positive("temperature", self.temperature)
         self.validate()
 
     @classmethod
@@ -119,14 +133,8 @@ class ModelConfig:
         return cls(n_units, lambdas, mus, pairs, temperature)
 
     def validate(self) -> None:
-        if self.n_units < 1:
-            raise ConfigError(f"n_units must be >= 1, got {self.n_units}")
-        _check_rates("lambdas", self.lambdas)
-        _check_rates("mus", self.mus)
-        if not (self.temperature > 0.0) or not math.isfinite(self.temperature):
-            raise ConfigError(
-                f"temperature must be a positive real, got {self.temperature!r}"
-            )
+        """The checks across fields (each field is checked as it is converted):
+        pair indices, delays and the near-window overflow guard."""
         for (i, j), d in self.delays.items():
             if not (0 <= i < self.n_units and 0 <= j < self.n_units):
                 raise ConfigError(

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ModelConfig, Parameters
-from .learning import _is_count, _normalize_series, _score
+from .config import ConfigError, ModelConfig, Parameters, _count
+from .learning import _normalize_series, _score
 from .model import TraceState, advance, fire_probs, init_state
 from .rng import _reseater, step_stream
 
@@ -39,12 +39,10 @@ class RolloutConfig:
     primer: object = None
 
     def __post_init__(self) -> None:
-        if not (_is_count(self.horizon) and self.horizon >= 1):
-            raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
-        if not _is_count(self.seed):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        self.horizon = _count("horizon", self.horizon, 1)
+        self.seed = _count("seed", self.seed)
         if self.mode not in ("sample", "argmax"):
-            raise ValueError(f"mode must be 'sample' or 'argmax', got {self.mode!r}")
+            raise ConfigError(f"mode must be 'sample' or 'argmax', got {self.mode!r}")
 
 
 def sample_step(

@@ -14,7 +14,6 @@ an online step is the features of one state, a block those of many.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from itertools import islice
@@ -22,7 +21,9 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .config import ModelConfig, Parameters, _FlatBanks, as_time_slice
+from .config import (
+    ConfigError, ModelConfig, Parameters, _count, _FlatBanks, _positive, as_time_slice
+)
 from .model import (
     TraceState,
     _drives,
@@ -88,21 +89,6 @@ class Gradient(_FlatBanks):
         return math.sqrt(sum(float((bank * bank).sum()) for bank in self.banks))
 
 
-def _is_count(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 0
-
-
-def _is_finite_real(x) -> bool:
-    """A non-bool real that converts to a finite float (an integer too
-    large for a double does not)."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
-
-
 @dataclass
 class TrainerConfig:
     """How to run training.
@@ -119,17 +105,12 @@ class TrainerConfig:
     shuffle_seed: int | None = None
 
     def __post_init__(self) -> None:
-        rate = self.learning_rate
-        if not (_is_finite_real(rate) and rate > 0):
-            raise ValueError(f"learning_rate must be a positive finite number, got {rate!r}")
-        if not _is_count(self.epochs):
-            raise ValueError(f"epochs must be an integer >= 0, got {self.epochs!r}")
+        self.learning_rate = _positive("learning_rate", self.learning_rate)
+        self.epochs = _count("epochs", self.epochs)
         if self.mode not in ("online", "full_batch"):
-            raise ValueError(f"mode must be 'online' or 'full_batch', got {self.mode!r}")
-        if self.shuffle_seed is not None and not _is_count(self.shuffle_seed):
-            raise ValueError(
-                f"shuffle_seed must be None or an integer >= 0, got {self.shuffle_seed!r}"
-            )
+            raise ConfigError(f"mode must be 'online' or 'full_batch', got {self.mode!r}")
+        if self.shuffle_seed is not None:
+            self.shuffle_seed = _count("shuffle_seed", self.shuffle_seed)
 
 
 @dataclass

@@ -21,13 +21,14 @@ from typing import Callable
 
 import numpy as np
 
+from .config import _count
+
 __all__ = ["step_stream"]
 
 
 def step_stream(seed: int, step: int) -> np.random.Generator:
     """Independent substream for one generated time step."""
-    if step < 0:
-        raise ValueError(f"step must be >= 0, got {step}")
+    step = _count("step", step)
     return _reseater(np.random.Generator(np.random.Philox(seed)))(step)
 
 

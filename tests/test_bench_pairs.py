@@ -1,8 +1,10 @@
-"""``scripts/bench_pairs.py`` cleans up when it is terminated.
+"""``scripts/bench_pairs.py`` cleans up when it is terminated, and shows
+why a benchmark run crashed.
 
 The script runs in a child process with git and the benchmark runs patched
 out: its ``_workload`` starts one sleeping grandchild, as a benchmark run
-would, and the test sends SIGTERM to the child only.
+would, and the test sends SIGTERM to the child only. For a crash, the child
+runs ``_run`` on a tree whose ``perfbench/run.py`` fails with a traceback.
 """
 
 import os
@@ -37,6 +39,22 @@ try:
 except SystemExit as exc:
     print("restored", signal.getsignal(signal.SIGTERM) is signal.SIG_DFL, flush=True)
     sys.exit(exc.code)
+"""
+
+CRASH_CHILD = """
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import bench_pairs
+
+bench_pairs._run(Path(sys.argv[2]), "online_wide", 1, 1.0)
+"""
+
+CRASHING_RUN = """
+import sys
+for k in range(100):
+    print("set-up line", k, file=sys.stderr)
+raise ZeroDivisionError("crashed inside the workload")
 """
 
 
@@ -76,3 +94,19 @@ def test_sigterm_kills_the_run_and_removes_the_export(tmp_path):
     assert out.split() == ["restored", "True"]
     assert not export.exists()
     _wait_for(lambda: _gone(sleeper))
+
+
+def test_crashed_run_shows_its_stderr_tail(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(CRASHING_RUN)
+    child = subprocess.run(
+        [sys.executable, "-c", CRASH_CHILD, str(SCRIPTS), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 1
+    assert "ZeroDivisionError: crashed inside the workload" in child.stderr
+    assert "set-up line 99" in child.stderr
+    assert "set-up line 0\n" not in child.stderr  # only the tail
+    assert child.stderr.rstrip().splitlines()[-1].startswith("subprocess.CalledProcessError")

@@ -158,6 +158,40 @@ class TestMalformedDocuments:
         with pytest.raises(CheckpointError, match="non-negative"):
             load_checkpoint(json.dumps(doc))
 
+    @pytest.mark.parametrize("trace", ["alpha", "gamma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_trace_rejected(self, trace, value):
+        # NaN passes a plain "x < 0" test; the loaded model would fire with
+        # NaN probabilities and could not be saved again
+        cfg = ModelConfig.dense(2, delay=3)
+        doc = json.loads(save_checkpoint(Parameters.zeros(cfg), cfg, init_state(cfg)))
+        row = doc["trace_state"][trace][1]
+        (row[2] if trace == "alpha" else row)[0] = value
+        with pytest.raises(CheckpointError, match="finite and non-negative"):
+            load_checkpoint(json.dumps(doc))
+
+    @pytest.mark.parametrize("trace", ["alpha", "gamma", "queue"])
+    def test_state_of_another_config_not_saved(self, trace):
+        # the file would name this config's pairs but hold another's traces,
+        # and the reader would reject it
+        cfg = ModelConfig.dense(2, delay=3)
+        other = init_state(ModelConfig.dense(2, lambdas=(0.5, 0.2), mus=(0.25, 0.1), delay=4))
+        state = init_state(cfg)
+        setattr(state, trace, getattr(other, trace))
+        with pytest.raises(CheckpointError, match=rf"trace_state\.{trace} has shape"):
+            save_checkpoint(Parameters.zeros(cfg), cfg, state)
+
+    def test_unknown_config_key_rejected(self):
+        cfg = ModelConfig.dense(1)
+        doc = json.loads(save_checkpoint(Parameters.zeros(cfg), cfg))
+        doc["config"]["temprature"] = 2.0
+        with pytest.raises(CheckpointError, match="unknown field 'temprature'"):
+            load_checkpoint(json.dumps(doc))
+
+    def test_deep_nesting_is_malformed(self):
+        with pytest.raises(CheckpointError, match="malformed"):
+            load_checkpoint("[" * 200_000)
+
     def test_integer_beyond_double_range_rejected(self):
         cfg = ModelConfig.dense(1)
         doc = json.loads(save_checkpoint(Parameters.zeros(cfg), cfg))

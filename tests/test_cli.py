@@ -9,7 +9,8 @@ from dybm.checkpoint import load_checkpoint, save_checkpoint
 from dybm.cli import main
 from dybm.config import ModelConfig, Parameters
 from dybm.fixtures import period4_path, period4_run_path, random_n3_path, random_n3_run_path
-from dybm.seriesio import parse_series
+from dybm.learning import TrainerConfig, train
+from dybm.seriesio import parse_series, read_series
 
 _MISSING = object()
 
@@ -75,6 +76,22 @@ class TestTrain:
         assert np.all(params.bias == 0.0)
         assert np.all(params.u == 0.0)
         assert np.all(params.v == 0.0)
+
+    def test_missing_trainer_section_uses_file_defaults(self, tmp_path):
+        # no trainer section: one full-batch epoch at learning rate 0.001
+        doc = json.loads(period4_run_path().read_text())
+        del doc["trainer"]
+        run = tmp_path / "run.json"
+        run.write_text(json.dumps(doc))
+        out = tmp_path / "m.json"
+        code, stdout, stderr = run_cli("train", run, period4_path(), "--out", out)
+        assert code == 0, stderr
+        assert "mode=full_batch, learning_rate=0.001, epochs=1" in stderr
+        assert len(stdout.strip().splitlines()) == 1
+        _, config, _ = load_checkpoint(out.read_text())
+        series = read_series(period4_path())
+        params, _ = train(Parameters.zeros(config), config, [series], TrainerConfig(1e-3, 1))
+        assert out.read_text() == save_checkpoint(params, config)
 
     def test_invalid_csv_value_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -311,11 +328,22 @@ class TestExitCodes:
             ["bench", "--sizes", "8", "--fan-in", "0"],
             ["eval", "{tmp}", "{data}"],
             ["train", "{tmp}", "{data}", "--out", "{tmp}/m.json"],
+            ["eval", "{deep}", "{data}"],
+            ["train", "{deep}", "{data}", "--out", "{tmp}/m.json"],
+            ["kernel-dump", "{model}", "--pre", "0", "--post", "1", "--max-delta", "0"],
         ],
-        ids=["bench-zero-steps", "bench-zero-fan-in", "eval-directory-model", "train-directory-config"],
+        ids=["bench-zero-steps", "bench-zero-fan-in", "eval-directory-model", "train-directory-config",
+             "eval-deeply-nested-model", "train-deeply-nested-config", "kernel-dump-zero-max-delta"],
     )
     def test_bad_input_exits_2(self, argv, tmp_path, capsys):
-        code = main([arg.format(tmp=tmp_path, data=period4_path()) for arg in argv])
+        # nesting too deep for the JSON decoder is malformed input, not a RecursionError
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        cfg = ModelConfig.dense(2)
+        model = tmp_path / "model.json"
+        model.write_text(save_checkpoint(Parameters.zeros(cfg), cfg))
+        paths = {"tmp": tmp_path, "data": period4_path(), "deep": deep, "model": model}
+        code = main([arg.format(**paths) for arg in argv])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
@@ -351,14 +379,17 @@ class TestExitCodes:
             pytest.param("trainer", "shuffle_seed", 1.5, id="fractional-shuffle-seed"),
             pytest.param("trainer", "shuffle_seed", "x", id="string-shuffle-seed"),
             pytest.param("trainer", "learning_rte", 0.5, id="unknown-trainer-key"),
+            pytest.param("config", "temprature", 2.0, id="unknown-config-key"),
+            pytest.param(None, "trainr", {"epochs": 3}, id="unknown-top-level-key"),
         ],
     )
     def test_bad_run_config_exits_2(self, section, key, value, tmp_path, capsys):
         doc = json.loads(period4_run_path().read_text())
+        target = doc if section is None else doc[section]
         if value is _MISSING:
-            del doc[section][key]
+            del target[key]
         else:
-            doc[section][key] = value
+            target[key] = value
         path = tmp_path / "run.json"
         path.write_text(json.dumps(doc))
         code = main(["train", str(path), str(period4_path()), "--out", str(tmp_path / "m.json")])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dybm import generator, learning
-from dybm.config import ModelConfig, Parameters
+from dybm.config import ConfigError, ModelConfig, Parameters
 from dybm.generator import PredictionMetrics, RolloutConfig, eval_prediction, rollout, sample_step
 from dybm.model import advance, fire_probs, init_state
 from dybm.rng import _reseater, step_stream
@@ -34,8 +34,12 @@ class TestStepStream:
         np.testing.assert_array_equal(step_stream(3, np.int64(5)).random(8), jumped(3, 5).random(8))
 
     def test_negative_step_rejected(self):
-        with pytest.raises(ValueError, match="step"):
+        with pytest.raises(ConfigError, match="step"):
             step_stream(0, -1)
+
+    def test_fractional_step_rejected(self):
+        with pytest.raises(ConfigError, match=r"^step must be an integer >= 0, got 1.5$"):
+            step_stream(0, 1.5)
 
 
 class TestSampleStep:
@@ -128,7 +132,7 @@ class TestRollout:
             rollout(Parameters.zeros(cfg), cfg, roll)
 
     def test_horizon_validated(self):
-        with pytest.raises(ValueError, match="horizon"):
+        with pytest.raises(ConfigError, match="horizon"):
             RolloutConfig(horizon=0)
 
     @pytest.mark.parametrize(
@@ -137,7 +141,7 @@ class TestRollout:
     )
     def test_bad_value_names_its_field(self, field, value):
         kwargs = {"horizon": 3, "seed": 0, field: value}
-        with pytest.raises(ValueError, match=rf"^{field} must be an integer >= \d, got {value!r}$"):
+        with pytest.raises(ConfigError, match=rf"^{field} must be an integer >= \d, got {value!r}$"):
             RolloutConfig(**kwargs)
 
     @pytest.mark.parametrize("primer", [None, [[1, 0, 1], [0, 1, 1], [1, 1, 0]]])
@@ -158,7 +162,7 @@ class TestRollout:
         np.testing.assert_array_equal(out, want)
 
     def test_mode_validated(self):
-        with pytest.raises(ValueError, match="mode"):
+        with pytest.raises(ConfigError, match="mode"):
             RolloutConfig(horizon=1, mode="greedy")
 
     def test_argmax_invariant_under_temperature_rescaling(self, rng):

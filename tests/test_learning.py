@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from dybm import learning
-from dybm.config import ModelConfig, Parameters
+from dybm.config import ConfigError, ModelConfig, Parameters
 from dybm.learning import (
     Gradient,
     TrainerConfig,
@@ -385,7 +385,7 @@ class TestTrain:
 
 class TestTrainerConfig:
     def test_rejects_bad_learning_rate(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="learning_rate"):
             TrainerConfig(0.0, epochs=1)
 
     @pytest.mark.parametrize(
@@ -405,11 +405,11 @@ class TestTrainerConfig:
              "seed-fraction", "seed-string"],
     )
     def test_rejects_mistyped_field(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ConfigError, match=field):
             TrainerConfig(**{"learning_rate": 0.1, "epochs": 1, field: value})
 
     def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="mode"):
             TrainerConfig(0.1, epochs=1, mode="minibatch")
 
     def test_epochs_zero_allowed(self):
