@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Check that the working tree gives the same outputs as HEAD.
+
+    python3 scripts/same_outputs.py
+
+Exports HEAD with ``git archive`` into a temporary directory, as
+``bench_pairs.py`` does, and runs the same ``dybm`` commands on it and on
+the working tree, each from ``src/`` of its own tree and in its own empty
+directory: ``train`` on both bundled fixtures and on the ``random_n3``
+fixture cut into series of 1, 7, 16 and 24 slices, each in both modes;
+``eval`` of every checkpoint; ``generate`` (sample and argmax, with and
+without ``--primer``); and ``validate``. Compares each command's exit code,
+stdout and written checkpoint byte for byte, with ``wall_ms`` masked in the
+training records; stderr carries timings and is not compared. Prints each
+difference and exits 1 when there is any, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import ROOT, _export, _git
+
+EPOCHS = "40"
+SPLIT = (1, 7, 16, 24)  # random_n3's 48 slices, cut into series
+
+
+def _runs(fix: Path) -> list[tuple[str, list[str]]]:
+    """(name, dybm argv) of every compared command, in order, reading the
+    fixtures in ``fix``; a train run named ``n`` writes ``n.json``, which
+    later commands read."""
+    runs = []
+    datasets = {
+        "period4": (f"{fix}/period4_run.json", [f"{fix}/period4.csv"]),
+        "random_n3": (f"{fix}/random_n3_run.json", [f"{fix}/random_n3.csv"]),
+        "split": (f"{fix}/random_n3_run.json", [f"part{k}.csv" for k in range(len(SPLIT))]),
+    }
+    for name, (config, data) in datasets.items():
+        for mode in ("full_batch", "online"):
+            model = f"{name}-{mode}"
+            runs.append((model, ["train", config, *data, "--out", f"{model}.json",
+                                 "--epochs", EPOCHS, "--mode", mode]))
+            runs.append((f"eval-{model}", ["eval", f"{model}.json", data[0]]))
+    for mode in ("sample", "argmax"):
+        for primer in ([], ["--primer", f"{fix}/random_n3.csv"]):
+            name = f"generate-{mode}" + ("-primed" if primer else "")
+            runs.append((name, ["generate", "random_n3-online.json", "--horizon", "60",
+                                "--mode", mode, "--seed", "5", *primer]))
+    runs.append(("validate", ["validate"]))
+    return runs
+
+
+def _split(fixture: Path, work: Path) -> None:
+    """Write the fixture's slices as ``part<k>.csv``, one series per length."""
+    header, *rows = fixture.read_text(encoding="utf-8").splitlines(keepends=True)
+    start = 0
+    for k, length in enumerate(SPLIT):
+        part = header + "".join(rows[start : start + length])
+        (work / f"part{k}.csv").write_text(part, encoding="utf-8")
+        start += length
+
+
+def _masked(stdout: str) -> str:
+    """The output with every training record's ``wall_ms`` value nulled."""
+    return re.sub(r'"wall_ms": [^,}]*', '"wall_ms": null', stdout)
+
+
+def _outputs(tree: Path, work: Path) -> dict[str, str]:
+    """Every compared output of ``tree``'s package, run in ``work``."""
+    fixtures = tree / "src" / "dybm" / "fixtures"
+    _split(fixtures / "random_n3.csv", work)
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    out = {}
+    for name, argv in _runs(fixtures):
+        done = subprocess.run([sys.executable, "-m", "dybm.cli", *argv], cwd=work, env=env,
+                              capture_output=True, text=True)
+        out[f"{name} exit code"] = str(done.returncode)
+        out[f"{name} stdout"] = _masked(done.stdout)
+        if argv[0] == "train":
+            checkpoint = work / argv[argv.index("--out") + 1]
+            written = checkpoint.read_text(encoding="utf-8") if checkpoint.exists() else ""
+            out[f"{name} checkpoint"] = written
+    return out
+
+
+def _differences(base: dict[str, str], change: dict[str, str]) -> list[str]:
+    """Names of the outputs that differ, with the first differing line."""
+    found = []
+    for name in base.keys() | change.keys():
+        a, b = base.get(name, "").splitlines(), change.get(name, "").splitlines()
+        if a != b:
+            i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+            x, y = (lines[i][:60] if i < len(lines) else "<end>" for lines in (a, b))
+            found.append(f"{name}, line {i + 1}: {x!r} -> {y!r}")
+    return sorted(found)
+
+
+def main() -> int:
+    head = _git("rev-parse", "HEAD").decode().strip()
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
+        tmp = Path(tmp)
+        for side in ("base", "base-run", "change-run"):
+            (tmp / side).mkdir()
+        _export(head, tmp / "base")
+        found = _differences(
+            _outputs(tmp / "base", tmp / "base-run"), _outputs(ROOT, tmp / "change-run")
+        )
+    for line in found:
+        print(line, file=sys.stderr)
+    print(f"{len(found)} outputs differ between HEAD {head[:12]} and the working tree",
+          file=sys.stderr)
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

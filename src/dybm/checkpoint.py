@@ -214,6 +214,7 @@ def load_checkpoint(document: str) -> tuple[Parameters, ModelConfig, TraceState 
         raise CheckpointError(
             f"unsupported format_version {version}; this build reads {FORMAT_VERSION}"
         )
+    _known(doc, ("format_version", "config", "bias", "u", "v", "trace_state"), "checkpoint")
     config = _read_config(doc, "checkpoint")
 
     bias = _float_list(_require(doc, "bias", list, "checkpoint"), "bias", config.n_units)
@@ -232,6 +233,7 @@ def load_checkpoint(document: str) -> tuple[Parameters, ModelConfig, TraceState 
         ts = doc["trace_state"]
         if not isinstance(ts, dict):
             raise CheckpointError("trace_state must be an object")
+        _known(ts, ("alpha", "gamma", "queues", "step_count"), "trace_state")
         alpha = _pair_table(
             _require(ts, "alpha", list, "trace_state"), config, config.n_lambda, "trace_state.alpha"
         )

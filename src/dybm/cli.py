@@ -150,7 +150,10 @@ def _bench_config(n_units: int, fan_in: int) -> ModelConfig:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+    except ValueError:
+        raise ConfigError(f"--sizes must be comma-separated unit counts, got {args.sizes!r}") from None
     _count("--steps", args.steps, 1)
     _count("--fan-in", args.fan_in, 1)
     report = {"fan_in": args.fan_in, "steps": args.steps, "sweep": []}

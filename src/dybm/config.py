@@ -124,6 +124,7 @@ class ModelConfig:
         temperature, self pairs included (a self pair links a unit's own
         past to its present; same-time self influence does not exist).
         """
+        n_units = _count("n_units", n_units, 1)
         pairs = {
             (i, j): delay
             for i in range(n_units)

@@ -5,10 +5,10 @@ fixed features, so the per-step gradient is available in closed form and
 the sequence log-likelihood is concave: full-batch ascent with a small
 enough rate can never decrease it. Online mode applies one update per
 observed slice; the traces do not depend on the parameters, so updating
-mid-sequence loses nothing. For the same reason full-batch training builds
-each series' traces once, as feature blocks, and rescores the blocks with
-new parameters every epoch. One scorer, ``_grad_logp``, serves both modes:
-an online step is the features of one state, a block those of many.
+mid-sequence loses nothing. For the same reason full-batch training walks
+the dataset once, as one stream of feature blocks that cross series ends,
+and rescores the stream every epoch. One scorer, ``_grad_logp``, serves
+both modes: an online step is the features of one state, a block those of many.
 """
 
 from __future__ import annotations
@@ -199,14 +199,14 @@ def _step_bytes(config: ModelConfig) -> int:
     return 8 * (config.n_units + 2 * m * config.n_lambda + 4 * m * config.n_mu)
 
 
-def _block(config: ModelConfig, slices: np.ndarray) -> _Features:
-    """Features of consecutive ``slices`` on a leading step axis, whose
-    trace arrays are still to be filled, one step at a time, by ``_blocks``."""
-    arr = config.arrays
-    steps, m = len(slices), config.n_pairs
+def _block(config: ModelConfig, steps: int) -> _Features:
+    """Features of ``steps`` consecutive rows on a leading step axis, whose
+    slices and trace arrays are still to be filled, one row at a time, by
+    ``_blocks``."""
+    arr, m = config.arrays, config.n_pairs
     offset = config.n_units * np.arange(steps)[:, None, None]
     return _Features(
-        x=slices,
+        x=np.empty((steps, config.n_units), dtype=np.int64),
         alpha=np.empty((steps, m, config.n_lambda)),
         beta=np.empty((steps, m, config.n_mu)),
         gamma_post=np.empty((steps, m, config.n_mu)),
@@ -216,41 +216,36 @@ def _block(config: ModelConfig, slices: np.ndarray) -> _Features:
     )
 
 
-def _blocks(config: ModelConfig, slices: np.ndarray, max_steps: int) -> Iterator[_Features]:
-    """One ``_walk`` over a series, as feature blocks of at most
-    ``max_steps`` consecutive slices; the traces carry across block ends.
-    Each state is copied into its block as the walk reaches it, so no more
-    than one block's features and one state are held at a time."""
-    for t, (state, _) in enumerate(_walk(config, slices)):
-        i = t % max_steps
-        if i == 0:
-            if t:
-                yield block
-            block = _block(config, slices[t : t + max_steps])
-        f = _features(state, config)
-        block.alpha[i] = f.alpha
-        block.beta[i] = f.beta
-        block.gamma_post[i] = f.gamma_post
-    yield block
+def _blocks(
+    config: ModelConfig, series_list: list[np.ndarray], max_steps: int
+) -> Iterator[tuple[_Features, list[int]]]:
+    """One ``_walk`` over each series in turn, as one stream of feature
+    blocks of at most ``max_steps`` consecutive (series, step) rows, each
+    with the rows at which a series starts. Blocks cross series ends; the
+    traces restart from the zero-history state at each series start. Each
+    state is copied into its block as the walk reaches it, so no more than
+    one block's features and one state are held at a time."""
+    left, i = sum(map(len, series_list)), 0
+    for slices in series_list:
+        for t, (state, x) in enumerate(_walk(config, slices)):
+            if i == 0:
+                block, starts = _block(config, min(max_steps, left)), []
+            if t == 0:
+                starts.append(i)
+            f = _features(state, config)
+            block.x[i] = x
+            block.alpha[i] = f.alpha
+            block.beta[i] = f.beta
+            block.gamma_post[i] = f.gamma_post
+            i, left = i + 1, left - 1
+            if i == len(block.x):
+                yield block, starts
+                i = 0
 
 
 def _block_steps(config: ModelConfig) -> int:
     """Most slices whose features fit in ``_FEATURE_BYTES`` (at least one)."""
     return max(1, _FEATURE_BYTES // _step_bytes(config))
-
-
-def _batch_features(
-    config: ModelConfig, series_list: list[np.ndarray]
-) -> Callable[[], list[Iterable[_Features]]]:
-    """Each full-batch epoch's feature blocks, one iterable per series.
-    When the whole dataset's features fit in ``_FEATURE_BYTES`` they are
-    built once and kept; otherwise every epoch walks the series again and
-    builds blocks that each fit."""
-    max_steps = _block_steps(config)
-    if sum(map(len, series_list)) * _step_bytes(config) <= _FEATURE_BYTES:
-        kept = [list(_blocks(config, slices, max_steps)) for slices in series_list]
-        return lambda: kept
-    return lambda: [_blocks(config, slices, max_steps) for slices in series_list]
 
 
 def sequence_log_likelihood(params: Parameters, config: ModelConfig, series) -> float:
@@ -289,31 +284,37 @@ def sequence_gradient(params: Parameters, config: ModelConfig, series) -> Gradie
     """Sum of step gradients along a series, traces advancing between
     steps; equals the gradient of ``sequence_log_likelihood``."""
     slices = _normalize_series(series, config.n_units)
-    return _sequence_grad_ll(params, config, _blocks(config, slices, _block_steps(config)))[0]
+    return _sequence_grad_ll(params, config, _blocks(config, [slices], _block_steps(config)))[0]
 
 
 def _sequence_grad_ll(
     params: Parameters,
     config: ModelConfig,
-    blocks: Iterable[_Features],
+    blocks: Iterable[tuple[_Features, list[int]]],
     step_nll: list[float] | None = None,
 ) -> tuple[Gradient, float]:
-    """Gradient and log-likelihood of one series from its feature blocks.
+    """Gradient and log-likelihood of a dataset from its block stream.
 
-    Both are summed from zero one step at a time, as a per-step loop adds
-    them: each block is scored below a first row holding the running
-    total, and a cumulative sum down the rows keeps that order across
-    blocks, where a sum over the step axis may add pairwise and round
-    differently."""
+    Both are summed one step at a time, as a per-step loop adds them: once
+    a block is scored, a cumulative sum runs down each run of one series'
+    rows, whose first row takes the total the series carries from an
+    earlier block; a sum over the step axis may add pairwise and round
+    differently. Series totals are added in series order, which erases the
+    one difference a missing leading 0.0 can make, the sign of a zero."""
     arr = config.arrays
-    total = np.zeros(arr.n_params + 1)
-    for block in blocks:
-        rows = np.empty((len(block.x) + 1, arr.n_params + 1))
-        rows[0] = total
-        _grad_logp(params, config, block, rows[1:])
+    total, run = np.zeros(arr.n_params + 1), 0.0
+    for block, starts in blocks:
+        rows = _grad_logp(params, config, block, np.empty((len(block.x), arr.n_params + 1)))
         if step_nll is not None:
-            step_nll.extend((-rows[1:, -1]).tolist())
-        total = np.cumsum(rows, axis=0, out=rows)[-1].copy()
+            step_nll.extend((-rows[:, -1]).tolist())
+        edges = sorted({0, *starts, len(rows)})
+        for lo, hi in zip(edges, edges[1:]):
+            if lo in starts:  # the last run finished its series
+                total += run
+            else:
+                rows[lo] += run
+            run = np.cumsum(rows[lo:hi], axis=0, out=rows[lo:hi])[-1]
+    total += run
     return Gradient._wrap(total[:-1], arr.bank_shapes), float(total[-1])
 
 
@@ -397,18 +398,17 @@ def train(
                 }
             )
 
-    if trainer.mode == "full_batch":
-        epoch_features = _batch_features(config, series_list)
+    # full-batch blocks are built once and kept when the dataset fits in one
+    steps, max_steps = sum(map(len, series_list)), _block_steps(config)
+    fits = trainer.mode == "full_batch" and steps <= max_steps
+    kept = list(_blocks(config, series_list, max_steps)) if fits else None
     global_step = 0
     for epoch in range(trainer.epochs):
         epoch_ll = 0.0
         if trainer.mode == "full_batch":
-            total = Gradient.zeros(config)
-            for series, blocks in zip(series_list, epoch_features()):
-                grad, ll = _sequence_grad_ll(params, config, blocks, metrics.step_nll)
-                total.add_(grad)
-                epoch_ll += ll
-                global_step += len(series)
+            blocks = kept or _blocks(config, series_list, max_steps)
+            total, epoch_ll = _sequence_grad_ll(params, config, blocks, metrics.step_nll)
+            global_step += steps
             update(total, epoch_ll, epoch, global_step)
         else:
             order = list(range(len(series_list)))

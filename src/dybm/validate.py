@@ -205,25 +205,31 @@ def check_gradient_finite_difference(
 
 
 def check_block_gradient(seed: int = 0, cases: int = 50) -> PropertyReport:
-    """Full-batch training scores feature blocks of many steps at once; its
-    gradient and log-likelihood must match the per-step sums along the
-    series. On the reference platform they agree bit for bit; a numpy build
-    may order a reduction differently, so the check allows 1e-12 of each
-    bank's largest magnitude. Series are cut into blocks of random length,
-    so the sums also cross block ends."""
+    """Full-batch training scores a dataset as one stream of feature blocks
+    of many steps; its gradient and log-likelihood must match the per-step
+    sums along each series, added series by series. On the reference
+    platform they agree bit for bit; a numpy build may order a reduction
+    differently, so the check allows 1e-12 of each bank's largest magnitude.
+    Datasets of one to four series are cut into blocks of random length, so
+    the sums also cross block ends and series start inside a block."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cases):
         config = random_config(rng, max_units=3, max_delay=5, max_rates=2)
         params = random_params(rng, config)
-        slices = random_history(rng, config, int(rng.integers(1, 41)))
+        lengths = rng.integers(1, 21, size=int(rng.integers(1, 5)))
+        dataset = [random_history(rng, config, int(t)) for t in lengths]
         per_step = learning.Gradient.zeros(config)
         per_step_ll = 0.0
-        for state, x in learning._walk(config, slices):
-            grad, log_p = learning._step_grad_logp(params, state, config, x)
-            per_step.add_(grad)
-            per_step_ll += log_p
-        blocks = learning._blocks(config, slices, int(rng.integers(1, len(slices) + 1)))
+        for slices in dataset:
+            series, series_ll = learning.Gradient.zeros(config), 0.0
+            for state, x in learning._walk(config, slices):
+                grad, log_p = learning._step_grad_logp(params, state, config, x)
+                series.add_(grad)
+                series_ll += log_p
+            per_step.add_(series)
+            per_step_ll += series_ll
+        blocks = learning._blocks(config, dataset, int(rng.integers(1, lengths.sum() + 1)))
         block, block_ll = learning._sequence_grad_ll(params, config, blocks)
         pairs = zip(
             block.banks + (np.array([block_ll]),), per_step.banks + (np.array([per_step_ll]),)

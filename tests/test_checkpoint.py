@@ -188,6 +188,20 @@ class TestMalformedDocuments:
         with pytest.raises(CheckpointError, match="unknown field 'temprature'"):
             load_checkpoint(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "section, key, misspelt",
+        [(None, "trace_state", "trace_stat"), ("trace_state", "step_count", "step_cout")],
+        ids=["top-level", "trace-state"],
+    )
+    def test_unknown_key_rejected(self, section, key, misspelt):
+        # a misspelt trace_state would otherwise load as no state at all
+        cfg = ModelConfig.dense(2, delay=3)
+        doc = json.loads(save_checkpoint(Parameters.zeros(cfg), cfg, init_state(cfg)))
+        where = doc if section is None else doc[section]
+        where[misspelt] = where.pop(key)
+        with pytest.raises(CheckpointError, match=f"unknown field '{misspelt}'"):
+            load_checkpoint(json.dumps(doc))
+
     def test_deep_nesting_is_malformed(self):
         with pytest.raises(CheckpointError, match="malformed"):
             load_checkpoint("[" * 200_000)

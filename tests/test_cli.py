@@ -326,14 +326,16 @@ class TestExitCodes:
         [
             ["bench", "--sizes", "8", "--steps", "0"],
             ["bench", "--sizes", "8", "--fan-in", "0"],
+            ["bench", "--sizes", "8,x"],
             ["eval", "{tmp}", "{data}"],
             ["train", "{tmp}", "{data}", "--out", "{tmp}/m.json"],
             ["eval", "{deep}", "{data}"],
             ["train", "{deep}", "{data}", "--out", "{tmp}/m.json"],
             ["kernel-dump", "{model}", "--pre", "0", "--post", "1", "--max-delta", "0"],
         ],
-        ids=["bench-zero-steps", "bench-zero-fan-in", "eval-directory-model", "train-directory-config",
-             "eval-deeply-nested-model", "train-deeply-nested-config", "kernel-dump-zero-max-delta"],
+        ids=["bench-zero-steps", "bench-zero-fan-in", "bench-bad-sizes", "eval-directory-model",
+             "train-directory-config", "eval-deeply-nested-model", "train-deeply-nested-config",
+             "kernel-dump-zero-max-delta"],
     )
     def test_bad_input_exits_2(self, argv, tmp_path, capsys):
         # nesting too deep for the JSON decoder is malformed input, not a RecursionError
@@ -346,6 +348,10 @@ class TestExitCodes:
         code = main([arg.format(**paths) for arg in argv])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_bad_sizes_name_the_flag(self, capsys):
+        assert main(["bench", "--sizes", "8,x"]) == 2
+        assert "--sizes" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["sample", "argmax"])
     def test_negative_seed_exits_2(self, mode, tmp_path, capsys):

@@ -114,6 +114,12 @@ class TestModelConfigValidation:
         history = np.ones((cfg.max_delay + 1, cfg.n_units), dtype=np.int64)
         assert math.isfinite(sequence_log_likelihood(params, cfg, history))
 
+    @pytest.mark.parametrize("n_units", [2.7, "3"], ids=["fraction", "string"])
+    def test_dense_checks_its_unit_count(self, n_units):
+        # the pair table is built from the count, before ModelConfig sees it
+        with pytest.raises(ConfigError, match="n_units"):
+            ModelConfig.dense(n_units)
+
     def test_overflow_guard_rejects_delay_beyond_double_range(self):
         # the lag count cannot be converted to a float; it must still be
         # rejected by the guard, not by an OverflowError

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from dybm import learning
 from dybm.config import ModelConfig, Parameters
 from dybm.generator import eval_prediction
-from dybm.learning import Gradient, step_gradient
+from dybm.learning import Gradient, TrainerConfig, TrainMetrics, sgd_update, step_gradient, train
 from dybm.model import (
     _beta_matrix,
     advance,
@@ -212,7 +212,7 @@ class TestBlockScorer:
             v=rng.normal(0.0, 1.0, size=(cfg.n_pairs, cfg.n_mu)),
         )
         slices = (rng.random((37, cfg.n_units)) < 0.5).astype(np.int64)
-        blocks = list(learning._blocks(cfg, slices, learning._block_steps(cfg)))
+        blocks = list(learning._blocks(cfg, [slices], learning._block_steps(cfg)))
         assert len(blocks) == (1 if block_steps is None else 10)
         nll = []
         grad, ll = learning._sequence_grad_ll(params, cfg, blocks, nll)
@@ -240,7 +240,7 @@ class TestBlockScorer:
         )
 
         def score(slices):
-            block = next(learning._blocks(cfg, slices, len(slices)))
+            block, _ = next(learning._blocks(cfg, [slices], len(slices)))
             out = np.empty((len(slices), cfg.arrays.n_params + 1))
             return learning._grad_logp(params, cfg, block, out)
 
@@ -256,6 +256,72 @@ class TestBlockScorer:
             grad, log_p = learning._step_grad_logp(params, state, cfg, x)
             assert grad.theta.tobytes() == row[:-1].tobytes()
             assert np.float64(log_p).tobytes() == row[-1].tobytes()
+
+
+class TestDatasetBlockStream:
+    """Full-batch training scores the dataset as one block stream that
+    crosses series ends. With the budget patched to a few steps, blocks
+    hold the ends and starts of several series, a series spans several
+    blocks, and one-slice series fall at block starts, inside blocks and at
+    block ends; training must still be the per-step loop, bit for bit."""
+
+    LENGTHS = (1, 9, 1, 14, 1, 6, 1)  # series start at rows 0, 1, 10, 11, 25, 26, 32
+    EPOCHS = 3
+    RATE = 0.05
+
+    @staticmethod
+    def per_step_train(params, cfg, dataset, rate, epochs):
+        metrics = TrainMetrics()
+        for _ in range(epochs):
+            total, epoch_ll = Gradient.zeros(cfg), 0.0
+            for slices in dataset:
+                grad, ll, nll = per_step_sums(params, cfg, slices)
+                total.add_(grad)
+                epoch_ll += ll
+                metrics.step_nll.extend(nll)
+            params = sgd_update(params, total, rate)
+            metrics.grad_norms.append(total.norm())
+            metrics.epoch_log_likelihood.append(epoch_ll)
+        return params, metrics
+
+    @pytest.mark.parametrize("block_steps", [None, 1, 3, 4, 5], ids=["kept", "1", "3", "4", "5"])
+    @pytest.mark.parametrize(
+        "cfg", [MIXED, ALL_DELAY_ONE, EMPTY, ONE_UNIT], ids=["mixed", "delay1", "empty", "one-unit"]
+    )
+    def test_train_matches_per_step_loop_bit_for_bit(self, cfg, block_steps, monkeypatch):
+        rng = np.random.default_rng(31)
+        params = Parameters(
+            bias=rng.normal(0.0, 1.0, size=cfg.n_units),
+            u=rng.normal(0.0, 1.0, size=(cfg.n_pairs, cfg.n_lambda)),
+            v=rng.normal(0.0, 1.0, size=(cfg.n_pairs, cfg.n_mu)),
+        )
+        dataset = [(rng.random((t, cfg.n_units)) < 0.5).astype(np.int64) for t in self.LENGTHS]
+        if block_steps is not None:
+            monkeypatch.setattr(learning, "_FEATURE_BYTES", block_steps * learning._step_bytes(cfg))
+            blocks = learning._blocks(cfg, dataset, block_steps)
+            starts = [row for _, block_starts in blocks for row in block_starts]
+            assert len(starts) == len(self.LENGTHS)
+            assert block_steps == 1 or any(starts)  # some series starts inside a block
+        got, metrics = train(params, cfg, dataset, TrainerConfig(self.RATE, epochs=self.EPOCHS))
+        want, expected = self.per_step_train(params, cfg, dataset, self.RATE, self.EPOCHS)
+        assert got.theta.tobytes() == want.theta.tobytes()
+        assert metrics.step_nll == expected.step_nll
+        assert metrics.epoch_log_likelihood == expected.epoch_log_likelihood
+        assert metrics.grad_norms == expected.grad_norms
+
+    def test_one_scorer_call_per_epoch_when_the_dataset_fits(self, monkeypatch):
+        calls = []
+        grad_logp = learning._grad_logp
+
+        def counted(*args):
+            calls.append(1)
+            return grad_logp(*args)
+
+        monkeypatch.setattr(learning, "_grad_logp", counted)
+        rng = np.random.default_rng(2)
+        dataset = [(rng.random((t, MIXED.n_units)) < 0.5).astype(np.int64) for t in self.LENGTHS]
+        train(Parameters.zeros(MIXED), MIXED, dataset, TrainerConfig(self.RATE, epochs=self.EPOCHS))
+        assert len(calls) == self.EPOCHS
 
 
 class TestLogitScorer:

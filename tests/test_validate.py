@@ -42,13 +42,13 @@ class TestChecks:
     def test_block_gradient_catches_injected_fault(self, monkeypatch):
         # scoring each step's features against the next step's slice must
         # make the block check fail
-        block = learning._block
+        blocks = learning._blocks
 
         def shifted(*args):
-            b = block(*args)
-            return replace(b, x=np.roll(b.x, 1, axis=0))
+            for b, starts in blocks(*args):
+                yield replace(b, x=np.roll(b.x, 1, axis=0)), starts
 
-        monkeypatch.setattr(learning, "_block", shifted)
+        monkeypatch.setattr(learning, "_blocks", shifted)
         report = check_block_gradient(seed=3, cases=20)
         assert not report.passed
         assert report.max_error > 1e-3
