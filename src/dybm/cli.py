@@ -154,12 +154,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError:
         raise ConfigError(f"--sizes must be comma-separated unit counts, got {args.sizes!r}") from None
+    if not sizes:
+        raise ConfigError("--sizes must name at least one unit count")
     _count("--steps", args.steps, 1)
     _count("--fan-in", args.fan_in, 1)
+    for n in sizes:  # every size is checked before any is timed
+        if args.fan_in >= _count("--sizes", n, 2):
+            raise ConfigError(f"--fan-in must be below the smallest size, got {args.fan_in} vs {n}")
     report = {"fan_in": args.fan_in, "steps": args.steps, "sweep": []}
     for n in sizes:
-        if args.fan_in >= n:
-            raise ConfigError(f"--fan-in must be below the smallest size, got {args.fan_in} vs {n}")
         config = _bench_config(n, args.fan_in)
         params = Parameters.zeros(config)
         state = init_state(config)

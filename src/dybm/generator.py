@@ -72,11 +72,12 @@ def rollout(params: Parameters, config: ModelConfig, rollout_cfg: RolloutConfig)
     ``rng.step_stream(seed, t)``, so runs are reproducible given the seed.
     The rollout builds one Philox, the step-0 stream, and re-seats it at
     each step, which gives the same draws as a fresh jumped stream per step.
+    The rollout owns one state and steps it in place.
     """
     state = init_state(config)
     if rollout_cfg.primer is not None:
         for x in _normalize_series(rollout_cfg.primer, config.n_units):
-            state = advance(state, config, x)
+            advance(state, config, x, state)
     if rollout_cfg.mode == "sample":
         stream_at = _reseater(step_stream(rollout_cfg.seed, 0))
     out = np.empty((rollout_cfg.horizon, config.n_units), dtype=np.int64)
@@ -87,7 +88,7 @@ def rollout(params: Parameters, config: ModelConfig, rollout_cfg: RolloutConfig)
             x = argmax_step(params, state, config)
         out[t] = x
         if t + 1 < rollout_cfg.horizon:  # nothing reads the state after the last slice
-            state = advance(state, config, x)
+            advance(state, config, x, state)
     return out
 
 

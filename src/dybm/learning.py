@@ -9,6 +9,8 @@ mid-sequence loses nothing. For the same reason full-batch training walks
 the dataset once, as one stream of feature blocks that cross series ends,
 and rescores the stream every epoch. One scorer, ``_grad_logp``, serves
 both modes: an online step is the features of one state, a block those of many.
+Walks step one state in place, and online training reuses one gradient row
+and steps its own copy of the parameters in place.
 """
 
 from __future__ import annotations
@@ -157,12 +159,14 @@ def _grad_logp(params: Parameters, config: ModelConfig, f: _Features, out: np.nd
     a = config.n_units
     b = a + config.arrays.post_k.size
     z = _drives(params, f, config) / config.temperature
-    r = np.divide(f.x - _sigmoid(z), config.temperature, out=out[..., :a])
+    e = np.exp(-np.abs(z))
+    r = np.divide(f.x - _sigmoid(z, e), config.temperature, out=out[..., :a])
     flat = r.ravel()  # the feature indices address the flattened unit axis
     np.multiply(f.alpha, flat[f.post_k], out=out[..., a:b].reshape(f.alpha.shape))
-    d_v = out[..., b:-1].reshape(f.beta.shape)
-    np.subtract(-f.beta * flat[f.post_l], f.gamma_post * flat[f.pre_l], out=d_v)
-    out[..., -1] = _log_probs(z, f.x)
+    d_v = np.multiply(f.beta, flat[f.post_l], out=out[..., b:-1].reshape(f.beta.shape))
+    np.negative(d_v, out=d_v)  # -(β·r) rounds as (-β)·r does
+    d_v -= f.gamma_post * flat[f.pre_l]
+    out[..., -1] = _log_probs(z, f.x, e)
     return out
 
 
@@ -185,11 +189,13 @@ def _walk(config: ModelConfig, slices: np.ndarray) -> Iterator[tuple[TraceState,
     """The one pass over a series: from the zero-history start state, yield
     each checked slice with the state that precedes it. A slice is absorbed
     into the traces only when the next one is reached, so the state after
-    the last slice, which no caller reads, is never built."""
+    the last slice, which no caller reads, is never built. The walk owns
+    one state and steps it in place, so a yielded state holds only until
+    the next one is drawn; a consumer that keeps one must copy it."""
     state = init_state(config)
     for t, x in enumerate(slices):
         if t:
-            state = advance(state, config, slices[t - 1])
+            advance(state, config, slices[t - 1], state)
         yield state, x
 
 
@@ -274,9 +280,10 @@ def _score(params: Parameters, config: ModelConfig, slices: np.ndarray) -> tuple
     for start in range(0, len(slices), max_steps):
         x = slices[start : start + max_steps]
         z = np.stack([_scaled_drives(params, state, config) for state, _ in islice(walk, len(x))])
-        for log_p in _log_probs(z, x).tolist():
+        e = np.exp(-np.abs(z))
+        for log_p in _log_probs(z, x, e).tolist():
             total += log_p
-        correct += int(np.count_nonzero((_sigmoid(z) > 0.5) == x))
+        correct += int(np.count_nonzero((_sigmoid(z, e) > 0.5) == x))
     return total, correct
 
 
@@ -318,12 +325,19 @@ def _sequence_grad_ll(
     return Gradient._wrap(total[:-1], arr.bank_shapes), float(total[-1])
 
 
-def sgd_update(params: Parameters, grad: Gradient, learning_rate: float) -> Parameters:
-    """One ascent step: parameters plus learning_rate times gradient."""
+def sgd_update(
+    params: Parameters, grad: Gradient, learning_rate: float, out: Parameters | None = None
+) -> Parameters:
+    """One ascent step: parameters plus learning_rate times gradient,
+    written into ``out`` when it is given (``params`` itself steps in
+    place) and into new parameters otherwise. A non-finite result raises;
+    ``out`` then holds it."""
     if grad.shapes != params.shapes:
         raise ValueError("gradient shape does not match parameters")
+    if out is None:
+        out = Parameters._wrap(np.empty_like(params.theta), params.shapes)
     with np.errstate(over="ignore", invalid="ignore"):  # the result is checked below
-        out = Parameters._wrap(params.theta + learning_rate * grad.theta, params.shapes)
+        np.add(params.theta, learning_rate * grad.theta, out=out.theta)
     if not np.isfinite(out.theta).all():
         name = next(n for n, bank in zip(out.names, out.banks) if not np.isfinite(bank).all())
         raise ValueError(f"update produced non-finite {name}")
@@ -377,9 +391,8 @@ def train(
         return (time.perf_counter() - start) * 1000.0
 
     def update(grad: Gradient, log_likelihood: float, epoch: int, step: int) -> None:
-        nonlocal params
         try:
-            params = sgd_update(params, grad, trainer.learning_rate)
+            sgd_update(params, grad, trainer.learning_rate, out=params)
         except ValueError as exc:  # shapes match here, so the result was non-finite
             raise TrainingDiverged(
                 f"{exc} at epoch {epoch}, step {step}; training aborted", epoch, step
@@ -402,6 +415,8 @@ def train(
     steps, max_steps = sum(map(len, series_list)), _block_steps(config)
     fits = trainer.mode == "full_batch" and steps <= max_steps
     kept = list(_blocks(config, series_list, max_steps)) if fits else None
+    row = np.empty(config.arrays.n_params + 1)  # one online step's gradient, then log p
+    grad = Gradient._wrap(row[:-1], config.arrays.bank_shapes)
     global_step = 0
     for epoch in range(trainer.epochs):
         epoch_ll = 0.0
@@ -416,7 +431,8 @@ def train(
                 rng.shuffle(order)
             for series_idx in order:
                 for state, x in _walk(config, series_list[series_idx]):
-                    grad, log_p = _step_grad_logp(params, state, config, x)
+                    _grad_logp(params, config, _features(state, config, x), row)
+                    log_p = float(row[-1])
                     global_step += 1
                     update(grad, log_p, epoch, global_step)
                     epoch_ll += log_p

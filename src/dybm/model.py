@@ -29,8 +29,9 @@ The next slice's conditional reads a state only through its features
 (``_Features``). One state's features and a stack of T states' go through
 the same drive, which firing probabilities, energies and learning share.
 
-All update functions are pure: ``advance`` returns a fresh state and leaves
-its input untouched, so snapshots can be read concurrently and compared.
+``advance`` returns a fresh state and leaves its input untouched, so
+snapshots can be read concurrently and compared, unless ``out=state`` asks
+it to step that state in place, as every walk over a series does.
 """
 
 from __future__ import annotations
@@ -113,24 +114,31 @@ def init_state(config: ModelConfig) -> TraceState:
     )
 
 
-def advance(state: TraceState, config: ModelConfig, new_slice) -> TraceState:
+def advance(state: TraceState, config: ModelConfig, new_slice, out: TraceState | None = None) -> TraceState:
     """Absorb one observed slice and return the successor state.
 
     For each pair, the element leaving the queue (the spike that has just
     finished crossing the delay; the slice itself when the delay is 1)
     enters the arrival trace with coefficient 1 after the old trace has
     decayed. Source traces decay and absorb the new slice in one step.
+    ``out`` is None (a copy of ``state`` is stepped) or ``state`` itself,
+    which is then stepped in place and returned.
     """
-    x = as_time_slice(new_slice, config.n_units)
+    x = as_time_slice(new_slice, config.n_units).astype(np.uint8)  # the queue dtype: no cast on writes
+    if out is None:
+        out = state.copy()
+    elif out is not state:
+        raise ValueError("out must be None or the state itself")
     arr = config.arrays
-    old = state.queue
-    queue = np.empty_like(old)
-    queue[1:] = old[:-1]
-    queue[arr.queue_start] = x[arr.queue_pre]
-    arrived = np.concatenate((x, old))[arr.arrival_k]
-    alpha = state.alpha * arr.lam_k + arrived
-    gamma = (state.gamma + x[:, None].astype(np.float64)) * arr.mu[None, :]
-    return TraceState(alpha, gamma, queue, state.step_count + 1)
+    arrived = np.concatenate((x, out.queue))[arr.arrival_k]  # before the shift
+    out.queue[1:] = out.queue[:-1]
+    out.queue[arr.queue_start] = x[arr.queue_pre]
+    out.alpha *= arr.lam_k
+    out.alpha += arrived
+    out.gamma += x[:, None]
+    out.gamma *= arr.mu
+    out.step_count += 1
+    return out
 
 
 def _beta_matrix(state: TraceState, config: ModelConfig) -> np.ndarray:
@@ -230,23 +238,20 @@ def unit_energy(
     return float(-_drives(params, _features(state, config), config)[j])
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function, evaluated through exp(-|z|) so that no branch
-    can overflow."""
-    e = np.exp(-np.abs(z))
+def _sigmoid(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function, evaluated through ``e`` = exp(-|z|) (computed
+    when not given) so that no branch can overflow."""
+    e = np.exp(-np.abs(z)) if e is None else e
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _log_sigmoid(z: np.ndarray) -> np.ndarray:
-    """log(sigmoid(z)) = min(z, 0) - log(1 + exp(-|z|)), overflow-free."""
-    return np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z)))
-
-
-def _log_probs(z: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _log_probs(z: np.ndarray, x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
     """Log-probability of the 0/1 slice ``x`` when each unit fires with
-    logit ``z``. Units are independent, so it is a sum over the last (unit)
-    axis; slices stacked along leading axes get one log-probability each."""
-    return _log_sigmoid(np.where(x == 1, z, -z)).sum(axis=-1)
+    logit ``z``: a sum over the last (unit) axis, one per slice stacked on
+    leading axes, of log(sigmoid(±z)) = min(±z, 0) - log(1 + e), which is
+    overflow-free; ``e`` = exp(-|z|) is computed when not given."""
+    e = np.exp(-np.abs(z)) if e is None else e
+    return (np.minimum(np.where(x == 1, z, -z), 0.0) - np.log1p(e)).sum(axis=-1)
 
 
 def fire_probs(params: Parameters, state: TraceState, config: ModelConfig) -> np.ndarray:

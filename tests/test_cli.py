@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from dybm import cli
 from dybm.checkpoint import load_checkpoint, save_checkpoint
 from dybm.cli import main
 from dybm.config import ModelConfig, Parameters
@@ -352,6 +353,23 @@ class TestExitCodes:
     def test_bad_sizes_name_the_flag(self, capsys):
         assert main(["bench", "--sizes", "8,x"]) == 2
         assert "--sizes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sizes", ["", ",", "0", "8,-3", "1"], ids=["empty", "commas", "zero", "negative", "one"]
+    )
+    def test_sizes_below_two_name_the_flag(self, sizes, capsys):
+        assert main(["bench", "--sizes", sizes]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --sizes")
+
+    @pytest.mark.parametrize("sizes", ["8,0", "8,4"])
+    def test_every_size_is_checked_before_timing(self, sizes, monkeypatch, capsys):
+        def timed(*args):
+            raise AssertionError("a size was timed before every size was checked")
+
+        monkeypatch.setattr(cli, "step_gradient", timed)
+        assert main(["bench", "--sizes", sizes, "--fan-in", "4"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("mode", ["sample", "argmax"])
     def test_negative_seed_exits_2(self, mode, tmp_path, capsys):

@@ -155,6 +155,58 @@ class TestAgainstTraceDefinitions:
             pack_queue_rows(MIXED, rows[:-1])
 
 
+def assert_same_state(got, want):
+    for name in ("alpha", "gamma", "queue"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got.step_count == want.step_count
+
+
+class TestInPlaceStep:
+    """``advance(s, cfg, x, s)`` steps ``s`` itself: bit for bit the pure
+    step, and so held to the trace definitions like it."""
+
+    @staticmethod
+    def check(cfg, history):
+        state, pure = init_state(cfg), init_state(cfg)
+        for x in history:
+            assert advance(state, cfg, x, state) is state
+            pure = advance(pure, cfg, x)
+            assert_same_state(state, pure)
+        direct = traces_from_scratch(cfg, list(history))
+        np.testing.assert_array_equal(state.queue, direct.queue)
+        np.testing.assert_allclose(state.alpha, direct.alpha, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(state.gamma, direct.gamma, rtol=0, atol=1e-10)
+
+    @given(st.data())
+    @settings(max_examples=40)
+    def test_mixed_delays(self, data):
+        cfg = data.draw(configs(max_units=4, max_delay=6, allow_empty=True))
+        self.check(cfg, data.draw(histories(cfg, max_len=30)))
+
+    @given(st.data())
+    @settings(max_examples=15)
+    def test_every_delay_one(self, data):
+        cfg = data.draw(configs(max_units=3, max_delay=1))
+        self.check(cfg, data.draw(histories(cfg, max_len=12)))
+
+    @pytest.mark.parametrize("cfg", [MIXED, ALL_DELAY_ONE, EMPTY], ids=["mixed", "delay1", "empty"])
+    def test_fixed_configs(self, cfg):
+        rng = np.random.default_rng(41)
+        self.check(cfg, (rng.random((23, cfg.n_units)) < 0.5).astype(np.int64))
+
+    def test_walk_steps_one_state(self):
+        # the walk's states are one object; each equals the pure walk's
+        rng = np.random.default_rng(43)
+        slices = (rng.random((11, MIXED.n_units)) < 0.5).astype(np.int64)
+        seen = set()
+        for t, (state, x) in enumerate(learning._walk(MIXED, slices)):
+            seen.add(id(state))
+            assert_same_state(state, walk(MIXED, slices[:t]))
+            assert x.tobytes() == slices[t].tobytes()
+        assert len(seen) == 1
+
+
 class TestEmptyConnectivity:
     def test_step_is_bias_only(self):
         params = Parameters(np.array([0.3, -1.2, 2.0]), np.zeros((0, 1)), np.zeros((0, 1)))
@@ -322,6 +374,71 @@ class TestDatasetBlockStream:
         dataset = [(rng.random((t, MIXED.n_units)) < 0.5).astype(np.int64) for t in self.LENGTHS]
         train(Parameters.zeros(MIXED), MIXED, dataset, TrainerConfig(self.RATE, epochs=self.EPOCHS))
         assert len(calls) == self.EPOCHS
+
+
+class TestOnlineStep:
+    """Online ``train`` steps one state and its own copy of the parameters
+    in place; it must still be the loop of pure public calls below, bit for
+    bit, and leave the caller's parameters alone."""
+
+    LENGTHS = (1, 9, 5, 1, 12)
+    RATE = 0.05
+
+    @staticmethod
+    def pure_train(params, cfg, dataset, trainer):
+        metrics, records, step = TrainMetrics(), [], 0
+        rng = None if trainer.shuffle_seed is None else np.random.Generator(
+            np.random.Philox(trainer.shuffle_seed)
+        )
+        for epoch in range(trainer.epochs):
+            order, epoch_ll = list(range(len(dataset))), 0.0
+            if rng is not None:
+                rng.shuffle(order)
+            for index in order:
+                state = init_state(cfg)
+                for t, x in enumerate(dataset[index]):
+                    if t:
+                        state = advance(state, cfg, dataset[index][t - 1])
+                    grad = step_gradient(params, state, cfg, x)
+                    log_p = cond_prob(params, state, cfg, x)[1]
+                    params = sgd_update(params, grad, trainer.learning_rate)
+                    step += 1
+                    metrics.grad_norms.append(grad.norm())
+                    metrics.step_nll.append(-log_p)
+                    records.append(
+                        {"epoch": epoch, "step": step, "log_likelihood": log_p,
+                         "grad_norm": metrics.grad_norms[-1]}
+                    )
+                    epoch_ll += log_p
+            metrics.epoch_log_likelihood.append(epoch_ll)
+        return params, metrics, records
+
+    @pytest.mark.parametrize("shuffle_seed", [None, 7], ids=["in-order", "shuffled"])
+    @pytest.mark.parametrize("epochs", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "cfg", [MIXED, ALL_DELAY_ONE, EMPTY, ONE_UNIT], ids=["mixed", "delay1", "empty", "one-unit"]
+    )
+    def test_matches_pure_public_loop_bit_for_bit(self, cfg, epochs, shuffle_seed):
+        rng = np.random.default_rng(53)
+        params = Parameters(
+            bias=rng.normal(0.0, 1.0, size=cfg.n_units),
+            u=rng.normal(0.0, 1.0, size=(cfg.n_pairs, cfg.n_lambda)),
+            v=rng.normal(0.0, 1.0, size=(cfg.n_pairs, cfg.n_mu)),
+        )
+        before = params.theta.tobytes()
+        dataset = [(rng.random((t, cfg.n_units)) < 0.5).astype(np.int64) for t in self.LENGTHS]
+        trainer = TrainerConfig(self.RATE, epochs, mode="online", shuffle_seed=shuffle_seed)
+        records = []
+        got, metrics = train(params, cfg, dataset, trainer, records.append)
+        assert params.theta.tobytes() == before
+        want, expected, want_records = self.pure_train(params, cfg, dataset, trainer)
+        assert got.theta.tobytes() == want.theta.tobytes()
+        assert metrics.step_nll == expected.step_nll
+        assert metrics.grad_norms == expected.grad_norms
+        assert metrics.epoch_log_likelihood == expected.epoch_log_likelihood
+        for record in records:
+            del record["wall_ms"]
+        assert records == want_records
 
 
 class TestLogitScorer:

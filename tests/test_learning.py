@@ -214,6 +214,29 @@ class TestSgdUpdate:
         assert out.theta.tobytes() == (params.theta + 0.3 * grad.theta).tobytes()
         assert out.shapes == params.shapes and not np.shares_memory(out.theta, params.theta)
 
+    def test_in_place_update_is_the_same_axpy(self, rng):
+        cfg = ModelConfig.dense(2, lambdas=(0.5, 0.3))
+        params = Parameters(rng.normal(size=2), rng.normal(size=(4, 2)), rng.normal(size=(4, 1)))
+        grad = Gradient(rng.normal(size=2), rng.normal(size=(4, 2)), rng.normal(size=(4, 1)))
+        want = (params.theta + 0.3 * grad.theta).tobytes()
+        theta = params.theta
+        assert sgd_update(params, grad, 0.3, out=params) is params
+        assert params.theta is theta and params.theta.tobytes() == want
+
+    @pytest.mark.parametrize(
+        "banks, named",
+        [(["bias"], "bias"), (["u"], "u"), (["v"], "v"), (["v", "u"], "u")],
+        ids=["bias", "u", "v", "u-and-v"],
+    )
+    def test_in_place_non_finite_result_rejected(self, banks, named):
+        cfg = ModelConfig.dense(1)
+        params = Parameters.zeros(cfg)
+        grad = Gradient.zeros(cfg)
+        for bank in banks:
+            getattr(grad, "d_" + bank)[0] = np.inf
+        with pytest.raises(ValueError, match=f"^update produced non-finite {named}$"):
+            sgd_update(params, grad, 1.0, out=params)
+
 
 class TestGradientLayout:
     def test_banks_are_views_of_one_theta(self):
