@@ -20,7 +20,7 @@ import numpy as np
 from .checkpoint import _known, _parse, _read_config, _require, load_checkpoint, save_checkpoint
 from .config import ConfigError, ModelConfig, Parameters, _count
 from .generator import RolloutConfig, eval_prediction, rollout
-from .learning import TrainerConfig, TrainingDiverged, sgd_update, step_gradient, train
+from .learning import TrainerConfig, TrainingDiverged, train
 from .model import advance, expected_footprint, init_state, measured_footprint
 from .oracle import forward_kernel, reverse_kernel
 from .seriesio import SeriesFormatError, format_series, read_series
@@ -116,7 +116,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    reports = run_all(seed=args.seed)
+    reports = run_all(seed=_count("--seed", args.seed))
     for report in reports:
         print(report.line())
     elapsed = time.perf_counter() - started
@@ -158,25 +158,23 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ConfigError("--sizes must name at least one unit count")
     _count("--steps", args.steps, 1)
     _count("--fan-in", args.fan_in, 1)
+    _count("--seed", args.seed)
     for n in sizes:  # every size is checked before any is timed
         if args.fan_in >= _count("--sizes", n, 2):
             raise ConfigError(f"--fan-in must be below the smallest size, got {args.fan_in} vs {n}")
     report = {"fan_in": args.fan_in, "steps": args.steps, "sweep": []}
+    trainer = TrainerConfig(learning_rate=1e-3, epochs=1, mode="online")
     for n in sizes:
         config = _bench_config(n, args.fan_in)
-        params = Parameters.zeros(config)
-        state = init_state(config)
         rng = np.random.Generator(np.random.Philox(args.seed))
         data = (rng.random((args.steps, n)) < 0.5).astype(np.int64)
-        for x in data[: min(10, args.steps)]:  # warm caches before timing
-            state = advance(state, config, x)
-        state = init_state(config)
+        train(Parameters.zeros(config), config, [data[:10]], trainer)  # warm caches before timing
         started = time.perf_counter()
-        for x in data:
-            grad = step_gradient(params, state, config, x)
-            params = sgd_update(params, grad, 1e-3)
-            state = advance(state, config, x)
+        params, _ = train(Parameters.zeros(config), config, [data], trainer)
         elapsed = time.perf_counter() - started
+        state = init_state(config)  # the audited state has absorbed the whole series
+        for x in data:
+            advance(state, config, x, state)
         expected = expected_footprint(config)
         measured = measured_footprint(state, params)
         report["sweep"].append(

@@ -209,15 +209,17 @@ class _DerivedArrays:
     ``beta_bin[l, q]`` the index of (its pair, ``l``) in a flattened
     (n_pairs, n_mu) array.
 
-    Pair-rate tables have the full (n_pairs, n_lambda) or (n_pairs, n_mu)
-    shape of the traces they meet: numpy runs an elementwise operation on
-    equal shapes as one contiguous loop, but broadcasting along the short
-    rate axis costs one loop per pair. ``post_k``/``post_l`` and ``pre_l``
-    repeat each pair's target and source unit along its rates, ``lam_k``
-    repeats the arrival rates along the pairs, ``gamma_post`` indexes the
-    flattened source trace of each pair's target, and ``arrival_k`` indexes
-    the bit that arrives on each pair in ``concatenate((slice, queue))``:
-    the source unit itself for delay 1, else the segment's oldest bit.
+    Rate tables have the full (n_pairs, n_lambda), (n_pairs, n_mu) or
+    (n_units, n_mu) shape of the traces they meet: numpy runs an
+    elementwise operation on equal shapes as one contiguous loop, but
+    broadcasting along the short rate axis costs one loop per row.
+    ``post_k``/``post_l`` and ``pre_l`` repeat each pair's target and source
+    unit along its rates, ``lam_k`` repeats the arrival rates along the
+    pairs and ``mu_l`` the source rates along the units, ``gamma_post``
+    indexes the flattened source trace of each pair's target, and
+    ``arrival_k`` indexes the bit that arrives on each pair in
+    ``concatenate((slice, queue))``: the source unit itself for delay 1,
+    else the segment's oldest bit.
     ``bank_shapes`` and ``n_params`` are the bank shapes and total size of
     ``Parameters`` and ``Gradient``.
     """
@@ -245,6 +247,7 @@ class _DerivedArrays:
         self.post_l = np.repeat(post[:, None], n_mu, axis=1)
         self.pre_l = np.repeat(pre[:, None], n_mu, axis=1)
         self.lam_k = np.tile(self.lam, (config.n_pairs, 1))
+        self.mu_l = np.tile(self.mu, (config.n_units, 1))
         self.gamma_post = post[:, None] * n_mu + np.arange(n_mu)
         source = pre.copy()
         source[queued] = config.n_units + self.queue_bounds[queued + 1] - 1

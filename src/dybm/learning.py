@@ -86,9 +86,12 @@ class Gradient(_FlatBanks):
         return self
 
     def norm(self) -> float:
-        # one sum per bank: a single sum over theta would round the
-        # recorded grad_norm values differently
-        return math.sqrt(sum(float((bank * bank).sum()) for bank in self.banks))
+        # theta is squared once, then summed bank by bank: a single sum
+        # over theta would round the recorded grad_norm values differently
+        sq = self._theta * self._theta
+        a = self.d_bias.size
+        b = a + self.d_u.size
+        return math.sqrt(sum(float(part.sum()) for part in (sq[:a], sq[a:b], sq[b:])))
 
 
 @dataclass
@@ -137,17 +140,9 @@ def step_gradient(
     coefficient acts on both ends of its pair). The state is not mutated.
     """
     x = as_time_slice(observed, config.n_units)
-    return _step_grad_logp(params, state, config, x)[0]
-
-
-def _step_grad_logp(
-    params: Parameters, state: TraceState, config: ModelConfig, x: np.ndarray
-) -> tuple[Gradient, float]:
-    """Gradient and log-probability of one step, from one ``_grad_logp``
-    call over the state's features."""
     arr = config.arrays
     row = _grad_logp(params, config, _features(state, config, x), np.empty(arr.n_params + 1))
-    return Gradient._wrap(row[:-1], arr.bank_shapes), float(row[-1])
+    return Gradient._wrap(row[:-1], arr.bank_shapes)
 
 
 def _grad_logp(params: Parameters, config: ModelConfig, f: _Features, out: np.ndarray) -> np.ndarray:
@@ -175,7 +170,10 @@ def _normalize_series(series, n_units: int) -> np.ndarray:
     array is checked once, without a copy when it is already int64;
     anything else is checked slice by slice by ``as_time_slice``, whose
     errors it raises."""
-    arr = np.asarray(series)
+    try:
+        arr = np.asarray(series)
+    except ValueError:  # ragged slices make no array; each is checked below
+        arr = np.empty(0)
     if arr.ndim == 2 and arr.shape[1] == n_units and ((arr == 0) | (arr == 1)).all():
         slices = arr.astype(np.int64, copy=False)
     else:
@@ -328,14 +326,16 @@ def _sequence_grad_ll(
 def sgd_update(
     params: Parameters, grad: Gradient, learning_rate: float, out: Parameters | None = None
 ) -> Parameters:
-    """One ascent step: parameters plus learning_rate times gradient,
-    written into ``out`` when it is given (``params`` itself steps in
-    place) and into new parameters otherwise. A non-finite result raises;
-    ``out`` then holds it."""
+    """One ascent step: parameters plus learning_rate times gradient.
+    ``out`` is None (new parameters are returned) or ``params`` itself,
+    which then steps in place. A non-finite result raises; ``out`` then
+    holds it."""
     if grad.shapes != params.shapes:
         raise ValueError("gradient shape does not match parameters")
     if out is None:
         out = Parameters._wrap(np.empty_like(params.theta), params.shapes)
+    elif out is not params:
+        raise ValueError("out must be None or the parameters themselves")
     with np.errstate(over="ignore", invalid="ignore"):  # the result is checked below
         np.add(params.theta, learning_rate * grad.theta, out=out.theta)
     if not np.isfinite(out.theta).all():

@@ -136,7 +136,7 @@ def advance(state: TraceState, config: ModelConfig, new_slice, out: TraceState |
     out.alpha *= arr.lam_k
     out.alpha += arrived
     out.gamma += x[:, None]
-    out.gamma *= arr.mu
+    out.gamma *= arr.mu_l
     out.step_count += 1
     return out
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -93,17 +92,9 @@ def random_history(rng: np.random.Generator, config: ModelConfig, length: int) -
 # Checks
 
 
-def check_trace_recursion(
-    seed: int = 0,
-    cases: int = 200,
-    max_len: int = 64,
-    advance: Callable[..., model.TraceState] = model.advance,
-) -> PropertyReport:
+def check_trace_recursion(seed: int = 0, cases: int = 200, max_len: int = 64) -> PropertyReport:
     """Incremental trace updates must equal the definitions evaluated from
-    scratch on the full history (and the queues must match exactly).
-
-    ``advance`` is the step under test; passing a deliberately faulty one
-    shows that the check catches it."""
+    scratch on the full history (and the queues must match exactly)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cases):
@@ -111,7 +102,7 @@ def check_trace_recursion(
         history = random_history(rng, config, int(rng.integers(0, max_len + 1)))
         state = model.init_state(config)
         for x in history:
-            state = advance(state, config, x)
+            state = model.advance(state, config, x)
         direct = oracle.traces_from_scratch(config, list(history))
         if (
             not np.array_equal(state.queue, direct.queue)
@@ -224,9 +215,8 @@ def check_block_gradient(seed: int = 0, cases: int = 50) -> PropertyReport:
         for slices in dataset:
             series, series_ll = learning.Gradient.zeros(config), 0.0
             for state, x in learning._walk(config, slices):
-                grad, log_p = learning._step_grad_logp(params, state, config, x)
-                series.add_(grad)
-                series_ll += log_p
+                series.add_(learning.step_gradient(params, state, config, x))
+                series_ll += model.cond_prob(params, state, config, x)[1]
             per_step.add_(series)
             per_step_ll += series_ll
         blocks = learning._blocks(config, dataset, int(rng.integers(1, lengths.sum() + 1)))

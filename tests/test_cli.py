@@ -367,9 +367,14 @@ class TestExitCodes:
         def timed(*args):
             raise AssertionError("a size was timed before every size was checked")
 
-        monkeypatch.setattr(cli, "step_gradient", timed)
+        monkeypatch.setattr(cli, "train", timed)
         assert main(["bench", "--sizes", sizes, "--fan-in", "4"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["bench", "validate"])
+    def test_negative_seed_names_the_flag(self, command, capsys):
+        assert main([command, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: --seed must be an integer >= 0")
 
     @pytest.mark.parametrize("mode", ["sample", "argmax"])
     def test_negative_seed_exits_2(self, mode, tmp_path, capsys):

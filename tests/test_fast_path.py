@@ -242,8 +242,8 @@ def per_step_sums(params, cfg, slices):
     total = Gradient.zeros(cfg)
     ll, nll = 0.0, []
     for state, x in learning._walk(cfg, slices):
-        grad, log_p = learning._step_grad_logp(params, state, cfg, x)
-        total.add_(grad)
+        log_p = cond_prob(params, state, cfg, x)[1]
+        total.add_(step_gradient(params, state, cfg, x))
         ll += log_p
         nll.append(-log_p)
     return total, ll, nll
@@ -305,9 +305,9 @@ class TestBlockScorer:
         slices = (rng.random((9, cfg.n_units)) < 0.5).astype(np.int64)
         rows = score(slices)
         for row, (state, x) in zip(rows, learning._walk(cfg, slices), strict=True):
-            grad, log_p = learning._step_grad_logp(params, state, cfg, x)
+            grad = step_gradient(params, state, cfg, x)
             assert grad.theta.tobytes() == row[:-1].tobytes()
-            assert np.float64(log_p).tobytes() == row[-1].tobytes()
+            assert np.float64(cond_prob(params, state, cfg, x)[1]).tobytes() == row[-1].tobytes()
 
 
 class TestDatasetBlockStream:

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dybm import learning
 from dybm.config import ConfigError, ModelConfig, Parameters
+from dybm.generator import RolloutConfig, eval_prediction, rollout
 from dybm.learning import (
     Gradient,
     TrainerConfig,
@@ -19,7 +21,7 @@ from dybm.learning import (
 from dybm.model import advance, fire_probs, init_state
 from dybm.oracle import fd_gradient
 
-from conftest import configs_with_params
+from conftest import configs, configs_with_params
 
 
 class TestStepGradient:
@@ -237,6 +239,16 @@ class TestSgdUpdate:
         with pytest.raises(ValueError, match=f"^update produced non-finite {named}$"):
             sgd_update(params, grad, 1.0, out=params)
 
+    def test_out_is_the_parameters_themselves_or_none(self):
+        # as for advance: other parameters, of any shape, are refused before any write
+        cfg = ModelConfig.dense(2)
+        params, grad = Parameters.zeros(cfg), Gradient([1.0, 1.0], np.ones((4, 1)), np.ones((4, 1)))
+        for other in (Parameters.zeros(cfg), Parameters.zeros(ModelConfig.dense(3))):
+            with pytest.raises(ValueError, match="^out must be None or the parameters themselves$"):
+                sgd_update(params, grad, 0.1, out=other)
+            assert not other.theta.any()
+        assert not params.theta.any()
+
 
 class TestGradientLayout:
     def test_banks_are_views_of_one_theta(self):
@@ -252,6 +264,12 @@ class TestGradientLayout:
         h = g.copy().add_(g)
         assert np.array_equal(h.theta, [6.0, 0.0, 8.0]) and g.theta[0] == 3.0
         assert g.norm() == 5.0
+
+    @given(cfg=configs(max_units=12, max_rates=3, allow_empty=True), seed=st.integers(0, 2**32 - 1))
+    def test_norm_sums_each_bank_bit_for_bit(self, cfg, seed):
+        arr = cfg.arrays
+        g = Gradient._wrap(np.random.default_rng(seed).normal(size=arr.n_params), arr.bank_shapes)
+        assert g.norm() == math.sqrt(sum(float((b * b).sum()) for b in g.banks))
 
 
 class TestCheckGuard:
@@ -352,6 +370,21 @@ class TestTrain:
                 record_sink=records.append,
             )
         assert records == []
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda p, cfg, s: train(p, cfg, [s], TrainerConfig(0.1, epochs=1)),
+            lambda p, cfg, s: sequence_log_likelihood(p, cfg, s),
+            lambda p, cfg, s: eval_prediction(p, cfg, s),
+            lambda p, cfg, s: rollout(p, cfg, RolloutConfig(horizon=1, primer=s)),
+        ],
+        ids=["train", "sequence_log_likelihood", "eval_prediction", "rollout-primer"],
+    )
+    def test_ragged_series_names_the_short_slice(self, entry):
+        cfg = ModelConfig.dense(2)
+        with pytest.raises(ValueError, match=r"^time slice must be a length-2 vector, got shape \(1,\)$"):
+            entry(Parameters.zeros(cfg), cfg, [[0, 1], [1]])
 
     def test_non_finite_update_is_divergence(self):
         # the full-batch update overflows to inf before the magnitude guard
