@@ -264,10 +264,10 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingDiverged as exc:
         _log(f"error: {exc}")
         return 3
-    except (ValueError, OSError) as exc:
-        # ConfigError, CheckpointError, SeriesFormatError and flag
-        # validation all surface as ValueError subclasses; unreadable or
-        # missing paths (including directories) as OSError
+    except (ValueError, OSError, MemoryError) as exc:
+        # ConfigError, CheckpointError, SeriesFormatError and flag checks are
+        # ValueErrors; unreadable or missing paths (directories too) OSErrors;
+        # a horizon or step count too large to allocate raises MemoryError
         _log(f"error: {exc}")
         return 2
 

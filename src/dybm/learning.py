@@ -220,22 +220,18 @@ def _block(config: ModelConfig, steps: int) -> _Features:
     )
 
 
-def _blocks(
-    config: ModelConfig, series_list: list[np.ndarray], max_steps: int
-) -> Iterator[tuple[_Features, list[int]]]:
+def _blocks(config: ModelConfig, series_list: list[np.ndarray], max_steps: int) -> Iterator[_Features]:
     """One ``_walk`` over each series in turn, as one stream of feature
-    blocks of at most ``max_steps`` consecutive (series, step) rows, each
-    with the rows at which a series starts. Blocks cross series ends; the
-    traces restart from the zero-history state at each series start. Each
-    state is copied into its block as the walk reaches it, so no more than
-    one block's features and one state are held at a time."""
+    blocks of at most ``max_steps`` consecutive (series, step) rows in
+    dataset order. Blocks cross series ends; the traces restart from the
+    zero-history state at each series start. Each state is copied into its
+    block as the walk reaches it, so no more than one block's features and
+    one state are held at a time."""
     left, i = sum(map(len, series_list)), 0
     for slices in series_list:
-        for t, (state, x) in enumerate(_walk(config, slices)):
+        for state, x in _walk(config, slices):
             if i == 0:
-                block, starts = _block(config, min(max_steps, left)), []
-            if t == 0:
-                starts.append(i)
+                block = _block(config, min(max_steps, left))
             f = _features(state, config)
             block.x[i] = x
             block.alpha[i] = f.alpha
@@ -243,7 +239,7 @@ def _blocks(
             block.gamma_post[i] = f.gamma_post
             i, left = i + 1, left - 1
             if i == len(block.x):
-                yield block, starts
+                yield block
                 i = 0
 
 
@@ -269,9 +265,7 @@ def _score(params: Parameters, config: ModelConfig, slices: np.ndarray) -> tuple
     independent of series length. The training cap is loose here, as a
     logit row holds N doubles where a feature row holds
     N + M·(2·n_lambda + 4·n_mu), but it does bound every block by
-    ``_FEATURE_BYTES``.
-    The per-step log-probabilities are added one at a time in step order,
-    so the total rounds exactly as a per-step loop's does."""
+    ``_FEATURE_BYTES``. Step log-probabilities are added in step order."""
     max_steps = _block_steps(config)
     walk = _walk(config, slices)
     total, correct = 0.0, 0
@@ -279,10 +273,18 @@ def _score(params: Parameters, config: ModelConfig, slices: np.ndarray) -> tuple
         x = slices[start : start + max_steps]
         z = np.stack([_scaled_drives(params, state, config) for state, _ in islice(walk, len(x))])
         e = np.exp(-np.abs(z))
-        for log_p in _log_probs(z, x, e).tolist():
-            total += log_p
+        total = _add_in_order(_log_probs(z, x, e), total)
         correct += int(np.count_nonzero((_sigmoid(z, e) > 0.5) == x))
-    return total, correct
+    return float(total), correct
+
+
+def _add_in_order(rows: np.ndarray, total):
+    """``total`` plus each row of ``rows`` in turn, one step at a time, as a
+    per-step loop adds them; ``rows`` is overwritten with the running sums.
+    ``np.cumsum`` along one axis adds in order, where a sum over the axis
+    may add pairwise and round differently."""
+    rows[0] += total
+    return np.cumsum(rows, axis=0, out=rows)[-1]
 
 
 def sequence_gradient(params: Parameters, config: ModelConfig, series) -> Gradient:
@@ -295,31 +297,20 @@ def sequence_gradient(params: Parameters, config: ModelConfig, series) -> Gradie
 def _sequence_grad_ll(
     params: Parameters,
     config: ModelConfig,
-    blocks: Iterable[tuple[_Features, list[int]]],
+    blocks: Iterable[_Features],
     step_nll: list[float] | None = None,
 ) -> tuple[Gradient, float]:
-    """Gradient and log-likelihood of a dataset from its block stream.
-
-    Both are summed one step at a time, as a per-step loop adds them: once
-    a block is scored, a cumulative sum runs down each run of one series'
-    rows, whose first row takes the total the series carries from an
-    earlier block; a sum over the step axis may add pairwise and round
-    differently. Series totals are added in series order, which erases the
-    one difference a missing leading 0.0 can make, the sign of a zero."""
+    """Gradient and log-likelihood of a dataset from its block stream, both
+    added one step at a time in dataset order, the order an online epoch
+    adds its steps in, so the log-likelihood is the in-order sum of the
+    per-step NLLs appended to ``step_nll``."""
     arr = config.arrays
-    total, run = np.zeros(arr.n_params + 1), 0.0
-    for block, starts in blocks:
+    total = np.zeros(arr.n_params + 1)
+    for block in blocks:
         rows = _grad_logp(params, config, block, np.empty((len(block.x), arr.n_params + 1)))
         if step_nll is not None:
             step_nll.extend((-rows[:, -1]).tolist())
-        edges = sorted({0, *starts, len(rows)})
-        for lo, hi in zip(edges, edges[1:]):
-            if lo in starts:  # the last run finished its series
-                total += run
-            else:
-                rows[lo] += run
-            run = np.cumsum(rows[lo:hi], axis=0, out=rows[lo:hi])[-1]
-    total += run
+        total = _add_in_order(rows, total)
     return Gradient._wrap(total[:-1], arr.bank_shapes), float(total[-1])
 
 

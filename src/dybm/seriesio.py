@@ -1,8 +1,9 @@
 """Series files: CSV with a ``u0,u1,...`` header and one 0/1 row per step.
 
-Rows are in time order. Files must be rectangular, hold only 0/1 values,
-and contain at least one data row; violations raise SeriesFormatError with
-the offending row and column so the CLI can point at them.
+Rows are in time order; blank lines are skipped. Files must be rectangular,
+hold only 0/1 values, and contain at least one data row; violations raise
+SeriesFormatError with the offending row, numbered by its line in the file,
+and column so the CLI can point at them.
 """
 
 from __future__ import annotations
@@ -20,20 +21,20 @@ class SeriesFormatError(ValueError):
 
 def parse_series(text: str) -> np.ndarray:
     """Parse CSV text into an int array of shape (steps, units)."""
-    lines = [line for line in text.replace("\r\n", "\n").split("\n") if line != ""]
+    lines = [(r, line) for r, line in enumerate(text.replace("\r\n", "\n").split("\n"), 1) if line]
     if not lines:
         raise SeriesFormatError("empty file: expected a header row u0,u1,...")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     expected = [f"u{i}" for i in range(len(header))]
     if header != expected:
         raise SeriesFormatError(
-            f"header row must be {','.join(expected[:3])},...; got {lines[0]!r}"
+            f"header row must be {','.join(expected[:3])},...; got {lines[0][1]!r}"
         )
     n_units = len(header)
     if not lines[1:]:
         raise SeriesFormatError("series must contain at least one data row")
     rows = []
-    for r, line in enumerate(lines[1:], start=2):
+    for r, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != n_units:
             raise SeriesFormatError(

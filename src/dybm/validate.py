@@ -197,12 +197,12 @@ def check_gradient_finite_difference(
 
 def check_block_gradient(seed: int = 0, cases: int = 50) -> PropertyReport:
     """Full-batch training scores a dataset as one stream of feature blocks
-    of many steps; its gradient and log-likelihood must match the per-step
-    sums along each series, added series by series. On the reference
-    platform they agree bit for bit; a numpy build may order a reduction
-    differently, so the check allows 1e-12 of each bank's largest magnitude.
-    Datasets of one to four series are cut into blocks of random length, so
-    the sums also cross block ends and series start inside a block."""
+    of many steps; its gradient and log-likelihood must match each step's
+    added to one total in dataset order. On the reference platform they
+    agree bit for bit; a numpy build may order a reduction differently, so
+    the check allows 1e-12 of each bank's largest magnitude. Datasets of one
+    to four series are cut into blocks of random length, so the sums also
+    cross block ends and series start inside a block."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cases):
@@ -213,12 +213,9 @@ def check_block_gradient(seed: int = 0, cases: int = 50) -> PropertyReport:
         per_step = learning.Gradient.zeros(config)
         per_step_ll = 0.0
         for slices in dataset:
-            series, series_ll = learning.Gradient.zeros(config), 0.0
             for state, x in learning._walk(config, slices):
-                series.add_(learning.step_gradient(params, state, config, x))
-                series_ll += model.cond_prob(params, state, config, x)[1]
-            per_step.add_(series)
-            per_step_ll += series_ll
+                per_step.add_(learning.step_gradient(params, state, config, x))
+                per_step_ll += model.cond_prob(params, state, config, x)[1]
         blocks = learning._blocks(config, dataset, int(rng.integers(1, lengths.sum() + 1)))
         block, block_ll = learning._sequence_grad_ll(params, config, blocks)
         pairs = zip(

@@ -371,6 +371,26 @@ class TestExitCodes:
         assert main(["bench", "--sizes", sizes, "--fan-in", "4"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "target, argv",
+        [
+            ("rollout", ["generate", "{model}", "--horizon", "3"]),
+            ("train", ["bench", "--sizes", "8", "--steps", "3"]),
+        ],
+        ids=["generate", "bench"],
+    )
+    def test_out_of_memory_exits_2(self, target, argv, tmp_path, monkeypatch, capsys):
+        # an allocation numpy refuses (a huge --horizon or --steps) is bad
+        # input; the refusal is simulated, so no huge array is requested
+        def refused(*args):
+            raise MemoryError("Unable to allocate 1.46 TiB for an array")
+
+        monkeypatch.setattr(cli, target, refused)
+        cfg, model = ModelConfig.dense(2), tmp_path / "model.json"
+        model.write_text(save_checkpoint(Parameters.zeros(cfg), cfg))
+        assert main([arg.format(model=model) for arg in argv]) == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 1.46 TiB for an array\n"
+
     @pytest.mark.parametrize("command", ["bench", "validate"])
     def test_negative_seed_names_the_flag(self, command, capsys):
         assert main([command, "--seed", "-1"]) == 2

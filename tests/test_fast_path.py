@@ -12,6 +12,9 @@ log-probability summed along the walk, bit for bit, and so is the logit
 scorer behind ``eval_prediction`` and ``sequence_log_likelihood``.
 """
 
+import functools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +58,8 @@ RING = ModelConfig(
     (0.5, 0.8),
     {((j - r) % 160, j): 1 + (r - 1) % 4 for j in range(160) for r in (1, 2, 3)},
 )
+# the network of the fullbatch_small benchmark workload
+SMALL_DENSE = ModelConfig.dense(3, lambdas=(0.5,), mus=(0.25,), delay=2)
 
 
 def walk(cfg, history):
@@ -292,7 +297,7 @@ class TestBlockScorer:
         )
 
         def score(slices):
-            block, _ = next(learning._blocks(cfg, [slices], len(slices)))
+            block = next(learning._blocks(cfg, [slices], len(slices)))
             out = np.empty((len(slices), cfg.arrays.n_params + 1))
             return learning._grad_logp(params, cfg, block, out)
 
@@ -315,7 +320,8 @@ class TestDatasetBlockStream:
     crosses series ends. With the budget patched to a few steps, blocks
     hold the ends and starts of several series, a series spans several
     blocks, and one-slice series fall at block starts, inside blocks and at
-    block ends; training must still be the per-step loop, bit for bit."""
+    block ends; training must still be the per-step loop that adds every
+    step to one dataset total in walk order, bit for bit."""
 
     LENGTHS = (1, 9, 1, 14, 1, 6, 1)  # series start at rows 0, 1, 10, 11, 25, 26, 32
     EPOCHS = 3
@@ -327,10 +333,11 @@ class TestDatasetBlockStream:
         for _ in range(epochs):
             total, epoch_ll = Gradient.zeros(cfg), 0.0
             for slices in dataset:
-                grad, ll, nll = per_step_sums(params, cfg, slices)
-                total.add_(grad)
-                epoch_ll += ll
-                metrics.step_nll.extend(nll)
+                for state, x in learning._walk(cfg, slices):
+                    log_p = cond_prob(params, state, cfg, x)[1]
+                    total.add_(step_gradient(params, state, cfg, x))
+                    epoch_ll += log_p
+                    metrics.step_nll.append(-log_p)
             params = sgd_update(params, total, rate)
             metrics.grad_norms.append(total.norm())
             metrics.epoch_log_likelihood.append(epoch_ll)
@@ -350,10 +357,8 @@ class TestDatasetBlockStream:
         dataset = [(rng.random((t, cfg.n_units)) < 0.5).astype(np.int64) for t in self.LENGTHS]
         if block_steps is not None:
             monkeypatch.setattr(learning, "_FEATURE_BYTES", block_steps * learning._step_bytes(cfg))
-            blocks = learning._blocks(cfg, dataset, block_steps)
-            starts = [row for _, block_starts in blocks for row in block_starts]
-            assert len(starts) == len(self.LENGTHS)
-            assert block_steps == 1 or any(starts)  # some series starts inside a block
+            starts = np.cumsum((0,) + self.LENGTHS[:-1])
+            assert block_steps == 1 or any(starts % block_steps)  # some series starts inside a block
         got, metrics = train(params, cfg, dataset, TrainerConfig(self.RATE, epochs=self.EPOCHS))
         want, expected = self.per_step_train(params, cfg, dataset, self.RATE, self.EPOCHS)
         assert got.theta.tobytes() == want.theta.tobytes()
@@ -439,6 +444,32 @@ class TestOnlineStep:
         for record in records:
             del record["wall_ms"]
         assert records == want_records
+
+
+class TestEpochLogLikelihood:
+    """Whatever the mode, an epoch's log-likelihood is the in-order sum of
+    the step NLLs the same run reports, negated. The fold is written out:
+    from Python 3.12 ``sum`` compensates float sums."""
+
+    @pytest.mark.parametrize("mode", ["full_batch", "online"])
+    @pytest.mark.parametrize(
+        "cfg, lengths",
+        [(MIXED, TestDatasetBlockStream.LENGTHS), (SMALL_DENSE, (48,) * 4)],
+        ids=["mixed", "fullbatch-small"],
+    )
+    def test_is_the_in_order_sum_of_the_step_nlls(self, cfg, lengths, mode):
+        rng = np.random.default_rng(41)
+        params = Parameters(
+            bias=rng.normal(0.0, 1.0, size=cfg.n_units),
+            u=rng.normal(0.0, 1.0, size=(cfg.n_pairs, cfg.n_lambda)),
+            v=rng.normal(0.0, 1.0, size=(cfg.n_pairs, cfg.n_mu)),
+        )
+        dataset = [(rng.random((t, cfg.n_units)) < 0.4).astype(np.int64) for t in lengths]
+        _, metrics = train(params, cfg, dataset, TrainerConfig(1e-3, epochs=4, mode=mode))
+        steps = sum(lengths)
+        for epoch, ll in enumerate(metrics.epoch_log_likelihood):
+            nll = metrics.step_nll[epoch * steps : (epoch + 1) * steps]
+            assert ll == functools.reduce(operator.add, (-v for v in nll), 0.0)
 
 
 class TestLogitScorer:

@@ -28,6 +28,11 @@ class TestParse:
         with pytest.raises(SeriesFormatError, match="row 3, column 1"):
             parse_series("u0,u1\n0,1\n0,2\n")
 
+    def test_blank_lines_skipped_but_counted(self):
+        np.testing.assert_array_equal(parse_series("\nu0,u1\n0,1\n\n1,0\n\n"), [[0, 1], [1, 0]])
+        with pytest.raises(SeriesFormatError, match="row 4, column 1"):
+            parse_series("u0,u1\n0,1\n\n0,2\n")
+
     def test_ragged_row(self):
         with pytest.raises(SeriesFormatError, match="row 2"):
             parse_series("u0,u1\n0\n")

@@ -46,8 +46,8 @@ class TestChecks:
         blocks = learning._blocks
 
         def shifted(*args):
-            for b, starts in blocks(*args):
-                yield replace(b, x=np.roll(b.x, 1, axis=0)), starts
+            for b in blocks(*args):
+                yield replace(b, x=np.roll(b.x, 1, axis=0))
 
         monkeypatch.setattr(learning, "_blocks", shifted)
         report = check_block_gradient(seed=3, cases=20)
