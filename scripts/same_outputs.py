@@ -6,17 +6,24 @@
 Exports HEAD with ``git archive`` into a temporary directory, as
 ``bench_pairs.py`` does, and runs the same ``dybm`` commands on it and on
 the working tree, each from ``src/`` of its own tree and in its own empty
-directory: ``train`` on both bundled fixtures and on the ``random_n3``
-fixture cut into series of 1, 7, 16 and 24 slices, each in both modes;
-``eval`` of every checkpoint; ``generate`` (sample and argmax, with and
-without ``--primer``); and ``validate``. Compares each command's exit code,
-stdout and written checkpoint byte for byte, with ``wall_ms`` masked in the
-training records; stderr carries timings and is not compared. Prints each
-difference and exits 1 when there is any, 0 otherwise.
+directory: ``train`` on both bundled fixtures, on the ``random_n3``
+fixture cut into series of 1, 7, 16 and 24 slices, and on a copy of it
+with CRLF line ends, a blank line and space-padded cells, each in both
+modes; ``eval`` of every checkpoint and of a hand-edited copy of it (pair
+rows reversed, integral values written as JSON integers); ``generate``
+(sample and argmax, with and without ``--primer``, and from an edited
+copy); and ``validate``. The edited copies' ``u`` and ``v`` and the padded
+CSV take the readers' per-item paths, the files as written their vector
+passes.
+Compares each command's exit code, stdout and written checkpoint byte for
+byte, with ``wall_ms`` masked in the training records; stderr carries
+timings and is not compared. Prints each difference and exits 1 when there
+is any, 0 otherwise.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -32,13 +39,14 @@ SPLIT = (1, 7, 16, 24)  # random_n3's 48 slices, cut into series
 
 def _runs(fix: Path) -> list[tuple[str, list[str]]]:
     """(name, dybm argv) of every compared command, in order, reading the
-    fixtures in ``fix``; a train run named ``n`` writes ``n.json``, which
-    later commands read."""
+    fixtures in ``fix``; a train run named ``n`` writes ``n.json`` and
+    ``n-edited.json``, which later commands read."""
     runs = []
     datasets = {
         "period4": (f"{fix}/period4_run.json", [f"{fix}/period4.csv"]),
         "random_n3": (f"{fix}/random_n3_run.json", [f"{fix}/random_n3.csv"]),
         "split": (f"{fix}/random_n3_run.json", [f"part{k}.csv" for k in range(len(SPLIT))]),
+        "padded": (f"{fix}/random_n3_run.json", ["padded.csv"]),
     }
     for name, (config, data) in datasets.items():
         for mode in ("full_batch", "online"):
@@ -46,11 +54,14 @@ def _runs(fix: Path) -> list[tuple[str, list[str]]]:
             runs.append((model, ["train", config, *data, "--out", f"{model}.json",
                                  "--epochs", EPOCHS, "--mode", mode]))
             runs.append((f"eval-{model}", ["eval", f"{model}.json", data[0]]))
+            runs.append((f"eval-{model}-edited", ["eval", f"{model}-edited.json", data[0]]))
     for mode in ("sample", "argmax"):
         for primer in ([], ["--primer", f"{fix}/random_n3.csv"]):
             name = f"generate-{mode}" + ("-primed" if primer else "")
             runs.append((name, ["generate", "random_n3-online.json", "--horizon", "60",
                                 "--mode", mode, "--seed", "5", *primer]))
+    runs.append(("generate-edited", ["generate", "random_n3-online-edited.json", "--horizon",
+                                     "60", "--mode", "sample", "--seed", "5"]))
     runs.append(("validate", ["validate"]))
     return runs
 
@@ -65,6 +76,34 @@ def _split(fixture: Path, work: Path) -> None:
         start += length
 
 
+def _padded(fixture: Path, work: Path) -> None:
+    """Write the fixture as ``padded.csv``: CRLF line ends, a blank line
+    after the header and a space on each side of every cell."""
+    header, *rows = fixture.read_text(encoding="utf-8").splitlines()
+    lines = [header, ""] + [",".join(f" {cell} " for cell in row.split(",")) for row in rows]
+    (work / "padded.csv").write_bytes("".join(f"{line}\r\n" for line in lines).encode())
+
+
+def _edited(document: str) -> str:
+    """The checkpoint with its pair rows reversed and every integral value
+    but -0.0 written as a JSON integer: the same model, off the layout
+    ``save_checkpoint`` writes."""
+
+    def ints(x):
+        if isinstance(x, dict):
+            return {k: ints(v) for k, v in x.items()}
+        if isinstance(x, list):
+            return [ints(v) for v in x]
+        if isinstance(x, float) and x.is_integer() and str(x) != "-0.0":
+            return int(x)
+        return x
+
+    doc = json.loads(document)
+    for rows in (doc["config"]["connectivity"], doc["u"], doc["v"]):
+        rows.reverse()
+    return json.dumps(ints(doc))
+
+
 def _masked(stdout: str) -> str:
     """The output with every training record's ``wall_ms`` value nulled."""
     return re.sub(r'"wall_ms": [^,}]*', '"wall_ms": null', stdout)
@@ -74,6 +113,7 @@ def _outputs(tree: Path, work: Path) -> dict[str, str]:
     """Every compared output of ``tree``'s package, run in ``work``."""
     fixtures = tree / "src" / "dybm" / "fixtures"
     _split(fixtures / "random_n3.csv", work)
+    _padded(fixtures / "random_n3.csv", work)
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     out = {}
     for name, argv in _runs(fixtures):
@@ -85,6 +125,8 @@ def _outputs(tree: Path, work: Path) -> dict[str, str]:
             checkpoint = work / argv[argv.index("--out") + 1]
             written = checkpoint.read_text(encoding="utf-8") if checkpoint.exists() else ""
             out[f"{name} checkpoint"] = written
+            if written:
+                (work / f"{name}-edited.json").write_text(_edited(written), encoding="utf-8")
     return out
 
 

@@ -20,11 +20,21 @@ Layout (all indices 0-based):
 The standard encoder writes each float as the shortest decimal that reads
 back to the same double (``-0.0`` included), so loading a saved document
 reproduces parameters and traces bit for bit.
+
+The reader first tries one vector pass per table, which accepts exactly the
+layout above as ``save_checkpoint`` writes it: pair rows in ``config.pairs``
+order (connectivity rows in any order), no pair repeated, each value a JSON
+float and each delay and bit a JSON integer. Anything else
+(integer values, rows in another order, repeated pairs, wrong types) goes
+to the per-item reader, which loads the same arrays or names the first bad
+item.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -34,6 +44,10 @@ from .model import TraceState, init_state, pack_queue_rows, queue_rows
 __all__ = ["CheckpointError", "FORMAT_VERSION", "save_checkpoint", "load_checkpoint"]
 
 FORMAT_VERSION = 1
+
+# the document holds fresh lists only, so the encoder need not look for cycles
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False)
+_FIRST, _SECOND, _THIRD = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
 class CheckpointError(ValueError):
@@ -83,7 +97,7 @@ def save_checkpoint(
             "step_count": int(state.step_count),
         }
     try:
-        return json.dumps(doc, separators=(",", ":"), allow_nan=False)
+        return _ENCODER.encode(doc)
     except ValueError:  # parameters are checked above, so a trace is non-finite
         raise CheckpointError("trace state contains non-finite entries") from None
 
@@ -144,6 +158,26 @@ def _float_list(values, where: str, length: int | None = None) -> list[float]:
     return [_number(x, f"{where}[{idx}]") for idx, x in enumerate(values)]
 
 
+def _float_table(rows: list, width: int) -> np.ndarray | None:
+    """Vector pass: the (len(rows), width) array of ``rows`` when each is a
+    list of ``width`` JSON floats, else None."""
+    if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}:
+        flat = list(chain.from_iterable(rows))
+        if set(map(type, flat)) <= {float}:
+            return np.array(flat, dtype=float).reshape(len(rows), width)
+    return None
+
+
+def _heads(rows: list) -> tuple[tuple[int, int], ...] | None:
+    """Vector pass: the (i, j) of every row when each is a three-item list
+    that starts with two integers, else None."""
+    if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {3}:
+        pre, post = list(map(_FIRST, rows)), list(map(_SECOND, rows))
+        if set(map(type, pre + post)) <= {int}:
+            return tuple(zip(pre, post))
+    return None
+
+
 def _rows(rows: list, where: str, last: str):
     """Yield (location, pair, third item) for each [i, j, x] row, rejecting
     malformed rows and repeated pairs."""
@@ -177,8 +211,34 @@ def _pair_values(rows: list, config: ModelConfig, where: str, read) -> list:
 
 
 def _pair_table(rows: list, config: ModelConfig, width: int, where: str) -> np.ndarray:
+    if _heads(rows) == config.pairs:
+        table = _float_table(list(map(_THIRD, rows)), width)
+        if table is not None:
+            return table
     values = _pair_values(rows, config, where, lambda x, _, at: _float_list(x, at, width))
     return np.array(values, dtype=float).reshape(config.n_pairs, width)
+
+
+def _queue(rows: list, config: ModelConfig) -> np.ndarray:
+    """The flat queue of ``trace_state.queues``."""
+    if _heads(rows) == config.pairs:
+        bits = list(map(_THIRD, rows))
+        if set(map(type, bits)) <= {list} and list(map(len, bits)) == (
+            config.arrays.delay - 1
+        ).tolist():
+            flat = list(chain.from_iterable(bits))
+            if set(map(type, flat)) <= {int} and set(flat) <= {0, 1}:
+                return np.array(flat, dtype=np.uint8)
+
+    def read(x, pair, at):
+        n = config.delays[pair] - 1
+        if not (
+            isinstance(x, list) and len(x) == n and all(type(b) is int and b in (0, 1) for b in x)
+        ):
+            raise CheckpointError(f"{at}: expected {n} bits, each 0 or 1")
+        return x
+
+    return pack_queue_rows(config, _pair_values(rows, config, "trace_state.queues", read))
 
 
 def _read_config(doc: dict, where: str) -> ModelConfig:
@@ -188,11 +248,17 @@ def _read_config(doc: dict, where: str) -> ModelConfig:
     cfg = _require(doc, "config", dict, where)
     _known(cfg, ("n_units", "temperature", "lambdas", "mus", "connectivity"), "config")
     conn = _require(cfg, "connectivity", list, "config")
-    delays: dict[tuple[int, int], int] = {}
-    for at, pair, delay in _rows(conn, "config.connectivity", "delay"):
-        if type(delay) is not int:
-            raise CheckpointError(f"{at}: expected [i, j, delay]")
-        delays[pair] = delay
+    heads, delays = _heads(conn), None
+    if heads is not None:
+        values = list(map(_THIRD, conn))
+        if set(map(type, values)) <= {int}:
+            delays = dict(zip(heads, values))
+    if delays is None or len(delays) < len(conn):  # a repeated pair is named below
+        delays = {}
+        for at, pair, delay in _rows(conn, "config.connectivity", "delay"):
+            if type(delay) is not int:
+                raise CheckpointError(f"{at}: expected [i, j, delay]")
+            delays[pair] = delay
     return ModelConfig(
         n_units=_require(cfg, "n_units", object, "config"),
         lambdas=_require(cfg, "lambdas", list, "config"),
@@ -217,9 +283,10 @@ def load_checkpoint(document: str) -> tuple[Parameters, ModelConfig, TraceState 
     _known(doc, ("format_version", "config", "bias", "u", "v", "trace_state"), "checkpoint")
     config = _read_config(doc, "checkpoint")
 
-    bias = _float_list(_require(doc, "bias", list, "checkpoint"), "bias", config.n_units)
+    bias = _require(doc, "bias", list, "checkpoint")
+    table = _float_table([bias], config.n_units)
     params = Parameters(
-        bias=np.asarray(bias),
+        bias=_float_list(bias, "bias", config.n_units) if table is None else table[0],
         u=_pair_table(_require(doc, "u", list, "checkpoint"), config, config.n_lambda, "u"),
         v=_pair_table(_require(doc, "v", list, "checkpoint"), config, config.n_mu, "v"),
     )
@@ -242,36 +309,25 @@ def load_checkpoint(document: str) -> tuple[Parameters, ModelConfig, TraceState 
             raise CheckpointError(
                 f"trace_state.gamma: expected {config.n_units} rows, got {len(gamma_rows)}"
             )
-        gamma = np.array(
-            [
-                _float_list(row, f"trace_state.gamma[{i}]", config.n_mu)
-                for i, row in enumerate(gamma_rows)
-            ]
-        )
+        gamma = _float_table(gamma_rows, config.n_mu)
+        if gamma is None:
+            gamma = np.array(
+                [
+                    _float_list(row, f"trace_state.gamma[{i}]", config.n_mu)
+                    for i, row in enumerate(gamma_rows)
+                ]
+            )
         # NaN fails both comparisons, so it is rejected with the infinities
         if not all(((a >= 0.0) & (a < np.inf)).all() for a in (alpha, gamma)):
             raise CheckpointError("trace_state: traces must be finite and non-negative")
-
-        def bits(x, pair, at):
-            n = config.delays[pair] - 1
-            if not (
-                isinstance(x, list)
-                and len(x) == n
-                and all(type(b) is int and b in (0, 1) for b in x)
-            ):
-                raise CheckpointError(f"{at}: expected {n} bits, each 0 or 1")
-            return x
-
-        queues = _pair_values(
-            _require(ts, "queues", list, "trace_state"), config, "trace_state.queues", bits
-        )
+        queue = _queue(_require(ts, "queues", list, "trace_state"), config)
         step_count = _require(ts, "step_count", int, "trace_state")
         if step_count < 0:
             raise CheckpointError("trace_state.step_count must be >= 0")
         state = TraceState(
             alpha=alpha,
             gamma=gamma,
-            queue=pack_queue_rows(config, queues),
+            queue=queue,
             step_count=step_count,
         )
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dybm import checkpoint
 from dybm.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from dybm.config import ConfigError, ModelConfig, Parameters
 from dybm.model import advance, fire_probs, init_state
@@ -94,6 +95,133 @@ class TestRoundtrip:
         loaded, _, _ = load_checkpoint(text)
         assert loaded.bias.tobytes() == bias.tobytes()
         assert save_checkpoint(loaded, cfg) == text
+
+
+def _reversed_rows(doc):
+    """The document with every pair table's rows in reverse order."""
+    doc["config"]["connectivity"].reverse()
+    tables = [doc["u"], doc["v"]]
+    if "trace_state" in doc:
+        tables += [doc["trace_state"]["alpha"], doc["trace_state"]["queues"]]
+    for rows in tables:
+        rows.reverse()
+    return doc
+
+
+def _integral_as_ints(doc):
+    """The document with every integral float but -0.0 written as a JSON int."""
+    if isinstance(doc, dict):
+        return {k: _integral_as_ints(x) for k, x in doc.items()}
+    if isinstance(doc, list):
+        return [_integral_as_ints(x) for x in doc]
+    if isinstance(doc, float) and doc.is_integer() and str(doc) != "-0.0":
+        return int(doc)
+    return doc
+
+
+EDITS = {
+    "as-saved": lambda doc: doc,
+    "rows-reversed": _reversed_rows,
+    "integral-as-ints": _integral_as_ints,
+    "both": lambda doc: _integral_as_ints(_reversed_rows(doc)),
+}
+
+
+class TestVectorPass:
+    """The vector pass and the per-item reader load the same model."""
+
+    @given(
+        configs_with_params(max_units=4, max_delay=4, allow_empty=True),
+        st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(SPECIAL_FLOATS)), max_size=6),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40)
+    def test_edited_documents_load_the_same_model(self, cfg_params, specials, with_state, seed):
+        cfg, params = cfg_params
+        rng = np.random.default_rng(seed)
+        for k, x in specials:
+            params.theta[k % params.theta.size] = x
+        state = None
+        if with_state:
+            state = init_state(cfg)
+            for x in (rng.random((rng.integers(0, 6), cfg.n_units)) < 0.5).astype(int):
+                state = advance(state, cfg, x)
+            state.gamma[0, 0] = -0.0
+            state.gamma[-1, -1] = 2.0
+        text = save_checkpoint(params, cfg, state)
+        for name, edit in EDITS.items():
+            loaded, loaded_cfg, loaded_state = load_checkpoint(json.dumps(edit(json.loads(text))))
+            assert loaded.theta.tobytes() == params.theta.tobytes(), name
+            assert loaded_cfg.delays == cfg.delays, name
+            if state is None:
+                assert loaded_state is None, name
+            else:
+                for trace in ("alpha", "gamma", "queue"):
+                    got, want = getattr(loaded_state, trace), getattr(state, trace)
+                    assert got.dtype == want.dtype and got.shape == want.shape, (name, trace)
+                    assert got.tobytes() == want.tobytes(), (name, trace)
+                assert loaded_state.step_count == state.step_count, name
+            assert save_checkpoint(loaded, loaded_cfg, loaded_state) == text, name
+
+    def test_each_one_item_edit_loads_as_the_per_item_reader_loads_it(self, monkeypatch):
+        def nodes(x, path=()):
+            """The path of every value inside ``x``, at any depth."""
+            items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+            for k, item in items:
+                yield path + (k,)
+                yield from nodes(item, path + (k,))
+
+        def outcome(text):
+            try:
+                params, cfg, state = load_checkpoint(text)
+            except (CheckpointError, ConfigError) as exc:
+                return type(exc).__name__, str(exc)
+            traces = () if state is None else (state.alpha, state.gamma, state.queue)
+            arrays = (params.theta, *traces)
+            return [a.tobytes() for a in arrays], save_checkpoint(params, cfg, state)
+
+        cfg = ModelConfig(2, (0.5,), (0.25,), {(0, 0): 1, (0, 1): 3, (1, 0): 2})
+        params = Parameters(np.array([0.5, -0.0]), np.full((3, 1), 0.25), np.full((3, 1), -1.5))
+        state = init_state(cfg)
+        for x in ([1, 0], [1, 1]):
+            state = advance(state, cfg, np.array(x))
+        doc = json.loads(save_checkpoint(params, cfg, state))
+        edits = []
+        for path in nodes(doc):
+            for value in (0, 1, 2, True, -0.0, 0.75, 10**400, "01", None, [], [0.5]):
+                edited = json.loads(json.dumps(doc))
+                parent = edited
+                for k in path[:-1]:
+                    parent = parent[k]
+                parent[path[-1]] = value
+                edits.append(json.dumps(edited))
+        vector = [outcome(text) for text in edits]
+        monkeypatch.setattr(checkpoint, "_heads", lambda rows: None)
+        monkeypatch.setattr(checkpoint, "_float_table", lambda rows, width: None)
+        assert vector == [outcome(text) for text in edits]
+
+    def test_saved_document_takes_no_per_item_call(self, monkeypatch, rng):
+        # the online_wide shape: 256 units, fan-in 8, delays 1-4
+        delays = {((j - r) % 256, j): 1 + (r - 1) % 4 for j in range(256) for r in range(1, 9)}
+        cfg = ModelConfig(256, (0.5, 0.8), (0.5, 0.8), delays)
+        params = Parameters(
+            bias=rng.normal(size=256), u=rng.normal(size=(2048, 2)), v=rng.normal(size=(2048, 2))
+        )
+        state = init_state(cfg)
+        for x in (rng.random((5, 256)) < 0.3).astype(int):
+            state = advance(state, cfg, x)
+        text = save_checkpoint(params, cfg, state)
+
+        def per_item(*args):
+            raise AssertionError("per-item reader called")
+
+        monkeypatch.setattr(checkpoint, "_number", per_item)
+        monkeypatch.setattr(checkpoint, "_rows", per_item)
+        loaded, loaded_cfg, loaded_state = load_checkpoint(text)
+        assert loaded.theta.tobytes() == params.theta.tobytes()
+        assert loaded_state.queue.tobytes() == state.queue.tobytes()
+        assert save_checkpoint(loaded, loaded_cfg, loaded_state) == text
 
 
 class TestMalformedDocuments:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dybm import seriesio
 from dybm.seriesio import SeriesFormatError, format_series, parse_series, read_series, write_series
 
 
@@ -40,6 +41,63 @@ class TestParse:
     def test_empty_file(self):
         with pytest.raises(SeriesFormatError, match="empty"):
             parse_series("")
+
+
+class TestVectorDecode:
+    """The byte-level decode and the per-cell reader parse the same series."""
+
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_valid_variants_match_the_per_cell_reader(
+        self, units, steps, seed, crlf, leading_blank, final_newline
+    ):
+        rng = np.random.default_rng(seed)
+        series = (rng.random((steps, units)) < 0.5).astype(np.int64)
+        lines = [",".join(f"u{i}" for i in range(units))]
+        for row in series:
+            pads = rng.integers(0, 3, size=(units, 2)) * rng.integers(0, 2)
+            lines.append(",".join(" " * a + str(x) + " " * b for x, (a, b) in zip(row, pads)))
+            if rng.random() < 0.2:
+                lines.append("")
+        if leading_blank:
+            lines.insert(0, "")
+        text = ("\r\n" if crlf else "\n").join(lines) + ("\n" if final_newline else "")
+        out = parse_series(text)
+        np.testing.assert_array_equal(out, series)
+        assert out.dtype == np.int64 and out.flags.c_contiguous
+        np.testing.assert_array_equal(seriesio._parse_cells(text), out)
+
+    def test_each_one_byte_edit_reads_as_the_per_cell_reader_reads_it(self):
+        def outcome(parse, text):
+            try:
+                return parse(text).tolist()
+            except SeriesFormatError as exc:
+                return str(exc)
+
+        text = format_series(np.array([[1, 0, 1], [0, 1, 1]]))
+        for k in range(len(text)):
+            for c in "01,\n ;2\r-":
+                edited = text[:k] + c + text[k + 1 :]
+                assert outcome(parse_series, edited) == outcome(seriesio._parse_cells, edited)
+
+    @pytest.mark.parametrize("units", [1, 3, 12])
+    def test_written_layout_takes_no_per_cell_call(self, monkeypatch, units):
+        series = (np.random.default_rng(units).random((40, units)) < 0.5).astype(np.int64)
+        text = format_series(series)
+
+        def per_cell(text):
+            raise AssertionError("per-cell reader called")
+
+        monkeypatch.setattr(seriesio, "_parse_cells", per_cell)
+        out = parse_series(text)
+        np.testing.assert_array_equal(out, series)
+        assert out.dtype == np.int64 and out.flags.c_contiguous
 
 
 class TestFormat:
