@@ -12,13 +12,16 @@ with CRLF line ends, a blank line and space-padded cells, each in both
 modes; ``eval`` of every checkpoint and of a hand-edited copy of it (pair
 rows reversed, integral values written as JSON integers); ``generate``
 (sample and argmax, with and without ``--primer``, and from an edited
-copy); and ``validate``. The edited copies' ``u`` and ``v`` and the padded
-CSV take the readers' per-item paths, the files as written their vector
-passes.
+copy); ``validate``; and ``train`` on three copies of the ``random_n3``
+run configuration that ``ModelConfig`` rejects (a pair with an index out of
+range, a zero delay, a delay past the overflow guard), each of which exits
+2. The edited copies' ``u`` and ``v`` and the padded CSV take the readers'
+per-item paths, the files as written their vector passes.
 Compares each command's exit code, stdout and written checkpoint byte for
-byte, with ``wall_ms`` masked in the training records; stderr carries
-timings and is not compared. Prints each difference and exits 1 when there
-is any, 0 otherwise.
+byte, with ``wall_ms`` masked in the training records, and the stderr of
+each command that exits non-zero (the stderr of a command that succeeds
+carries timings and is not compared). Prints each difference and exits 1
+when there is any, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -35,6 +38,13 @@ from bench_pairs import ROOT, _export, _git
 
 EPOCHS = "40"
 SPLIT = (1, 7, 16, 24)  # random_n3's 48 slices, cut into series
+# run configurations that train must reject, by the connectivity row that
+# replaces random_n3's fifth row, (1, 1) with delay 2
+REJECTED = {
+    "index-out-of-range": [1, 3, 2],
+    "zero-delay": [1, 1, 0],
+    "overflowing-delay": [1, 1, 2000],  # (1 / 0.25) ** 1999 is beyond the double range
+}
 
 
 def _runs(fix: Path) -> list[tuple[str, list[str]]]:
@@ -63,6 +73,9 @@ def _runs(fix: Path) -> list[tuple[str, list[str]]]:
     runs.append(("generate-edited", ["generate", "random_n3-online-edited.json", "--horizon",
                                      "60", "--mode", "sample", "--seed", "5"]))
     runs.append(("validate", ["validate"]))
+    for name in REJECTED:
+        runs.append((name, ["train", f"{name}_run.json", f"{fix}/random_n3.csv", "--out",
+                            f"{name}.json", "--epochs", EPOCHS]))
     return runs
 
 
@@ -82,6 +95,15 @@ def _padded(fixture: Path, work: Path) -> None:
     header, *rows = fixture.read_text(encoding="utf-8").splitlines()
     lines = [header, ""] + [",".join(f" {cell} " for cell in row.split(",")) for row in rows]
     (work / "padded.csv").write_bytes("".join(f"{line}\r\n" for line in lines).encode())
+
+
+def _rejected(run_config: Path, work: Path) -> None:
+    """Write ``<name>_run.json`` for each of ``REJECTED``: the run
+    configuration with its fifth connectivity row replaced."""
+    for name, row in REJECTED.items():
+        run = json.loads(run_config.read_text(encoding="utf-8"))
+        run["config"]["connectivity"][4] = row
+        (work / f"{name}_run.json").write_text(json.dumps(run), encoding="utf-8")
 
 
 def _edited(document: str) -> str:
@@ -114,6 +136,7 @@ def _outputs(tree: Path, work: Path) -> dict[str, str]:
     fixtures = tree / "src" / "dybm" / "fixtures"
     _split(fixtures / "random_n3.csv", work)
     _padded(fixtures / "random_n3.csv", work)
+    _rejected(fixtures / "random_n3_run.json", work)
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     out = {}
     for name, argv in _runs(fixtures):
@@ -121,6 +144,8 @@ def _outputs(tree: Path, work: Path) -> dict[str, str]:
                               capture_output=True, text=True)
         out[f"{name} exit code"] = str(done.returncode)
         out[f"{name} stdout"] = _masked(done.stdout)
+        if done.returncode != 0:
+            out[f"{name} stderr"] = done.stderr
         if argv[0] == "train":
             checkpoint = work / argv[argv.index("--out") + 1]
             written = checkpoint.read_text(encoding="utf-8") if checkpoint.exists() else ""

@@ -4,10 +4,14 @@ time series.
 The model assigns each ordered unit pair a conduction delay and a weight
 kernel built from geometric decay terms. That structure collapses the
 whole history into a fixed set of eligibility traces plus short FIFO
-queues, so log-likelihood gradients are exact, updates run in constant
-time per connection, and memory stays bounded no matter how long the
-series is. A brute-force oracle suite cross-checks every formula at desk
-scale.
+queues, so log-likelihood gradients are exact and memory stays bounded no
+matter how long the series is. The work of one update is constant per
+connection and rate except for the near-window trace, which sums the
+d - 1 queued bits of a pair with delay d, once per near-window rate. On a
+ring of 256 units with fan-in 8 (2048 pairs) one online step took 153 us
+with every delay 1 and 506 us with every delay 16 (2-vCPU Xeon, Python
+3.11, numpy 2.4). A brute-force oracle suite cross-checks every formula at
+desk scale.
 """
 
 from .checkpoint import CheckpointError, FORMAT_VERSION, load_checkpoint, save_checkpoint

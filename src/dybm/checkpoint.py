@@ -22,12 +22,13 @@ back to the same double (``-0.0`` included), so loading a saved document
 reproduces parameters and traces bit for bit.
 
 The reader first tries one vector pass per table, which accepts exactly the
-layout above as ``save_checkpoint`` writes it: pair rows in ``config.pairs``
+layout above as ``save_checkpoint`` writes it: pair rows in sorted pair
 order (connectivity rows in any order), no pair repeated, each value a JSON
-float and each delay and bit a JSON integer. Anything else
-(integer values, rows in another order, repeated pairs, wrong types) goes
-to the per-item reader, which loads the same arrays or names the first bad
-item.
+float and each delay and bit a JSON integer. The pair order is read from
+the config's pair columns (``config.arrays``), so the vector pass never
+builds ``config.pairs`` or ``config.pair_index``. Anything else (integer
+values, rows in another order, repeated pairs, wrong types) goes to the
+per-item reader, which loads the same arrays or names the first bad item.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ class CheckpointError(ValueError):
 # Writing
 
 
-def _pair_rows(config: ModelConfig, table: np.ndarray) -> list:
-    return [[i, j, row] for (i, j), row in zip(config.pairs, table.tolist())]
+def _pair_rows(heads: list, values) -> list:
+    """``[i, j, value]`` rows from the ``(i, j)`` ``heads`` and one value each."""
+    return [[i, j, x] for (i, j), x in zip(heads, values)]
 
 
 def save_checkpoint(
@@ -73,6 +75,8 @@ def save_checkpoint(
             got, want = getattr(state, name).shape, getattr(blank, name).shape
             if got != want:
                 raise CheckpointError(f"trace_state.{name} has shape {got}, expected {want}")
+    arr = config.arrays
+    heads = list(zip(arr.pre.tolist(), arr.post.tolist()))  # sorted pair order
     doc = {
         "format_version": FORMAT_VERSION,
         "config": {
@@ -80,20 +84,17 @@ def save_checkpoint(
             "temperature": config.temperature,
             "lambdas": list(config.lambdas),
             "mus": list(config.mus),
-            "connectivity": [[i, j, config.delays[(i, j)]] for i, j in config.pairs],
+            "connectivity": _pair_rows(heads, arr.delay.tolist()),
         },
         "bias": params.bias.tolist(),
-        "u": _pair_rows(config, params.u),
-        "v": _pair_rows(config, params.v),
+        "u": _pair_rows(heads, params.u.tolist()),
+        "v": _pair_rows(heads, params.v.tolist()),
     }
     if state is not None:
         doc["trace_state"] = {
-            "alpha": _pair_rows(config, state.alpha),
+            "alpha": _pair_rows(heads, state.alpha.tolist()),
             "gamma": state.gamma.tolist(),
-            "queues": [
-                [i, j, bits]
-                for (i, j), bits in zip(config.pairs, queue_rows(config, state.queue))
-            ],
+            "queues": _pair_rows(heads, queue_rows(config, state.queue)),
             "step_count": int(state.step_count),
         }
     try:
@@ -168,14 +169,22 @@ def _float_table(rows: list, width: int) -> np.ndarray | None:
     return None
 
 
-def _heads(rows: list) -> tuple[tuple[int, int], ...] | None:
-    """Vector pass: the (i, j) of every row when each is a three-item list
-    that starts with two integers, else None."""
+def _heads(rows: list) -> tuple[list[int], list[int]] | None:
+    """Vector pass: the list of every row's i and the list of every row's j
+    when each row is a three-item list that starts with two integers, else
+    None."""
     if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {3}:
         pre, post = list(map(_FIRST, rows)), list(map(_SECOND, rows))
         if set(map(type, pre + post)) <= {int}:
-            return tuple(zip(pre, post))
+            return pre, post
     return None
+
+
+def _in_pair_order(rows: list, config: ModelConfig) -> bool:
+    """Vector pass: whether ``rows`` are one row per connected pair, headed
+    by the pairs in sorted order."""
+    heads, arr = _heads(rows), config.arrays
+    return heads is not None and heads[0] == arr.pre.tolist() and heads[1] == arr.post.tolist()
 
 
 def _rows(rows: list, where: str, last: str):
@@ -211,7 +220,7 @@ def _pair_values(rows: list, config: ModelConfig, where: str, read) -> list:
 
 
 def _pair_table(rows: list, config: ModelConfig, width: int, where: str) -> np.ndarray:
-    if _heads(rows) == config.pairs:
+    if _in_pair_order(rows, config):
         table = _float_table(list(map(_THIRD, rows)), width)
         if table is not None:
             return table
@@ -221,7 +230,7 @@ def _pair_table(rows: list, config: ModelConfig, width: int, where: str) -> np.n
 
 def _queue(rows: list, config: ModelConfig) -> np.ndarray:
     """The flat queue of ``trace_state.queues``."""
-    if _heads(rows) == config.pairs:
+    if _in_pair_order(rows, config):
         bits = list(map(_THIRD, rows))
         if set(map(type, bits)) <= {list} and list(map(len, bits)) == (
             config.arrays.delay - 1
@@ -252,7 +261,7 @@ def _read_config(doc: dict, where: str) -> ModelConfig:
     if heads is not None:
         values = list(map(_THIRD, conn))
         if set(map(type, values)) <= {int}:
-            delays = dict(zip(heads, values))
+            delays = dict(zip(zip(*heads), values))
     if delays is None or len(delays) < len(conn):  # a repeated pair is named below
         delays = {}
         for at, pair, delay in _rows(conn, "config.connectivity", "delay"):

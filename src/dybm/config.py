@@ -15,6 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -73,6 +74,83 @@ def _rates(name: str, values) -> tuple[float, ...]:
     return rates
 
 
+def _unzip(keys) -> tuple[tuple, tuple]:
+    """The first items and the second items of ``keys``; ValueError unless
+    every key has exactly two (a key that is not iterable is a TypeError)."""
+    pre, post = zip(*keys, strict=True) if keys else ((), ())
+    return pre, post
+
+
+def _sorted_columns(pre, post, delay) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Equal-length sequences of ints as int64 columns reordered into sorted
+    pair order; None when a number is beyond int64."""
+    try:
+        pre, post, delay = np.array((pre, post, delay), dtype=np.int64)
+    except OverflowError:
+        return None
+    order = np.lexsort((post, pre))
+    return pre[order], post[order], delay[order]
+
+
+def _pair_columns(delays: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Vector pass: the sorted columns of ``delays`` when every key is a tuple
+    of two plain ints and every delay a plain int, else None. The types are
+    tested first because the conversion would take a bool, a float or a
+    numeric string for an integer."""
+    if set(map(type, delays)) <= {tuple}:
+        try:
+            pre, post = _unzip(delays)
+        except ValueError:
+            return None
+        delay = tuple(delays.values())
+        if set(map(type, chain(pre, post, delay))) <= {int}:
+            return _sorted_columns(pre, post, delay)
+    return None
+
+
+def _in_range(columns, n_units: int) -> bool:
+    """Whether sorted ``(pre, post, delay)`` columns hold indices in
+    ``[0, n_units)`` and delays >= 1 only; False for no columns."""
+    if columns is None:
+        return False
+    pre, post, delay = columns
+    if pre.size == 0:
+        return True
+    # pre is sorted, so its ends are its extremes
+    in_range = pre[0] >= 0 and pre[-1] < n_units and 0 <= post.min() and post.max() < n_units
+    return in_range and delay.min() >= 1
+
+
+def _connectivity(value) -> tuple[dict, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
+    """``value`` as a dict from pairs of plain ints to plain-int delays, with
+    its sorted columns (None when a number is beyond int64). A dict that the
+    vector pass does not take (numpy ints, or an error) is converted pair by
+    pair, which names the first bad pair."""
+    try:
+        delays = dict(value)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"delays must map (i, j) pairs to integer delays, got {type(value).__name__}"
+        ) from None
+    columns = _pair_columns(delays)
+    if columns is not None:
+        return delays, columns
+    converted = {}
+    for key, d in delays.items():
+        try:
+            i, j = key
+        except (TypeError, ValueError):
+            raise ConfigError(f"delays key {key!r} is not an (i, j) pair of unit indices") from None
+        if not (type(i) is type(j) is type(d) is int):
+            if not (_is_integer(i) and _is_integer(j) and _is_integer(d)):
+                raise ConfigError(
+                    f"delays[({i!r}, {j!r})] = {d!r}: unit indices and delay must be integers"
+                )
+            i, j, d = int(i), int(j), int(d)
+        converted[(i, j)] = d
+    return converted, _sorted_columns(*_unzip(converted), tuple(converted.values()))
+
+
 @dataclass
 class ModelConfig:
     """Shape and fixed hyper-parameters of one model.
@@ -80,6 +158,13 @@ class ModelConfig:
     ``delays`` maps each connected ordered pair ``(i, j)`` to its conduction
     delay; the connectivity set is exactly the key set. Decay rates are
     fixed hyper-parameters, not learned.
+
+    The pair table is checked and converted to sorted int64 columns in a
+    few set and array passes when every key is a tuple of two plain ints
+    and every delay a plain int. Any other table, and any that fails a
+    check, is walked pair by pair, which converts numpy integers and names
+    the first bad pair as before. ``arrays`` is built from the columns;
+    ``pairs`` and ``pair_index`` only when first read.
     """
 
     n_units: int
@@ -92,17 +177,7 @@ class ModelConfig:
         self.n_units = _count("n_units", self.n_units, 1)
         self.lambdas = _rates("lambdas", self.lambdas)
         self.mus = _rates("mus", self.mus)
-        delays = {}
-        for (i, j), d in dict(self.delays).items():
-            # plain ints pass the first test; a config may hold thousands of pairs
-            if not (type(i) is type(j) is type(d) is int):
-                if not (_is_integer(i) and _is_integer(j) and _is_integer(d)):
-                    raise ConfigError(
-                        f"delays[({i!r}, {j!r})] = {d!r}: unit indices and delay must be integers"
-                    )
-                i, j, d = int(i), int(j), int(d)
-            delays[(i, j)] = d
-        self.delays = delays
+        self.delays, self._columns = _connectivity(self.delays)
         self.temperature = _positive("temperature", self.temperature)
         self.validate()
 
@@ -135,15 +210,18 @@ class ModelConfig:
 
     def validate(self) -> None:
         """The checks across fields (each field is checked as it is converted):
-        pair indices, delays and the near-window overflow guard."""
-        for (i, j), d in self.delays.items():
-            if not (0 <= i < self.n_units and 0 <= j < self.n_units):
-                raise ConfigError(
-                    f"delays[({i}, {j})]: unit index out of range for "
-                    f"{self.n_units} units"
-                )
-            if d < 1:
-                raise ConfigError(f"delays[({i}, {j})] must be >= 1, got {d}")
+        pair indices, delays and the near-window overflow guard. Indices and
+        delays are checked on the pair columns; only when that fails is each
+        pair checked in turn, to name the first bad one."""
+        if not _in_range(self._columns, self.n_units):
+            for (i, j), d in self.delays.items():
+                if not (0 <= i < self.n_units and 0 <= j < self.n_units):
+                    raise ConfigError(
+                        f"delays[({i}, {j})]: unit index out of range for "
+                        f"{self.n_units} units"
+                    )
+                if d < 1:
+                    raise ConfigError(f"delays[({i}, {j})] must be >= 1, got {d}")
         # Overflow guard: a full queue gives the near-window trace
         # sum_{s=1}^{d-1} mu**(-s), largest for the longest delay and the
         # smallest rate. That sum, plus a relative margin for its rounding,
@@ -193,12 +271,22 @@ class ModelConfig:
 
     @cached_property
     def arrays(self) -> "_DerivedArrays":
-        """Cached vector views used by the hot paths. Treat as read-only."""
+        """Cached vector views used by the hot paths; do not write to them."""
         return _DerivedArrays(self)
 
 
 class _DerivedArrays:
-    """Per-config numpy views used by the per-step kernels.
+    """Per-config numpy views used by the per-step kernels, built in array
+    passes from the config's sorted pair columns. One config is shared by
+    every state and parameter vector built on it, so every array is
+    read-only except the four that each step passes to ``np.bincount`` as
+    its index (``BINCOUNT_INDEXES``): bincount copies a read-only index
+    array on every call, which cost about 2% of an online step at 2048
+    pairs. Never write to those four either.
+
+    ``pre``, ``post`` and ``delay`` are the int64 source unit, target unit
+    and delay of each pair, in sorted pair order (the row order of ``u``,
+    ``v`` and ``alpha``).
 
     Queue layout: all queues live in one flat bit array. Pair ``m`` owns
     the segment ``queue_bounds[m]:queue_bounds[m + 1]`` (its last ``d - 1``
@@ -224,16 +312,17 @@ class _DerivedArrays:
     ``Parameters`` and ``Gradient``.
     """
 
+    BINCOUNT_INDEXES = ("beta_bin", "post_k", "post_l", "pre_l")
+
     def __init__(self, config: ModelConfig) -> None:
-        pairs = config.pairs
+        if config._columns is None:  # only a valid config with a unit index beyond int64
+            raise OverflowError("a unit index is beyond the int64 range")
+        pre, post, delay = self.pre, self.post, self.delay = config._columns
         n_lambda, n_mu = config.n_lambda, config.n_mu
-        pre = np.array([i for i, _ in pairs], dtype=np.int64)
-        post = np.array([j for _, j in pairs], dtype=np.int64)
-        self.delay = np.array([config.delays[p] for p in pairs], dtype=np.int64)
         self.lam = np.asarray(config.lambdas, dtype=np.float64)
         self.mu = np.asarray(config.mus, dtype=np.float64)
 
-        lengths = self.delay - 1
+        lengths = delay - 1
         self.queue_bounds = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
         queued = np.flatnonzero(lengths > 0)
         self.queue_start = self.queue_bounds[queued]
@@ -255,6 +344,9 @@ class _DerivedArrays:
 
         self.bank_shapes = ((config.n_units,), (config.n_pairs, n_lambda), (config.n_pairs, n_mu))
         self.n_params = config.n_units + config.n_pairs * (n_lambda + n_mu)
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray) and name not in self.BINCOUNT_INDEXES:
+                value.setflags(write=False)
 
 
 class _FlatBanks:

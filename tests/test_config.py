@@ -1,14 +1,18 @@
 import copy
 import math
 import pickle
+import random
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dybm.config import ConfigError, ModelConfig, Parameters, as_time_slice
-from dybm.learning import sequence_log_likelihood
+from dybm import config as config_module
+from dybm.checkpoint import load_checkpoint, save_checkpoint
+from dybm.config import ConfigError, ModelConfig, Parameters, _DerivedArrays, as_time_slice
+from dybm.generator import RolloutConfig, eval_prediction, rollout
+from dybm.learning import TrainerConfig, sequence_log_likelihood, train
 from dybm.model import (
     _beta_matrix,
     _drives,
@@ -20,6 +24,31 @@ from dybm.model import (
 )
 
 from conftest import configs
+
+# the online_wide shape: 256 units, fan-in 8, delays 1-4
+RING = {((j - r) % 256, j): 1 + (r - 1) % 4 for j in range(256) for r in range(1, 9)}
+
+
+def outcome(*args):
+    """The ``ConfigError`` message for ``ModelConfig(*args)``, or the config's
+    delays and the dtype, shape and bytes of every table in ``.arrays``."""
+    try:
+        cfg = ModelConfig(*args)
+    except ConfigError as exc:
+        return str(exc)
+    tables = {
+        name: (a.dtype.str, a.shape, a.tobytes())
+        for name, a in vars(cfg.arrays).items()
+        if isinstance(a, np.ndarray)
+    }
+    types = [(type(key), *map(type, key), type(d)) for key, d in cfg.delays.items()]
+    return cfg.delays, types, tables
+
+
+def vector_pass_off(monkeypatch):
+    """Force every pair through the per-pair checks and conversion."""
+    monkeypatch.setattr(config_module, "_pair_columns", lambda delays: None)
+    monkeypatch.setattr(config_module, "_in_range", lambda columns, n_units: False)
 
 
 @st.composite
@@ -173,6 +202,142 @@ class TestModelConfigValidation:
         for m, pair in enumerate(cfg.pairs):
             assert cfg.pair_index[pair] == m
         assert cfg.n_pairs == len(cfg.delays)
+
+
+class TestMalformedDelays:
+    @pytest.mark.parametrize(
+        "delays, named",
+        [
+            pytest.param(None, r"^delays must map \(i, j\) pairs to integer delays, got NoneType$", id="none"),
+            pytest.param([(0, 1, 2)], "^delays must map", id="triples"),
+            pytest.param({5: 2}, r"^delays key 5 is not an \(i, j\) pair", id="int-key"),
+            pytest.param({(0,): 2}, r"^delays key \(0,\) is not an \(i, j\) pair", id="one-index"),
+            pytest.param({(0, 1, 2): 2}, r"^delays key \(0, 1, 2\) is not an \(i, j\) pair", id="three-indices"),
+            pytest.param({(0, 1): 2, 5: 2}, r"^delays key 5 ", id="int-key-after-a-pair"),
+        ],
+    )
+    def test_named_as_a_config_error(self, delays, named):
+        with pytest.raises(ConfigError, match=named):
+            ModelConfig(2, (0.5,), (0.5,), delays)
+
+
+class TestVectorPass:
+    """The vector pass and the per-pair checks accept the same configs,
+    build the same tables and name the same first bad pair."""
+
+    BASE = {(2, 1): 3, (0, 0): 1, (1, 2): 4, (0, 2): 2, (2, 0): 1}
+
+    def edits(self):
+        """``(label, delays)`` for every one-item edit of ``BASE``: each index
+        and each delay replaced by a bad or unusual value, and each key by a
+        non-pair."""
+        odd = [True, False, 1.5, 1.0, "1", np.int64(1), np.int32(2), 10**400, 2**63, 2**62, -1, 0, 3]
+        items = list(self.BASE.items())
+        for m, ((i, j), d) in enumerate(items):
+            edited = [((v, j), d) for v in odd] + [((i, v), d) for v in odd] + [((i, j), v) for v in odd]
+            edited += [(key, d) for key in (5, (i,), (i, j, 0), "ab")]
+            for key, value in edited:
+                yield f"{m}: {key!r}: {value!r}", dict(items[:m] + [(key, value)] + items[m + 1 :])
+
+    def test_each_one_item_edit_gives_the_per_pair_outcome(self, monkeypatch):
+        edits = list(self.edits())
+        vector = [outcome(3, (0.5,), (0.25, 0.5), delays) for _, delays in edits]
+        vector_pass_off(monkeypatch)
+        per_pair = [outcome(3, (0.5,), (0.25, 0.5), delays) for _, delays in edits]
+        for (label, _), got, want in zip(edits, vector, per_pair):
+            assert got == want, label
+        assert isinstance(vector[0], str) and not all(isinstance(o, str) for o in vector)
+
+    def test_bad_pair_named_in_insertion_order(self):
+        # the second pair is out of range, the fourth has delay 0
+        delays = {(0, 1): 2, (5, 0): 1, (1, 1): 3, (0, 0): 0}
+        with pytest.raises(ConfigError, match=r"^delays\[\(5, 0\)\]: unit index out of range"):
+            ModelConfig(2, (0.5,), (0.5,), delays)
+        # a type error is found before a range error, as before
+        delays[(1, 0)] = 1.5
+        with pytest.raises(ConfigError, match=r"^delays\[\(1, 0\)\] = 1.5"):
+            ModelConfig(2, (0.5,), (0.5,), delays)
+
+    @given(
+        configs(allow_empty=True, max_units=5, max_delay=6),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60)
+    def test_tables_match_the_per_pair_reference(self, cfg, seed):
+        items = list(cfg.delays.items())
+        random.Random(seed).shuffle(items)
+        args = (cfg.n_units, cfg.lambdas, cfg.mus, dict(items), cfg.temperature)
+        shuffled = ModelConfig(*args)
+        # the reference tables, built pair by pair
+        pairs = tuple(sorted(dict(items)))
+        pre = np.array([i for i, _ in pairs], dtype=np.int64)
+        post = np.array([j for _, j in pairs], dtype=np.int64)
+        delay = np.array([dict(items)[p] for p in pairs], dtype=np.int64)
+        arr = shuffled.arrays
+        for got, want in ((arr.pre, pre), (arr.post, post), (arr.delay, delay)):
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert shuffled.pairs == pairs
+        assert shuffled.pair_index == {p: m for m, p in enumerate(pairs)}
+        assert shuffled.max_delay == max(dict(items).values(), default=1)
+        lengths = delay - 1
+        assert arr.queue_bounds.tolist() == [0, *np.cumsum(lengths).tolist()]
+        assert arr.queue_pre.tolist() == [i for (i, _), n in zip(pairs, lengths) if n > 0]
+        assert arr.post_k.tolist() == [[j] * cfg.n_lambda for _, j in pairs]
+        assert arr.pre_l.tolist() == [[i] * cfg.n_mu for i, _ in pairs]
+        assert arr.gamma_post.tolist() == [[j * cfg.n_mu + l for l in range(cfg.n_mu)] for _, j in pairs]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            vector_pass_off(monkeypatch)
+            per_pair = outcome(*args)
+        assert outcome(*args) == per_pair
+
+    def test_wide_config_takes_the_vector_pass(self):
+        columns = config_module._pair_columns(RING)
+        assert columns is not None and config_module._in_range(columns, 256)
+        cfg = ModelConfig(256, (0.5, 0.8), (0.5, 0.8), RING)
+        assert cfg.arrays.pre.size == 2048
+        assert "pairs" not in cfg.__dict__ and "pair_index" not in cfg.__dict__
+
+
+class TestLazyPairTables:
+    """``pairs`` and ``pair_index`` are built only when asked for."""
+
+    def test_model_use_leaves_the_pair_tables_out(self, rng):
+        cfg = ModelConfig(16, (0.5, 0.8), (0.5,), {((j - r) % 16, j): r for j in range(16) for r in (1, 2, 4)})
+        series = (rng.random((12, 16)) < 0.3).astype(np.int64)
+        params, _ = train(Parameters.zeros(cfg), cfg, [series], TrainerConfig(0.05, epochs=2, mode="online"))
+        params, _ = train(params, cfg, [series], TrainerConfig(0.05, epochs=2, mode="full_batch"))
+        eval_prediction(params, cfg, series)
+        rollout(params, cfg, RolloutConfig(horizon=5, mode="sample", seed=3, primer=series[:4]))
+        state = init_state(cfg)
+        for x in series:
+            state = advance(state, cfg, x)
+        text = save_checkpoint(params, cfg, state)
+        assert "pair_index" not in cfg.__dict__ and "pairs" not in cfg.__dict__
+        _, loaded, _ = load_checkpoint(text)
+        assert "pair_index" not in loaded.__dict__ and "pairs" not in loaded.__dict__
+        # when asked for, they hold the sorted pairs and their row numbers
+        pairs = tuple(sorted(cfg.delays))
+        assert loaded.pairs == pairs
+        assert loaded.pair_index == {p: m for m, p in enumerate(pairs)}
+
+
+class TestDerivedArraysReadOnly:
+    @given(configs(allow_empty=True))
+    @settings(max_examples=10)
+    def test_every_table_but_the_bincount_indexes_is_read_only(self, cfg):
+        tables = {k: a for k, a in vars(cfg.arrays).items() if isinstance(a, np.ndarray)}
+        assert len(tables) == 17
+        writeable = {k for k, a in tables.items() if a.flags.writeable}
+        assert writeable == set(_DerivedArrays.BINCOUNT_INDEXES)
+
+    def test_in_place_write_raises(self):
+        arr = ModelConfig.dense(3).arrays
+        with pytest.raises(ValueError, match="read-only"):
+            arr.delay[0] = 5
+        with pytest.raises(ValueError, match="read-only"):
+            arr.lam_k *= 2.0
+        assert arr.delay.tolist() == [2] * 9 and arr.lam_k.tolist() == [[0.5]] * 9
 
 
 class TestParameters:

@@ -3,7 +3,8 @@ output.
 
 The script runs in-process with git patched out and HEAD's export replaced
 by a copy of this tree's ``src/``, planted with a change or not, and with
-its command list cut to one training run and its ``eval``.
+its command list cut to one training run, its ``eval`` and one rejected
+run configuration.
 """
 
 import shutil
@@ -12,8 +13,19 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SEPARATORS = 'separators=(",", ":")'
-RUNS = ("period4-full_batch", "eval-period4-full_batch")
+RUNS = ("period4-full_batch", "eval-period4-full_batch", "zero-delay")
+# (file, text, replacement, the outputs that then differ)
+PLANTS = {
+    "same": None,
+    "changed-checkpoint": (
+        "checkpoint.py",
+        'separators=(",", ":")',
+        'separators=(", ", ":")',
+        # the checkpoint's spelling differs; the model it holds does not
+        ["period4-full_batch checkpoint"],
+    ),
+    "changed-message": ("config.py", "must be >= 1, got", "must be at least 1, got", ["zero-delay stderr"]),
+}
 
 
 @pytest.fixture
@@ -36,20 +48,31 @@ def test_only_wall_ms_is_masked(same_outputs):
     assert same_outputs._differences(base, change) == ["eval stdout, line 2: '2' -> '3'"]
 
 
-@pytest.mark.parametrize("planted", [False, True], ids=["same", "changed-checkpoint"])
-def test_a_changed_output_is_reported(same_outputs, planted, monkeypatch, capsys):
+@pytest.mark.parametrize("plant", PLANTS)
+def test_a_changed_output_is_reported(same_outputs, plant, monkeypatch, capsys):
+    planted = PLANTS[plant]
+
     def export(rev, dest):
         shutil.copytree(ROOT / "src", dest / "src")
         if planted:
-            path = dest / "src" / "dybm" / "checkpoint.py"
+            path = dest / "src" / "dybm" / planted[0]
             text = path.read_text(encoding="utf-8")
-            assert SEPARATORS in text
-            path.write_text(text.replace(SEPARATORS, 'separators=(", ", ":")'), encoding="utf-8")
+            assert planted[1] in text
+            path.write_text(text.replace(planted[1], planted[2]), encoding="utf-8")
 
     monkeypatch.setattr(same_outputs, "_export", export)
-    assert same_outputs.main() == int(planted)
+    assert same_outputs.main() == int(bool(planted))
     err = capsys.readouterr().err.splitlines()
-    if planted:
-        # the checkpoint's spelling differs; the model it holds does not
-        assert [line.split(",")[0] for line in err[:-1]] == ["period4-full_batch checkpoint"]
-    assert err[-1].startswith(f"{int(planted)} outputs differ")
+    differ = planted[3] if planted else []
+    assert [line.split(",")[0] for line in err[:-1]] == differ
+    assert err[-1].startswith(f"{len(differ)} outputs differ")
+
+
+def test_only_failed_runs_have_their_stderr_compared(same_outputs, tmp_path):
+    outputs = same_outputs._outputs(ROOT, tmp_path)
+    assert outputs["zero-delay exit code"] == "2"
+    assert outputs["zero-delay stderr"] == (
+        "error: zero-delay_run.json: delays[(1, 1)] must be >= 1, got 0\n"
+    )
+    assert outputs["period4-full_batch exit code"] == "0"
+    assert not any(name.startswith("period4") and name.endswith("stderr") for name in outputs)
