@@ -121,11 +121,12 @@ def _in_range(columns, n_units: int) -> bool:
     return in_range and delay.min() >= 1
 
 
-def _connectivity(value) -> tuple[dict, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
+def _connectivity(value, n_units: int) -> tuple[dict, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
     """``value`` as a dict from pairs of plain ints to plain-int delays, with
-    its sorted columns (None when a number is beyond int64). A dict that the
-    vector pass does not take (numpy ints, or an error) is converted pair by
-    pair, which names the first bad pair."""
+    its sorted columns (None when a number is beyond int64). A table that
+    the vector pass does not take (numpy ints, or any fault) is walked in
+    insertion order, which converts numpy integers and names the first bad
+    pair, whatever its fault."""
     try:
         delays = dict(value)
     except (TypeError, ValueError):
@@ -133,7 +134,7 @@ def _connectivity(value) -> tuple[dict, tuple[np.ndarray, np.ndarray, np.ndarray
             f"delays must map (i, j) pairs to integer delays, got {type(value).__name__}"
         ) from None
     columns = _pair_columns(delays)
-    if columns is not None:
+    if _in_range(columns, n_units):
         return delays, columns
     converted = {}
     for key, d in delays.items():
@@ -147,6 +148,10 @@ def _connectivity(value) -> tuple[dict, tuple[np.ndarray, np.ndarray, np.ndarray
                     f"delays[({i!r}, {j!r})] = {d!r}: unit indices and delay must be integers"
                 )
             i, j, d = int(i), int(j), int(d)
+        if not (0 <= i < n_units and 0 <= j < n_units):
+            raise ConfigError(f"delays[({i}, {j})]: unit index out of range for {n_units} units")
+        if d < 1:
+            raise ConfigError(f"delays[({i}, {j})] must be >= 1, got {d}")
         converted[(i, j)] = d
     return converted, _sorted_columns(*_unzip(converted), tuple(converted.values()))
 
@@ -159,12 +164,12 @@ class ModelConfig:
     delay; the connectivity set is exactly the key set. Decay rates are
     fixed hyper-parameters, not learned.
 
-    The pair table is checked and converted to sorted int64 columns in a
-    few set and array passes when every key is a tuple of two plain ints
-    and every delay a plain int. Any other table, and any that fails a
-    check, is walked pair by pair, which converts numpy integers and names
-    the first bad pair as before. ``arrays`` is built from the columns;
-    ``pairs`` and ``pair_index`` only when first read.
+    Construction converts ``n_units``, the rates and ``temperature``, then
+    calls ``validate``, which checks and converts the pair table. An
+    invalid setting raises ``ConfigError``; for the pair table it names the
+    first bad pair in insertion order, whatever its fault. The derived
+    tables (``arrays``, ``pairs``, ``pair_index``, ``max_delay``) are built
+    once per config, when first read, so build a new config after an edit.
     """
 
     n_units: int
@@ -177,7 +182,6 @@ class ModelConfig:
         self.n_units = _count("n_units", self.n_units, 1)
         self.lambdas = _rates("lambdas", self.lambdas)
         self.mus = _rates("mus", self.mus)
-        self.delays, self._columns = _connectivity(self.delays)
         self.temperature = _positive("temperature", self.temperature)
         self.validate()
 
@@ -209,26 +213,17 @@ class ModelConfig:
         return cls(n_units, lambdas, mus, pairs, temperature)
 
     def validate(self) -> None:
-        """The checks across fields (each field is checked as it is converted):
-        pair indices, delays and the near-window overflow guard. Indices and
-        delays are checked on the pair columns; only when that fails is each
-        pair checked in turn, to name the first bad one."""
-        if not _in_range(self._columns, self.n_units):
-            for (i, j), d in self.delays.items():
-                if not (0 <= i < self.n_units and 0 <= j < self.n_units):
-                    raise ConfigError(
-                        f"delays[({i}, {j})]: unit index out of range for "
-                        f"{self.n_units} units"
-                    )
-                if d < 1:
-                    raise ConfigError(f"delays[({i}, {j})] must be >= 1, got {d}")
+        """Check the current pair table against ``n_units`` and convert it
+        (numpy integers become ints), then the near-window overflow guard
+        on ``mus`` and the longest delay."""
+        self.delays, self._columns = _connectivity(self.delays, self.n_units)
         # Overflow guard: a full queue gives the near-window trace
         # sum_{s=1}^{d-1} mu**(-s), largest for the longest delay and the
         # smallest rate. That sum, plus a relative margin for its rounding,
         # must stay below the float maximum. A lag count beyond the float
         # range always overflows (every rate is below 1); it is compared
         # exactly, as an int, because converting it would raise.
-        n = self.max_delay - 1
+        n = max(self.delays.values(), default=1) - 1
         if n >= 1:
             mu = min(self.mus)
             overflow = n > _FLOAT_MAX
@@ -337,7 +332,7 @@ class _DerivedArrays:
         self.pre_l = np.repeat(pre[:, None], n_mu, axis=1)
         self.lam_k = np.tile(self.lam, (config.n_pairs, 1))
         self.mu_l = np.tile(self.mu, (config.n_units, 1))
-        self.gamma_post = post[:, None] * n_mu + np.arange(n_mu)
+        self.gamma_post = np.ascontiguousarray((np.arange(n_mu)[:, None] + post * n_mu).T)
         source = pre.copy()
         source[queued] = config.n_units + self.queue_bounds[queued + 1] - 1
         self.arrival_k = np.repeat(source[:, None], n_lambda, axis=1)

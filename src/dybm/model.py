@@ -60,12 +60,13 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class TraceState:
     """Everything the model remembers about the past.
 
     ``queue`` is the flat ``uint8`` array of in-transit bits described in
-    the module docstring. ``step_count`` counts absorbed slices.
+    the module docstring. ``step_count`` counts absorbed slices. States
+    compare and hash by identity, as their fields are arrays.
     """
 
     alpha: np.ndarray
@@ -169,7 +170,7 @@ def beta(state: TraceState, config: ModelConfig, i: int, j: int, ell: int) -> fl
     return float(_beta_matrix(state, config)[m, ell])
 
 
-@dataclass
+@dataclass(eq=False)
 class _Features:
     """What the conditional of the next slice ``x`` reads of one state, or
     of T states stacked on a leading step axis: the arrival traces

@@ -14,7 +14,12 @@ Everything here recomputes quantities the fast path maintains incrementally
   of up to 12 units.
 
 These are deliberately slow and deliberately independent of the code they
-check.
+check. They read a config only through its fields (``delays``,
+``lambdas``, ``mus``, ``temperature``) and its sorted ``pairs`` and
+``pair_index``, the row order of the parameter banks, never through the
+derived tables of ``config.arrays``; a flat queue is joined from per-pair
+bits in ``pairs`` order here. From the fast path they take only
+``TraceState`` and the logistic function.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig, Parameters, as_time_slice
-from .model import TraceState, _sigmoid, pack_queue_rows
+from .model import TraceState, _sigmoid
 
 __all__ = [
     "ExpandedWeights",
@@ -63,11 +68,10 @@ def forward_kernel(params: Parameters, config: ModelConfig, i: int, j: int, delt
     m = config.pair_index.get((i, j))
     if m is None:
         return 0.0
-    arr = config.arrays
-    d = int(arr.delay[m])
+    d = config.delays[(i, j)]
     if delta >= d:
-        return float(np.sum(params.u[m] * arr.lam ** (delta - d)))
-    return float(-np.sum(params.v[m] * arr.mu ** (-float(delta))))
+        return float(np.sum(params.u[m] * np.array(config.lambdas) ** (delta - d)))
+    return float(-np.sum(params.v[m] * np.array(config.mus) ** (-float(delta))))
 
 
 def reverse_kernel(params: Parameters, config: ModelConfig, j: int, i: int, delta: int) -> float:
@@ -79,10 +83,10 @@ def reverse_kernel(params: Parameters, config: ModelConfig, j: int, i: int, delt
     m = config.pair_index.get((j, i))
     if m is None:
         return 0.0
-    return float(-np.sum(params.v[m] * config.arrays.mu ** float(delta)))
+    return float(-np.sum(params.v[m] * np.array(config.mus) ** float(delta)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpandedWeights:
     """Explicit lag-indexed weight matrices W[delta] for delta in [1, T-1].
 
@@ -184,16 +188,15 @@ def traces_from_scratch(config: ModelConfig, history: list) -> TraceState:
     """
     slices = [as_time_slice(s, config.n_units) for s in history]
     n = len(slices)
-    arr = config.arrays
 
     def value(i: int, t: int) -> int:
         # t is 1-based time within the history; earlier times are zero.
         return int(slices[t - 1][i]) if t >= 1 else 0
 
     alpha = np.zeros((config.n_pairs, config.n_lambda))
-    queues: list[list[int]] = []
-    for m, (i, _) in enumerate(config.pairs):
-        d = int(arr.delay[m])
+    queue: list[int] = []
+    for m, (i, j) in enumerate(config.pairs):
+        d = config.delays[(i, j)]
         # spikes at time s arrive at s + d; at prediction time n + 1 the
         # arrivals seen so far are those with s <= n + 1 - d.
         for k, lam in enumerate(config.lambdas):
@@ -202,7 +205,7 @@ def traces_from_scratch(config: ModelConfig, history: list) -> TraceState:
                 age = (n + 1 - d) - s
                 total += lam**age * value(i, s)
             alpha[m, k] = total
-        queues.append([value(i, n - lag + 1) for lag in range(1, d)])
+        queue += [value(i, n - lag + 1) for lag in range(1, d)]
 
     gamma = np.zeros((config.n_units, config.n_mu))
     for i in range(config.n_units):
@@ -210,7 +213,7 @@ def traces_from_scratch(config: ModelConfig, history: list) -> TraceState:
             gamma[i, l] = sum(mu ** (n + 1 - s) * value(i, s) for s in range(1, n + 1))
 
     return TraceState(
-        alpha=alpha, gamma=gamma, queue=pack_queue_rows(config, queues), step_count=n
+        alpha=alpha, gamma=gamma, queue=np.array(queue, dtype=np.uint8), step_count=n
     )
 
 
@@ -247,7 +250,7 @@ def fd_gradient(params: Parameters, config: ModelConfig, series, h: float = 1e-5
 # Exact tiny Boltzmann machine
 
 
-@dataclass
+@dataclass(eq=False)
 class TinyBM:
     """Fully connected static Boltzmann machine small enough to enumerate.
 

@@ -1,5 +1,6 @@
 import copy
 import math
+import numbers
 import pickle
 import random
 
@@ -49,6 +50,51 @@ def vector_pass_off(monkeypatch):
     """Force every pair through the per-pair checks and conversion."""
     monkeypatch.setattr(config_module, "_pair_columns", lambda delays: None)
     monkeypatch.setattr(config_module, "_in_range", lambda columns, n_units: False)
+
+
+@st.composite
+def faulty_tables(draw):
+    """``(n_units, delays)``: a valid pair table, some of its delays numpy
+    integers (which are no fault), with one to three faulty entries placed
+    at random positions. A fault whose key is already in the table replaces
+    that entry's delay where it stands."""
+    cfg = draw(configs(allow_empty=True, max_units=4, max_delay=6))
+    n = cfg.n_units
+    items = [(key, draw(st.sampled_from([d, np.int64(d), np.int32(d)]))) for key, d in cfg.delays.items()]
+    for _ in range(draw(st.integers(1, 3))):
+        i, j, d = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(st.integers(1, 6))
+        key, value = draw(
+            st.sampled_from(
+                [
+                    (5, d), ((i,), d), ((i, j, 0), d),  # not a pair
+                    ((i + 0.5, j), d), ((i, str(j)), d), ((i, j), 1.5), ((i, j), True), ((i, j), None),
+                    ((n + i, j), d), ((i, -1 - j), d), ((np.int64(n), j), d),  # index out of range
+                    ((i, j), 0), ((i, j), np.int64(-d)),  # delay below 1
+                ]
+            )
+        )
+        keys = [k for k, _ in items]
+        if key in keys:
+            items[keys.index(key)] = (key, value)
+        else:
+            items.insert(draw(st.integers(0, len(items))), (key, value))
+    return n, dict(items)
+
+
+def first_fault(delays, n_units):
+    """The ``ConfigError`` message for the first faulty entry of ``delays``,
+    scanned in insertion order, or None when there is none."""
+    for key, d in delays.items():
+        if not (isinstance(key, tuple) and len(key) == 2):
+            return f"delays key {key!r} is not an (i, j) pair of unit indices"
+        i, j = key
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in (i, j, d)):
+            return f"delays[({i!r}, {j!r})] = {d!r}: unit indices and delay must be integers"
+        if not (0 <= i < n_units and 0 <= j < n_units):
+            return f"delays[({i}, {j})]: unit index out of range for {n_units} units"
+        if d < 1:
+            return f"delays[({i}, {j})] must be >= 1, got {d}"
+    return None
 
 
 @st.composite
@@ -253,9 +299,9 @@ class TestVectorPass:
         delays = {(0, 1): 2, (5, 0): 1, (1, 1): 3, (0, 0): 0}
         with pytest.raises(ConfigError, match=r"^delays\[\(5, 0\)\]: unit index out of range"):
             ModelConfig(2, (0.5,), (0.5,), delays)
-        # a type error is found before a range error, as before
+        # a type error later in the table does not move it
         delays[(1, 0)] = 1.5
-        with pytest.raises(ConfigError, match=r"^delays\[\(1, 0\)\] = 1.5"):
+        with pytest.raises(ConfigError, match=r"^delays\[\(5, 0\)\]: unit index out of range"):
             ModelConfig(2, (0.5,), (0.5,), delays)
 
     @given(
@@ -290,6 +336,34 @@ class TestVectorPass:
             vector_pass_off(monkeypatch)
             per_pair = outcome(*args)
         assert outcome(*args) == per_pair
+
+    @pytest.mark.parametrize("vector", [True, False], ids=["vector-pass", "walk"])
+    @given(faulty_tables())
+    @settings(max_examples=60)
+    def test_first_faulty_entry_is_named(self, vector, table):
+        n_units, delays = table
+        expected = first_fault(delays, n_units)
+        assert expected is not None
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if not vector:
+                vector_pass_off(monkeypatch)
+            with pytest.raises(ConfigError) as info:
+                ModelConfig(n_units, (0.5,), (0.25,), delays)
+        assert str(info.value) == expected
+
+    def test_bad_temperature_named_before_a_bad_pair(self):
+        with pytest.raises(ConfigError, match="^temperature must be a positive finite real"):
+            ModelConfig(2, (0.5,), (0.5,), {(0, 5): 1, (0, 1): 1.5}, 0.0)
+
+    def test_validate_checks_the_current_fields(self):
+        cfg = ModelConfig.dense(2)
+        cfg.delays[(0, 0)] = 0
+        with pytest.raises(ConfigError, match=r"^delays\[\(0, 0\)\] must be >= 1, got 0$"):
+            cfg.validate()
+        cfg = ModelConfig.dense(2)
+        cfg.n_units = 1
+        with pytest.raises(ConfigError, match=r"^delays\[\(0, 1\)\]: unit index out of range for 1 units$"):
+            cfg.validate()
 
     def test_wide_config_takes_the_vector_pass(self):
         columns = config_module._pair_columns(RING)

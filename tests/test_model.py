@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dybm.config import ModelConfig, Parameters
 from dybm.model import (
+    _features,
     advance,
     beta,
     cond_prob,
@@ -47,6 +48,17 @@ class TestInitState:
         for i, j in cfg.pairs:
             for ell in range(cfg.n_mu):
                 assert beta(st0, cfg, i, j, ell) == 0.0
+
+
+    def test_states_and_features_compare_by_identity(self):
+        # their fields are arrays, so a field-wise == could not give one truth value
+        cfg = ModelConfig.dense(2)
+        state = init_state(cfg)
+        assert state == state and state != state.copy()
+        assert len({state, state.copy()}) == 2
+        features = _features(state, cfg)
+        assert features == features and features != _features(state, cfg)
+        assert len({features, _features(state, cfg)}) == 2
 
 
 class TestAdvance:

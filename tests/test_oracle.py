@@ -36,6 +36,13 @@ class TestExpandWeights:
         expanded = expand_weights(params, cfg, 6)
         assert expanded.at(2)[0, 1] == pytest.approx(0.75)
 
+    def test_compares_and_hashes_by_identity(self):
+        cfg = ModelConfig.dense(2)
+        expanded = expand_weights(Parameters.zeros(cfg), cfg, 4)
+        again = expand_weights(Parameters.zeros(cfg), cfg, 4)
+        assert expanded == expanded and expanded != again
+        assert len({expanded, again}) == 2
+
     def test_near_window_branch(self):
         # delay 2, lag 1 sits before arrival: -v / mu = -2
         cfg = ModelConfig(2, (0.5,), (0.5,), {(0, 1): 2, (1, 0): 2})
@@ -269,6 +276,12 @@ class TestTinyBM:
             np.fill_diagonal(w, 0.0)
             bm = TinyBM(rng.normal(size=n), w, temperature=1.3)
             assert abs(bm_probs(bm).sum() - 1.0) < 1e-12
+
+    def test_compares_and_hashes_by_identity(self):
+        bm = TinyBM(np.zeros(3), np.zeros((3, 3)))
+        again = TinyBM(np.zeros(3), np.zeros((3, 3)))
+        assert bm == bm and bm != again
+        assert len({bm, again}) == 2
 
     def test_validation(self):
         with pytest.raises(ValueError, match="12"):

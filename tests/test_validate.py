@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from dybm import learning, model
+from dybm import config, learning, model
 from dybm.validate import (
     check_block_gradient,
     check_energy_expansion,
@@ -32,6 +32,21 @@ class TestChecks:
         report = check_trace_recursion(seed=3, cases=40)
         assert not report.passed
         assert report.max_error > 1e-3
+
+    def test_oracle_checks_catch_a_misordered_delay_table(self, monkeypatch):
+        # giving every pair its neighbour's delay in the derived tables must
+        # make both checks fail: the oracle reads each pair's delay from
+        # config.delays, not from the tables it checks
+        sorted_columns = config._sorted_columns
+
+        def rolled(*args):
+            pre, post, delay = sorted_columns(*args)
+            return pre, post, np.roll(delay, 1)
+
+        monkeypatch.setattr(config, "_sorted_columns", rolled)
+        for report in (check_trace_recursion(seed=0, cases=40), check_energy_expansion(seed=0, cases=25)):
+            assert not report.passed
+            assert report.max_error > 1e-3
 
     def test_individual_checks_pass(self):
         assert check_trace_recursion(seed=1, cases=50).passed
