@@ -40,7 +40,7 @@ from operator import itemgetter
 import numpy as np
 
 from .config import ModelConfig, Parameters
-from .model import TraceState, init_state, pack_queue_rows, queue_rows
+from .model import TraceState, pack_queue_rows, queue_rows
 
 __all__ = ["CheckpointError", "FORMAT_VERSION", "save_checkpoint", "load_checkpoint"]
 
@@ -53,6 +53,45 @@ _FIRST, _SECOND, _THIRD = itemgetter(0), itemgetter(1), itemgetter(2)
 
 class CheckpointError(ValueError):
     """Raised for malformed or wrong-version checkpoint documents."""
+
+
+# ---------------------------------------------------------------------------
+# Trace state
+
+
+def _check_state(state: TraceState, config: ModelConfig) -> None:
+    """Reject a trace state that would not load back as it is. The writer
+    checks the state it is given, the reader the state it decoded, so the
+    writer refuses what the reader refuses: float64 traces of the config's
+    shapes, finite and non-negative, an integer queue of 0/1 bits and an
+    integer ``step_count`` >= 0."""
+    shapes = {
+        "alpha": (config.n_pairs, config.n_lambda),
+        "gamma": (config.n_units, config.n_mu),
+        "queue": (int(config.arrays.queue_bounds[-1]),),
+    }
+    for name, want in shapes.items():
+        got = np.shape(getattr(state, name))
+        if got != want:
+            raise CheckpointError(f"trace_state.{name} has shape {got}, expected {want}")
+    for name in ("alpha", "gamma"):
+        trace = getattr(state, name)
+        if trace.dtype != np.float64:
+            raise CheckpointError(f"trace_state.{name} has dtype {trace.dtype}, expected float64")
+        # NaN fails both comparisons, so it is rejected with the infinities
+        if not ((trace >= 0.0) & (trace < np.inf)).all():
+            fault = "a negative" if (trace < 0.0).any() else "a non-finite"
+            raise CheckpointError(
+                f"trace_state: traces must be finite and non-negative; {name} has {fault} entry"
+            )
+    queue = state.queue
+    if queue.dtype.kind not in "iu" or not ((queue == 0) | (queue == 1)).all():
+        raise CheckpointError("trace_state.queue: expected bits, each 0 or 1")
+    step_count = state.step_count
+    if isinstance(step_count, bool) or not isinstance(step_count, (int, np.integer)):
+        raise CheckpointError("trace_state.step_count: expected an integer")
+    if step_count < 0:
+        raise CheckpointError("trace_state.step_count must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -70,11 +109,7 @@ def save_checkpoint(
     """Serialise a model (and optionally its trace state) to JSON text."""
     params.validate_for(config)
     if state is not None:
-        blank = init_state(config)
-        for name in ("alpha", "gamma", "queue"):
-            got, want = getattr(state, name).shape, getattr(blank, name).shape
-            if got != want:
-                raise CheckpointError(f"trace_state.{name} has shape {got}, expected {want}")
+        _check_state(state, config)
     arr = config.arrays
     heads = list(zip(arr.pre.tolist(), arr.post.tolist()))  # sorted pair order
     doc = {
@@ -97,10 +132,7 @@ def save_checkpoint(
             "queues": _pair_rows(heads, queue_rows(config, state.queue)),
             "step_count": int(state.step_count),
         }
-    try:
-        return _ENCODER.encode(doc)
-    except ValueError:  # parameters are checked above, so a trace is non-finite
-        raise CheckpointError("trace state contains non-finite entries") from None
+    return _ENCODER.encode(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +358,12 @@ def load_checkpoint(document: str) -> tuple[Parameters, ModelConfig, TraceState 
                     for i, row in enumerate(gamma_rows)
                 ]
             )
-        # NaN fails both comparisons, so it is rejected with the infinities
-        if not all(((a >= 0.0) & (a < np.inf)).all() for a in (alpha, gamma)):
-            raise CheckpointError("trace_state: traces must be finite and non-negative")
-        queue = _queue(_require(ts, "queues", list, "trace_state"), config)
-        step_count = _require(ts, "step_count", int, "trace_state")
-        if step_count < 0:
-            raise CheckpointError("trace_state.step_count must be >= 0")
         state = TraceState(
             alpha=alpha,
             gamma=gamma,
-            queue=queue,
-            step_count=step_count,
+            queue=_queue(_require(ts, "queues", list, "trace_state"), config),
+            step_count=_require(ts, "step_count", int, "trace_state"),
         )
+        _check_state(state, config)
 
     return params, config, state

@@ -169,7 +169,8 @@ class ModelConfig:
     invalid setting raises ``ConfigError``; for the pair table it names the
     first bad pair in insertion order, whatever its fault. The derived
     tables (``arrays``, ``pairs``, ``pair_index``, ``max_delay``) are built
-    once per config, when first read, so build a new config after an edit.
+    when first read and rebuilt after each ``validate``, so call it after
+    an edit; states and parameters built before an edit do not follow it.
     """
 
     n_units: int
@@ -215,8 +216,11 @@ class ModelConfig:
     def validate(self) -> None:
         """Check the current pair table against ``n_units`` and convert it
         (numpy integers become ints), then the near-window overflow guard
-        on ``mus`` and the longest delay."""
+        on ``mus`` and the longest delay. The derived tables are dropped, so
+        they are rebuilt from the checked fields when next read."""
         self.delays, self._columns = _connectivity(self.delays, self.n_units)
+        for name in ("arrays", "pairs", "pair_index", "max_delay"):
+            self.__dict__.pop(name, None)
         # Overflow guard: a full queue gives the near-window trace
         # sum_{s=1}^{d-1} mu**(-s), largest for the longest delay and the
         # smallest rate. That sum, plus a relative margin for its rounding,

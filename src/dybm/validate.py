@@ -3,6 +3,9 @@
 Each check draws many random models and histories, computes the same
 quantity along the fast path and along the matching brute-force path from
 ``oracle``, and reports the worst disagreement against a fixed tolerance.
+Every check computes one error per case and builds its report through one
+harness (``_report``), whose maximum keeps NaN: a case whose fast path
+gives a non-finite result fails the check instead of vanishing from it.
 Seeded and deterministic: the same seed reproduces the same report.
 """
 
@@ -89,15 +92,28 @@ def random_history(rng: np.random.Generator, config: ModelConfig, length: int) -
 
 
 # ---------------------------------------------------------------------------
-# Checks
+# Checks: each computes one error per case and reports through ``_report``
+
+
+def _worst(*errors) -> float:
+    """The largest entry of ``errors`` (numbers or arrays), 0.0 for none. A
+    NaN stays NaN, where Python's ``max`` would drop it."""
+    return float(np.max([np.max(e, initial=0.0) for e in errors], initial=0.0))
+
+
+def _report(name: str, tolerance: float, errors: list[float], detail: str = "") -> PropertyReport:
+    """The report on one error per case: the worst fails when it is above
+    ``tolerance`` or NaN."""
+    worst = _worst(errors)
+    return PropertyReport(name, worst <= tolerance, worst, tolerance, len(errors), detail)
 
 
 def check_trace_recursion(seed: int = 0, cases: int = 200, max_len: int = 64) -> PropertyReport:
     """Incremental trace updates must equal the definitions evaluated from
     scratch on the full history (and the queues must match exactly)."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(cases):
+
+    def error() -> float:
         config = random_config(rng, max_units=4, max_delay=8, max_rates=3)
         history = random_history(rng, config, int(rng.integers(0, max_len + 1)))
         state = model.init_state(config)
@@ -108,20 +124,11 @@ def check_trace_recursion(seed: int = 0, cases: int = 200, max_len: int = 64) ->
             not np.array_equal(state.queue, direct.queue)
             or state.step_count != direct.step_count
         ):
-            worst = math.inf
-            break
-        err = max(
-            float(np.max(np.abs(state.alpha - direct.alpha), initial=0.0)),
-            float(np.max(np.abs(state.gamma - direct.gamma), initial=0.0)),
-        )
-        worst = max(worst, err)
-    tol = 1e-9
-    return PropertyReport(
-        name="trace recursion matches direct evaluation",
-        passed=worst <= tol,
-        max_error=worst,
-        tolerance=tol,
-        cases=cases,
+            return math.inf
+        return _worst(np.abs(state.alpha - direct.alpha), np.abs(state.gamma - direct.gamma))
+
+    return _report(
+        "trace recursion matches direct evaluation", 1e-9, [error() for _ in range(cases)]
     )
 
 
@@ -129,8 +136,8 @@ def check_energy_expansion(seed: int = 0, cases: int = 100) -> PropertyReport:
     """Trace-form energies and firing probabilities must match the explicit
     lag-matrix double sum once the truncation tail is negligible."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(cases):
+
+    def error() -> float:
         config = random_config(
             rng, max_units=3, max_delay=5, max_rates=2, rate_range=(0.1, 0.5)
         )
@@ -148,6 +155,7 @@ def check_energy_expansion(seed: int = 0, cases: int = 100) -> PropertyReport:
             take = min(window, length)
             padded[window - take :] = history[length - take :]
         expanded = oracle.expand_weights(params, config, horizon)
+        errors = []
         for j in range(config.n_units):
             fast_e = model.unit_energy(params, state, config, j, 1)
             slow_e = oracle.naive_unit_energy(
@@ -155,14 +163,11 @@ def check_energy_expansion(seed: int = 0, cases: int = 100) -> PropertyReport:
             )
             fast_p = model.fire_prob(params, state, config, j)
             slow_p = oracle.naive_fire_prob(expanded, params.bias, config, list(padded), j)
-            worst = max(worst, abs(fast_e - slow_e), abs(fast_p - slow_p))
-    tol = 1e-10
-    return PropertyReport(
-        name="trace energies match expanded weight matrices",
-        passed=worst <= tol,
-        max_error=worst,
-        tolerance=tol,
-        cases=cases,
+            errors += [abs(fast_e - slow_e), abs(fast_p - slow_p)]
+        return _worst(errors)
+
+    return _report(
+        "trace energies match expanded weight matrices", 1e-10, [error() for _ in range(cases)]
     )
 
 
@@ -171,27 +176,31 @@ def check_gradient_finite_difference(
 ) -> PropertyReport:
     """Analytic sequence gradients must match central finite differences of
     the sequence log-likelihood within max(1e-5 relative, 1e-8 absolute);
-    reported error is normalised so that 1.0 sits exactly on the bound."""
+    reported error is normalised so that 1.0 sits exactly on the bound. A
+    log-likelihood that is not finite while differencing fails its case."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(cases):
+
+    def error() -> float:
         config = random_config(
             rng, max_units=3, max_delay=5, max_rates=2, rate_range=(0.3, 0.7)
         )
         params = random_params(rng, config, scale=0.8)
         series = random_history(rng, config, int(rng.integers(1, 21)))
-        analytic = learning.sequence_gradient(params, config, series)
-        numeric = oracle.fd_gradient(params, config, series, h=h)
-        a, f = analytic.theta, numeric.theta
+        a = learning.sequence_gradient(params, config, series).theta
+        try:
+            f = oracle.fd_gradient(params, config, series, h=h).theta
+        except ValueError:  # a non-finite log-likelihood, unless h itself is bad
+            if not h > 0:
+                raise
+            return math.nan
         bound = np.maximum(1e-5 * np.maximum(np.abs(a), np.abs(f)), 1e-8)
-        worst = max(worst, float(np.max(np.abs(a - f) / bound)))
-    return PropertyReport(
-        name="analytic gradients match finite differences",
-        passed=worst <= 1.0,
-        max_error=worst,
-        tolerance=1.0,
-        cases=cases,
-        detail="error normalised to the max(1e-5 rel, 1e-8 abs) bound",
+        return _worst(np.abs(a - f) / bound)
+
+    return _report(
+        "analytic gradients match finite differences",
+        1.0,
+        [error() for _ in range(cases)],
+        "error normalised to the max(1e-5 rel, 1e-8 abs) bound",
     )
 
 
@@ -204,8 +213,8 @@ def check_block_gradient(seed: int = 0, cases: int = 50) -> PropertyReport:
     to four series are cut into blocks of random length, so the sums also
     cross block ends and series start inside a block."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(cases):
+
+    def error() -> float:
         config = random_config(rng, max_units=3, max_delay=5, max_rates=2)
         params = random_params(rng, config)
         lengths = rng.integers(1, 21, size=int(rng.integers(1, 5)))
@@ -218,36 +227,33 @@ def check_block_gradient(seed: int = 0, cases: int = 50) -> PropertyReport:
                 per_step_ll += model.cond_prob(params, state, config, x)[1]
         blocks = learning._blocks(config, dataset, int(rng.integers(1, lengths.sum() + 1)))
         block, block_ll = learning._sequence_grad_ll(params, config, blocks)
-        pairs = zip(
+        errors = []
+        for a, b in zip(
             block.banks + (np.array([block_ll]),), per_step.banks + (np.array([per_step_ll]),)
-        )
-        for a, b in pairs:
-            scale = float(np.max(np.maximum(np.abs(a), np.abs(b)), initial=0.0))
-            if scale > 0.0:
-                worst = max(worst, float(np.max(np.abs(a - b))) / scale)
-    tol = 1e-12
-    return PropertyReport(
-        name="block gradients match per-step sums",
-        passed=worst <= tol,
-        max_error=worst,
-        tolerance=tol,
-        cases=cases,
-        detail="error relative to each bank's largest magnitude",
+        ):
+            scale = _worst(np.maximum(np.abs(a), np.abs(b)))
+            if scale != 0.0:  # a NaN scale is compared, and fails
+                errors.append(_worst(np.abs(a - b)) / scale)
+        return _worst(errors)
+
+    return _report(
+        "block gradients match per-step sums",
+        1e-12,
+        [error() for _ in range(cases)],
+        "error relative to each bank's largest magnitude",
     )
 
 
 def check_tiny_bm(seed: int = 0) -> PropertyReport:
     """Exact enumeration sanity: probabilities normalise, the weight
     gradient is the coincidence difference, and exact ascent drives the
-    gradient to zero."""
+    gradient to zero. Each of the three is one case."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
 
     # normalisation across sizes
-    for n in (1, 2, 3, 6, 8):
-        bm = _random_bm(rng, n)
-        total = float(oracle.bm_probs(bm).sum())
-        worst = max(worst, abs(total - 1.0))
+    normalisation = _worst(
+        [abs(float(oracle.bm_probs(_random_bm(rng, n)).sum()) - 1.0) for n in (1, 2, 3, 6, 8)]
+    )
 
     # single-observation weight gradient equals the coincidence difference
     bm = _random_bm(rng, 3, temperature=1.0)
@@ -256,12 +262,7 @@ def check_tiny_bm(seed: int = 0) -> PropertyReport:
     probs = oracle.bm_probs(bm)
     states = oracle._all_states(3)
     second_moment = states.T @ (states * probs[:, None])
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            hebb = x[i] * x[j] - second_moment[i, j]
-            worst = max(worst, abs(d_w[i, j] - hebb))
+    coincidence = _worst(np.abs(d_w - (np.outer(x, x) - second_moment))[~np.eye(3, dtype=bool)])
 
     # ascent on an interior empirical distribution reaches a stationary point
     dataset = _full_support_dataset()
@@ -278,16 +279,12 @@ def check_tiny_bm(seed: int = 0) -> PropertyReport:
             weights=bm.weights + eta * d_w,
             temperature=bm.temperature,
         )
-    worst = max(worst, norm)
 
-    tol = 1e-6
-    return PropertyReport(
-        name="tiny Boltzmann machine enumeration checks",
-        passed=worst <= tol,
-        max_error=worst,
-        tolerance=tol,
-        cases=3,
-        detail="normalisation, coincidence-form gradient, ascent fixed point",
+    return _report(
+        "tiny Boltzmann machine enumeration checks",
+        1e-6,
+        [normalisation, coincidence, norm],
+        "normalisation, coincidence-form gradient, ascent fixed point",
     )
 
 

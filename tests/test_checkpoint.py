@@ -349,6 +349,48 @@ class TestMalformedDocuments:
         with pytest.raises(CheckpointError, match="non-finite"):
             save_checkpoint(Parameters.zeros(cfg), cfg, state)
 
+    @pytest.mark.parametrize(
+        "field, corrupt",
+        [
+            ("alpha", lambda a: -a),
+            ("alpha", lambda a: a.astype(np.float32)),
+            ("alpha", lambda a: a.astype(np.longdouble)),
+            ("alpha", lambda a: a > 0),
+            ("gamma", lambda g: g.astype(int)),
+            ("gamma", lambda g: np.where(g > 0, np.inf, g)),
+            ("queue", lambda q: q.astype(float)),
+            ("queue", lambda q: q.astype(bool)),
+            ("queue", lambda q: q.astype(np.int64)),
+            ("queue", lambda q: q * 2),
+            ("queue", lambda q: q.astype(np.int8) - 1),
+            ("step_count", lambda n: -1),
+            ("step_count", lambda n: 2.5),
+            ("step_count", lambda n: True),
+            ("step_count", lambda n: np.int64(n)),
+        ],
+        ids=[
+            "negative-alpha", "float32-alpha", "longdouble-alpha", "bool-alpha", "int-gamma",
+            "inf-gamma", "float-queue", "bool-queue", "int64-queue", "queue-bit-2",
+            "queue-bit-minus-1", "negative-step", "fractional-step", "bool-step", "numpy-step",
+        ],
+    )
+    def test_saved_state_loads_back_or_is_refused(self, field, corrupt):
+        # the writer refuses what the reader refuses, so whatever it writes
+        # loads back with the values it was given
+        cfg = ModelConfig.dense(2, delay=3)
+        state = init_state(cfg)
+        for x in ([1, 0], [1, 1], [0, 1]):
+            state = advance(state, cfg, x)
+        setattr(state, field, corrupt(getattr(state, field)))
+        try:
+            document = save_checkpoint(Parameters.zeros(cfg), cfg, state)
+        except CheckpointError:
+            return
+        _, _, loaded = load_checkpoint(document)
+        for name in ("alpha", "gamma", "queue"):
+            assert np.array_equal(getattr(loaded, name), getattr(state, name)), name
+        assert loaded.step_count == state.step_count
+
     def test_non_finite_parameter_rejected(self):
         cfg = ModelConfig.dense(1)
         doc = json.loads(save_checkpoint(Parameters.zeros(cfg), cfg))

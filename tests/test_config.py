@@ -20,8 +20,10 @@ from dybm.model import (
     _features,
     advance,
     cond_prob,
+    expected_footprint,
     fire_probs,
     init_state,
+    measured_footprint,
 )
 
 from conftest import configs
@@ -364,6 +366,21 @@ class TestVectorPass:
         cfg.n_units = 1
         with pytest.raises(ConfigError, match=r"^delays\[\(0, 1\)\]: unit index out of range for 1 units$"):
             cfg.validate()
+
+    def test_validate_rebuilds_the_derived_tables(self, rng):
+        cfg = ModelConfig(2, (0.5,), (0.25,), {(0, 1): 2})
+        assert cfg.arrays.pre.size == 1 and cfg.pairs == ((0, 1),) and cfg.max_delay == 2
+        cfg.delays[(1, 0)] = 3
+        cfg.validate()
+        assert cfg.arrays.pre.tolist() == [0, 1] and cfg.arrays.delay.tolist() == [2, 3]
+        assert cfg.pairs == ((0, 1), (1, 0)) and cfg.pair_index[(1, 0)] == 1
+        assert cfg.max_delay == 3
+        series = (rng.random((12, 2)) < 0.5).astype(np.int64)
+        params, _ = train(Parameters.zeros(cfg), cfg, [series], TrainerConfig(0.05, epochs=1, mode="online"))
+        state = init_state(cfg)
+        for x in series:
+            state = advance(state, cfg, x)
+        assert expected_footprint(cfg) == measured_footprint(state, params)
 
     def test_wide_config_takes_the_vector_pass(self):
         columns = config_module._pair_columns(RING)

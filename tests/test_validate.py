@@ -1,8 +1,10 @@
+import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
-from dybm import config, learning, model
+from dybm import cli, config, learning, model
 from dybm.validate import (
     check_block_gradient,
     check_energy_expansion,
@@ -13,6 +15,18 @@ from dybm.validate import (
 )
 
 from conftest import add_then_decay_advance
+
+
+@pytest.fixture
+def nan_drives(monkeypatch):
+    """Every drive, along every fast path, is NaN."""
+    drives = model._drives
+
+    def nan(*args):
+        return np.full_like(drives(*args), np.nan)
+
+    monkeypatch.setattr(model, "_drives", nan)
+    monkeypatch.setattr(learning, "_drives", nan)
 
 
 class TestChecks:
@@ -74,3 +88,37 @@ class TestChecks:
         line = report.line()
         assert line.startswith("PASS") or line.startswith("FAIL")
         assert "max error" in line
+
+
+class TestNaNFails:
+    """A fast path that returns NaN must fail its check, not vanish from
+    the worst error."""
+
+    def test_nan_alpha_fails_trace_recursion(self, monkeypatch):
+        advance = model.advance
+
+        def nan_alpha(*args):
+            out = advance(*args)
+            out.alpha[:] = np.nan
+            return out
+
+        monkeypatch.setattr(model, "advance", nan_alpha)
+        report = check_trace_recursion(seed=0, cases=10)
+        assert not report.passed
+        assert math.isnan(report.max_error)
+
+    @pytest.mark.parametrize(
+        "check",
+        [check_energy_expansion, check_gradient_finite_difference, check_block_gradient],
+    )
+    def test_nan_drives_fail(self, nan_drives, check):
+        report = check(seed=0, cases=5)
+        assert not report.passed
+        assert math.isnan(report.max_error)
+        assert report.cases == 5
+
+    def test_validate_command_reports_nan_drives(self, nan_drives, capsys):
+        assert cli.main(["validate", "--seed", "0"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["PASS", "FAIL", "FAIL", "PASS", "FAIL"]
+        assert all("max error nan" in line for line in lines if line.startswith("FAIL"))
