@@ -7,12 +7,14 @@ Exports HEAD with ``git archive`` into a temporary directory, as
 ``bench_pairs.py`` does, and runs the same ``dybm`` commands on it and on
 the working tree, each from ``src/`` of its own tree and in its own empty
 directory: ``train`` on both bundled fixtures, on the ``random_n3``
-fixture cut into series of 1, 7, 16 and 24 slices, and on a copy of it
-with CRLF line ends, a blank line and space-padded cells, each in both
-modes; ``eval`` of every checkpoint and of a hand-edited copy of it (pair
-rows reversed, integral values written as JSON integers); ``generate``
-(sample and argmax, with and without ``--primer``, and from an edited
-copy); ``validate``; and ``train`` on three copies of the ``random_n3``
+fixture cut into series of 1, 7, 16 and 24 slices, on a copy of it
+with CRLF line ends, a blank line and space-padded cells, and on the
+fixture under a mixed run configuration (delays 1, 2, 5 and 9, two
+arrival and three near-window rates), each in both modes; ``eval`` of
+every checkpoint and of a hand-edited copy of it (pair rows reversed,
+integral values written as JSON integers); ``generate`` (sample and
+argmax, with and without ``--primer``, from an edited copy, and from the
+mixed model); ``validate``; and ``train`` on three copies of the ``random_n3``
 run configuration that ``ModelConfig`` rejects (a pair with an index out of
 range, a zero delay, a delay past the overflow guard), each of which exits
 2. The edited copies' ``u`` and ``v`` and the padded CSV take the readers'
@@ -45,6 +47,12 @@ REJECTED = {
     "zero-delay": [1, 1, 0],
     "overflowing-delay": [1, 1, 2000],  # (1 / 0.25) ** 1999 is beyond the double range
 }
+# the mixed run configuration: random_n3's with these decay rates, these
+# delays given to its pairs in turn and a learning rate at which both modes
+# ascend (near-window coefficients grow to 0.75**-8 at delay 9)
+MIXED_RATES = {"lambdas": [0.5, 0.8], "mus": [0.75, 0.85, 0.95]}
+MIXED_DELAYS = (1, 2, 5, 9)
+MIXED_LEARNING_RATE = 3e-4
 
 
 def _runs(fix: Path) -> list[tuple[str, list[str]]]:
@@ -57,6 +65,7 @@ def _runs(fix: Path) -> list[tuple[str, list[str]]]:
         "random_n3": (f"{fix}/random_n3_run.json", [f"{fix}/random_n3.csv"]),
         "split": (f"{fix}/random_n3_run.json", [f"part{k}.csv" for k in range(len(SPLIT))]),
         "padded": (f"{fix}/random_n3_run.json", ["padded.csv"]),
+        "mixed": ("mixed_run.json", [f"{fix}/random_n3.csv"]),
     }
     for name, (config, data) in datasets.items():
         for mode in ("full_batch", "online"):
@@ -72,6 +81,9 @@ def _runs(fix: Path) -> list[tuple[str, list[str]]]:
                                 "--mode", mode, "--seed", "5", *primer]))
     runs.append(("generate-edited", ["generate", "random_n3-online-edited.json", "--horizon",
                                      "60", "--mode", "sample", "--seed", "5"]))
+    runs.append(("generate-mixed", ["generate", "mixed-online.json", "--horizon", "60",
+                                    "--mode", "sample", "--seed", "5",
+                                    "--primer", f"{fix}/random_n3.csv"]))
     runs.append(("validate", ["validate"]))
     for name in REJECTED:
         runs.append((name, ["train", f"{name}_run.json", f"{fix}/random_n3.csv", "--out",
@@ -106,6 +118,18 @@ def _rejected(run_config: Path, work: Path) -> None:
         (work / f"{name}_run.json").write_text(json.dumps(run), encoding="utf-8")
 
 
+def _mixed(run_config: Path, work: Path) -> None:
+    """Write ``mixed_run.json``: the run configuration with ``MIXED_RATES``,
+    its pairs' delays taken from ``MIXED_DELAYS`` in turn and
+    ``MIXED_LEARNING_RATE``."""
+    run = json.loads(run_config.read_text(encoding="utf-8"))
+    run["config"].update(MIXED_RATES)
+    run["trainer"]["learning_rate"] = MIXED_LEARNING_RATE
+    for k, row in enumerate(run["config"]["connectivity"]):
+        row[2] = MIXED_DELAYS[k % len(MIXED_DELAYS)]
+    (work / "mixed_run.json").write_text(json.dumps(run), encoding="utf-8")
+
+
 def _edited(document: str) -> str:
     """The checkpoint with its pair rows reversed and every integral value
     but -0.0 written as a JSON integer: the same model, off the layout
@@ -137,6 +161,7 @@ def _outputs(tree: Path, work: Path) -> dict[str, str]:
     _split(fixtures / "random_n3.csv", work)
     _padded(fixtures / "random_n3.csv", work)
     _rejected(fixtures / "random_n3_run.json", work)
+    _mixed(fixtures / "random_n3_run.json", work)
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     out = {}
     for name, argv in _runs(fixtures):

@@ -63,8 +63,9 @@ def _check_state(state: TraceState, config: ModelConfig) -> None:
     """Reject a trace state that would not load back as it is. The writer
     checks the state it is given, the reader the state it decoded, so the
     writer refuses what the reader refuses: float64 traces of the config's
-    shapes, finite and non-negative, an integer queue of 0/1 bits and an
-    integer ``step_count`` >= 0."""
+    shapes, finite and non-negative, an integer queue of 0/1 bits in which
+    each pair's segment is a prefix of the longest segment from its source
+    unit, and an integer ``step_count`` >= 0."""
     shapes = {
         "alpha": (config.n_pairs, config.n_lambda),
         "gamma": (config.n_units, config.n_mu),
@@ -87,6 +88,17 @@ def _check_state(state: TraceState, config: ModelConfig) -> None:
     queue = state.queue
     if queue.dtype.kind not in "iu" or not ((queue == 0) | (queue == 1)).all():
         raise CheckpointError("trace_state.queue: expected bits, each 0 or 1")
+    arr = config.arrays
+    pair = np.repeat(np.arange(config.n_pairs), arr.delay - 1)  # of each queue bit
+    lag = np.arange(queue.size) - arr.queue_bounds[pair] + 1
+    differs = queue != queue.take(arr.lag_src[lag, arr.pre[pair]])
+    if differs.any():
+        m = pair[differs.argmax()]
+        i, j = int(arr.pre[m]), int(arr.post[m])
+        raise CheckpointError(
+            f"trace_state.queues: pair ({i}, {j}) disagrees with another queue from unit "
+            f"{i}; every queue from one unit holds a prefix of the same history"
+        )
     step_count = state.step_count
     if isinstance(step_count, bool) or not isinstance(step_count, (int, np.integer)):
         raise CheckpointError("trace_state.step_count: expected an integer")

@@ -278,10 +278,10 @@ class _DerivedArrays:
     """Per-config numpy views used by the per-step kernels, built in array
     passes from the config's sorted pair columns. One config is shared by
     every state and parameter vector built on it, so every array is
-    read-only except the four that each step passes to ``np.bincount`` as
+    read-only except the three that each step passes to ``np.bincount`` as
     its index (``BINCOUNT_INDEXES``): bincount copies a read-only index
     array on every call, which cost about 2% of an online step at 2048
-    pairs. Never write to those four either.
+    pairs. Never write to those three either.
 
     ``pre``, ``post`` and ``delay`` are the int64 source unit, target unit
     and delay of each pair, in sorted pair order (the row order of ``u``,
@@ -291,18 +291,25 @@ class _DerivedArrays:
     the segment ``queue_bounds[m]:queue_bounds[m + 1]`` (its last ``d - 1``
     source values, newest first), so delay-1 pairs own none.
     ``queue_start`` and ``queue_pre`` are the first (newest) position and
-    the source unit of each non-empty segment. ``beta_coeff[l, q]`` is
-    ``mus[l]**(-lag)`` for the lag of flat position ``q``, and
-    ``beta_bin[l, q]`` the index of (its pair, ``l``) in a flattened
-    (n_pairs, n_mu) array.
+    the source unit of each non-empty segment.
+
+    Near-window tables, with ``D = max_delay``: every pair from unit ``i``
+    queues the same history of ``i``, so any pair's copy of its lag ``s``
+    will do. ``lag_src[s, i]`` (D, N) is the flat position of one such
+    copy, and ``lag_coeff[s, l, i]`` (D, n_mu, N) is ``mus[l]**(-s)``. Row
+    0, and the lags that no pair from ``i`` queues, point at position 0
+    with coefficient 0. ``beta_at[m, l]`` indexes row ``d - 1`` of (pair
+    ``m``'s source, rate ``l``) in the flattened (D, n_mu, N) running sum
+    of those terms over the lags.
 
     Rate tables have the full (n_pairs, n_lambda), (n_pairs, n_mu) or
     (n_units, n_mu) shape of the traces they meet: numpy runs an
     elementwise operation on equal shapes as one contiguous loop, but
     broadcasting along the short rate axis costs one loop per row.
     ``post_k``/``post_l`` and ``pre_l`` repeat each pair's target and source
-    unit along its rates, ``lam_k`` repeats the arrival rates along the
-    pairs and ``mu_l`` the source rates along the units, ``gamma_post``
+    unit along its rates (``post_l`` is ``post_k`` itself when there are as
+    many near-window as arrival rates), ``lam_k`` repeats the arrival rates
+    along the pairs and ``mu_l`` the source rates along the units, ``gamma_post``
     indexes the flattened source trace of each pair's target, and
     ``arrival_k`` indexes the bit that arrives on each pair in
     ``concatenate((slice, queue))``: the source unit itself for delay 1,
@@ -311,7 +318,7 @@ class _DerivedArrays:
     ``Parameters`` and ``Gradient``.
     """
 
-    BINCOUNT_INDEXES = ("beta_bin", "post_k", "post_l", "pre_l")
+    BINCOUNT_INDEXES = ("post_k", "post_l", "pre_l")
 
     def __init__(self, config: ModelConfig) -> None:
         if config._columns is None:  # only a valid config with a unit index beyond int64
@@ -326,13 +333,24 @@ class _DerivedArrays:
         queued = np.flatnonzero(lengths > 0)
         self.queue_start = self.queue_bounds[queued]
         self.queue_pre = pre[queued]
+        # lag s of unit i, at any pair's copy of it: every copy holds the same bit
+        n, size = config.n_units, int(self.queue_bounds[-1])
         queue_pair = np.repeat(np.arange(config.n_pairs), lengths)
-        lags = np.arange(int(self.queue_bounds[-1])) - self.queue_bounds[queue_pair] + 1
-        self.beta_coeff = self.mu[:, None] ** (-lags[None, :])
-        self.beta_bin = queue_pair[None, :] * n_mu + np.arange(n_mu)[:, None]
+        queue_lag = np.arange(size) - self.queue_bounds[queue_pair] + 1
+        position = np.full((config.max_delay, n), size)
+        position[queue_lag, pre[queue_pair]] = np.arange(size)
+        self.lag_src = np.where(position < size, position, 0)
+        # the powers of every queue position in one call, the values a sum
+        # over each pair's own segment uses: numpy's power can round the last
+        # bit differently for another array layout. The extra zero column is
+        # the padding's coefficient.
+        coeff = np.zeros((n_mu, size + 1))
+        coeff[:, :size] = self.mu[:, None] ** (-queue_lag[None, :])
+        self.lag_coeff = coeff.take(position[:, None, :] + (size + 1) * np.arange(n_mu)[:, None])
+        self.beta_at = ((delay - 1) * (n_mu * n) + pre)[:, None] + n * np.arange(n_mu)
 
         self.post_k = np.repeat(post[:, None], n_lambda, axis=1)
-        self.post_l = np.repeat(post[:, None], n_mu, axis=1)
+        self.post_l = self.post_k if n_mu == n_lambda else np.repeat(post[:, None], n_mu, axis=1)
         self.pre_l = np.repeat(pre[:, None], n_mu, axis=1)
         self.lam_k = np.tile(self.lam, (config.n_pairs, 1))
         self.mu_l = np.tile(self.mu, (config.n_units, 1))
@@ -385,6 +403,13 @@ class _FlatBanks:
     def copy(self):
         return self._wrap(self.theta.copy(), self.shapes)
 
+    def _non_finite_bank(self) -> str | None:
+        """Name of the first bank, in ``theta`` order, that holds a
+        non-finite entry; None when every entry is finite."""
+        if np.isfinite(self.theta).all():
+            return None
+        return next(n for n, bank in zip(self.names, self.banks) if not np.isfinite(bank).all())
+
     def __reduce__(self):  # so that copy.deepcopy and pickle keep the banks views
         return type(self)._wrap, (self.theta, self.shapes)
 
@@ -410,8 +435,8 @@ class Parameters(_FlatBanks):
         for name, got, want in zip(self.names, self.shapes, config.arrays.bank_shapes):
             if got != want:
                 raise ValueError(f"parameter {name} has shape {got}, expected {want}")
-        if not np.isfinite(self.theta).all():
-            name = next(n for n, bank in zip(self.names, self.banks) if not np.isfinite(bank).all())
+        name = self._non_finite_bank()
+        if name is not None:
             raise ValueError(f"parameter {name} contains non-finite entries")
 
 

@@ -91,7 +91,8 @@ class Gradient(_FlatBanks):
         sq = self._theta * self._theta
         a = self.d_bias.size
         b = a + self.d_u.size
-        return math.sqrt(sum(float(part.sum()) for part in (sq[:a], sq[a:b], sq[b:])))
+        add = np.add.reduce
+        return math.sqrt(add(sq[:a]) + add(sq[a:b]) + add(sq[b:]))
 
 
 @dataclass
@@ -157,10 +158,13 @@ def _grad_logp(params: Parameters, config: ModelConfig, f: _Features, out: np.nd
     e = np.exp(-np.abs(z))
     r = np.divide(f.x - _sigmoid(z, e), config.temperature, out=out[..., :a])
     flat = r.ravel()  # the feature indices address the flattened unit axis
-    np.multiply(f.alpha, flat[f.post_k], out=out[..., a:b].reshape(f.alpha.shape))
-    d_v = np.multiply(f.beta, flat[f.post_l], out=out[..., b:-1].reshape(f.beta.shape))
+    r_post = flat.take(f.post_k)
+    np.multiply(f.alpha, r_post, out=out[..., a:b].reshape(f.alpha.shape))
+    if f.post_l is not f.post_k:
+        r_post = flat.take(f.post_l)
+    d_v = np.multiply(f.beta, r_post, out=out[..., b:-1].reshape(f.beta.shape))
     np.negative(d_v, out=d_v)  # -(β·r) rounds as (-β)·r does
-    d_v -= f.gamma_post * flat[f.pre_l]
+    d_v -= f.gamma_post * flat.take(f.pre_l)
     out[..., -1] = _log_probs(z, f.x, e)
     return out
 
@@ -209,13 +213,14 @@ def _block(config: ModelConfig, steps: int) -> _Features:
     ``_blocks``."""
     arr, m = config.arrays, config.n_pairs
     offset = config.n_units * np.arange(steps)[:, None, None]
+    post_k = arr.post_k + offset
     return _Features(
         x=np.empty((steps, config.n_units), dtype=np.int64),
         alpha=np.empty((steps, m, config.n_lambda)),
         beta=np.empty((steps, m, config.n_mu)),
         gamma_post=np.empty((steps, m, config.n_mu)),
-        post_k=arr.post_k + offset,
-        post_l=arr.post_l + offset,
+        post_k=post_k,
+        post_l=post_k if arr.post_l is arr.post_k else arr.post_l + offset,
         pre_l=arr.pre_l + offset,
     )
 
@@ -329,8 +334,8 @@ def sgd_update(
         raise ValueError("out must be None or the parameters themselves")
     with np.errstate(over="ignore", invalid="ignore"):  # the result is checked below
         np.add(params.theta, learning_rate * grad.theta, out=out.theta)
-    if not np.isfinite(out.theta).all():
-        name = next(n for n, bank in zip(out.names, out.banks) if not np.isfinite(bank).all())
+    name = out._non_finite_bank()
+    if name is not None:
         raise ValueError(f"update produced non-finite {name}")
     return out
 
@@ -382,13 +387,18 @@ def train(
         return (time.perf_counter() - start) * 1000.0
 
     def update(grad: Gradient, log_likelihood: float, epoch: int, step: int) -> None:
-        try:
-            sgd_update(params, grad, trainer.learning_rate, out=params)
-        except ValueError as exc:  # shapes match here, so the result was non-finite
-            raise TrainingDiverged(
-                f"{exc} at epoch {epoch}, step {step}; training aborted", epoch, step
-            ) from None
-        _check_guard(params, epoch, step)
+        # sgd_update's step in place, checked by one pass over theta; only a
+        # failed pass looks for a non-finite bank, which is reported first
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add(params.theta, trainer.learning_rate * grad.theta, out=params.theta)
+        if not np.abs(params.theta).max(initial=0.0) <= DIVERGENCE_LIMIT:
+            name = params._non_finite_bank()
+            if name is not None:
+                raise TrainingDiverged(
+                    f"update produced non-finite {name} at epoch {epoch}, step {step}; "
+                    "training aborted", epoch, step
+                )
+            _check_guard(params, epoch, step)
         gnorm = grad.norm()
         metrics.grad_norms.append(gnorm)
         if record_sink is not None:

@@ -20,10 +20,15 @@ segment boundary) and reads each segment's oldest bit as the arrival.
 
 The near-window trace ``beta[m, l]`` is derived from the queue on every
 step, never carried recursively: carrying it forward would repeatedly
-multiply by ``1/mu`` and is numerically unstable. It is one segmented sum
-of queue bits times the precomputed ``mu**(-lag)`` table. The coefficients
-grow toward the delay horizon on purpose (they mirror the near side of the
-weight kernel); the configuration validator bounds their sum.
+multiply by ``1/mu`` and is numerically unstable. Every pair from one
+source unit queues a prefix of the same history, so the queued bits times
+the precomputed ``mu**(-lag)`` table are summed in lag order once per
+source unit and rate, and each pair reads the partial sum at its own
+delay: d_max - 1 adds per source and rate, d_max being the longest delay
+of the config, and one gather per pair and rate.
+The coefficients grow toward the delay horizon on purpose (they mirror the
+near side of the weight kernel); the configuration validator bounds their
+sum.
 
 The next slice's conditional reads a state only through its features
 (``_Features``). One state's features and a stack of T states' go through
@@ -65,8 +70,13 @@ class TraceState:
     """Everything the model remembers about the past.
 
     ``queue`` is the flat ``uint8`` array of in-transit bits described in
-    the module docstring. ``step_count`` counts absorbed slices. States
-    compare and hash by identity, as their fields are arrays.
+    the module docstring. Every pair from unit ``i`` queues the same
+    history of ``i``, so each pair's segment is a prefix of the longest
+    segment from ``i``. Every state that ``init_state`` and ``advance``
+    reach keeps this, the near-window trace reads it (``_beta_matrix``),
+    and checkpoints refuse a state that breaks it. ``step_count`` counts
+    absorbed slices. States compare and hash by identity, as their fields
+    are arrays.
     """
 
     alpha: np.ndarray
@@ -131,9 +141,9 @@ def advance(state: TraceState, config: ModelConfig, new_slice, out: TraceState |
     elif out is not state:
         raise ValueError("out must be None or the state itself")
     arr = config.arrays
-    arrived = np.concatenate((x, out.queue))[arr.arrival_k]  # before the shift
+    arrived = np.concatenate((x, out.queue)).take(arr.arrival_k)  # before the shift
     out.queue[1:] = out.queue[:-1]
-    out.queue[arr.queue_start] = x[arr.queue_pre]
+    out.queue[arr.queue_start] = x.take(arr.queue_pre)
     out.alpha *= arr.lam_k
     out.alpha += arrived
     out.gamma += x[:, None]
@@ -144,14 +154,18 @@ def advance(state: TraceState, config: ModelConfig, new_slice, out: TraceState |
 
 def _beta_matrix(state: TraceState, config: ModelConfig) -> np.ndarray:
     """Near-window traces for all pairs, shape (n_pairs, n_mu); computed
-    fresh from the queue on every call as one segmented sum over the flat
-    queue (delay-1 pairs own no bits and get zero)."""
+    fresh from the queue on every call. Each source unit's weighted lags
+    are summed in lag order, once per rate, and pair (i, j) with delay d
+    reads the partial sum of source i after lag d - 1, which adds the same
+    terms in the same order as a sum over the pair's own segment. Row 0
+    is zero, so delay-1 pairs read zero."""
     arr = config.arrays
-    weighted = arr.beta_coeff * state.queue
-    size = config.n_pairs * config.n_mu
-    b = np.bincount(arr.beta_bin.ravel(), weights=weighted.ravel(), minlength=size)
-    # bincount returns integers when there is nothing to sum
-    return b.astype(np.float64, copy=False).reshape(config.n_pairs, config.n_mu)
+    if not state.queue.size:
+        return np.zeros((config.n_pairs, config.n_mu))
+    w = arr.lag_coeff * state.queue.take(arr.lag_src)[:, None, :]
+    for s in range(2, len(w)):
+        np.add(w[s - 1], w[s], out=w[s])
+    return w.take(arr.beta_at)
 
 
 def _check_index(kind: str, index: int, size: int) -> None:
@@ -195,7 +209,7 @@ def _features(state: TraceState, config: ModelConfig, x: np.ndarray | None = Non
     computed once, and ``config.arrays``' pair-to-unit indices."""
     arr = config.arrays
     b = _beta_matrix(state, config)
-    gamma_post = state.gamma.ravel()[arr.gamma_post]
+    gamma_post = state.gamma.take(arr.gamma_post)
     return _Features(x, state.alpha, b, gamma_post, arr.post_k, arr.post_l, arr.pre_l)
 
 
@@ -243,7 +257,7 @@ def _sigmoid(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
     """Logistic function, evaluated through ``e`` = exp(-|z|) (computed
     when not given) so that no branch can overflow."""
     e = np.exp(-np.abs(z)) if e is None else e
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _log_probs(z: np.ndarray, x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:

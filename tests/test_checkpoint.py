@@ -224,6 +224,42 @@ class TestVectorPass:
         assert save_checkpoint(loaded, loaded_cfg, loaded_state) == text
 
 
+class TestQueuePrefix:
+    """Every pair from one unit queues a prefix of that unit's history, and
+    the near-window trace relies on it: save and load both refuse a state
+    whose queues disagree, and every walked state round-trips."""
+
+    # one source unit, two pairs: (0, 0) queues 2 bits, (0, 1) queues 3
+    CFG = ModelConfig(2, (0.5,), (0.25, 0.6), {(0, 0): 3, (0, 1): 4})
+
+    def walked(self, length):
+        state = init_state(self.CFG)
+        for x in (np.random.default_rng(23).random((length, 2)) < 0.5).astype(int):
+            advance(state, self.CFG, x, state)
+        return state
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 5, 11])
+    def test_walked_states_round_trip(self, length):
+        state = self.walked(length)
+        _, _, loaded = roundtrip(Parameters.zeros(self.CFG), self.CFG, state)
+        assert loaded.queue.tobytes() == state.queue.tobytes()
+        assert loaded.step_count == state.step_count
+
+    @pytest.mark.parametrize("position", [0, 1], ids=["newest", "oldest"])
+    def test_save_refuses_disagreeing_bits(self, position):
+        state = self.walked(6)
+        state.queue[position] ^= 1  # a bit of pair (0, 0), the shorter queue
+        with pytest.raises(CheckpointError, match=r"^trace_state\.queues: pair \(0, 0\) disagrees"):
+            save_checkpoint(Parameters.zeros(self.CFG), self.CFG, state)
+
+    @pytest.mark.parametrize("row, bits", [(0, [1, 0]), (1, [0, 1, 1])], ids=["(0, 0)", "(0, 1)"])
+    def test_load_refuses_disagreeing_bits(self, row, bits):
+        doc = json.loads(save_checkpoint(Parameters.zeros(self.CFG), self.CFG, init_state(self.CFG)))
+        doc["trace_state"]["queues"][row][2] = bits
+        with pytest.raises(CheckpointError, match=r"^trace_state\.queues: pair \(0, 0\) disagrees"):
+            load_checkpoint(json.dumps(doc))
+
+
 class TestMalformedDocuments:
     def test_truncated_document(self, rng):
         cfg = ModelConfig.dense(2)

@@ -60,6 +60,14 @@ RING = ModelConfig(
 )
 # the network of the fullbatch_small benchmark workload
 SMALL_DENSE = ModelConfig.dense(3, lambdas=(0.5,), mus=(0.25,), delay=2)
+# unit 0 feeds every unit at delay 3 (one (source, delay) key, three
+# pairs), unit 1 at delays 1, 4 and 4, and unit 2 only at delay 1
+KEYED = ModelConfig(
+    3,
+    (0.5,),
+    (0.6,),
+    {(0, 0): 3, (0, 1): 3, (0, 2): 3, (1, 0): 1, (1, 1): 4, (1, 2): 4, (2, 0): 1, (2, 2): 1},
+)
 
 
 def walk(cfg, history):
@@ -158,6 +166,62 @@ class TestAgainstTraceDefinitions:
         np.testing.assert_array_equal(packed, state.queue)
         with pytest.raises(ValueError, match="delays"):
             pack_queue_rows(MIXED, rows[:-1])
+
+
+def beta_per_pair(cfg, state) -> np.ndarray:
+    """The near-window trace summed over each pair's own queue segment, lag
+    by lag from 0.0, newest bit (lag 1) first. The coefficients are numpy's
+    powers of every queue position's lag in one call, as the model's are:
+    numpy rounds the last bit of a power differently for another array
+    layout, and so does Python's ``**``."""
+    bounds = cfg.arrays.queue_bounds
+    lags = np.array([lag for d in cfg.arrays.delay.tolist() for lag in range(1, d)], dtype=np.int64)
+    coeff = np.asarray(cfg.mus)[:, None] ** (-lags[None, :])
+    out = np.zeros((cfg.n_pairs, cfg.n_mu))
+    for m in range(cfg.n_pairs):
+        start, stop = bounds[m], bounds[m + 1]
+        for ell in range(cfg.n_mu):
+            total = 0.0
+            for bit, c in zip(state.queue[start:stop].tolist(), coeff[ell, start:stop]):
+                total += c * bit
+            out[m, ell] = total
+    return out
+
+
+class TestPerSourceBeta:
+    """``_beta_matrix`` sums each source unit's lags once and hands every
+    pair the partial sum at its delay; that is the per-pair sum, byte for
+    byte, on every state a walk reaches."""
+
+    @staticmethod
+    def check(cfg, history):
+        state = init_state(cfg)
+        for x in history:
+            got = _beta_matrix(state, cfg)
+            assert got.shape == (cfg.n_pairs, cfg.n_mu) and got.dtype == np.float64
+            assert got.tobytes() == beta_per_pair(cfg, state).tobytes()
+            advance(state, cfg, x, state)
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_walked_states(self, data):
+        cfg = data.draw(configs(max_units=4, max_delay=7, max_rates=3, allow_empty=True))
+        self.check(cfg, data.draw(histories(cfg, max_len=30)))
+
+    @pytest.mark.parametrize(
+        "cfg", [MIXED, KEYED, ALL_DELAY_ONE, EMPTY, ONE_UNIT, RING],
+        ids=["mixed", "keyed", "delay1", "empty", "one-unit", "ring"],
+    )
+    def test_fixed_configs(self, cfg):
+        rng = np.random.default_rng(47)
+        self.check(cfg, (rng.random((25, cfg.n_units)) < 0.5).astype(np.int64))
+
+    def test_long_delays_several_rates(self):
+        # dozens of lags per sum, where another add order would round differently
+        rng = np.random.default_rng(53)
+        delays = {(i, j): int(rng.integers(1, 40)) for i in range(4) for j in range(4)}
+        cfg = ModelConfig(4, (0.5,), tuple(rng.uniform(0.3, 0.95, size=3)), delays)
+        self.check(cfg, (rng.random((70, 4)) < 0.5).astype(np.int64))
 
 
 def assert_same_state(got, want):
