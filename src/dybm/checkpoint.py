@@ -40,7 +40,7 @@ from operator import itemgetter
 import numpy as np
 
 from .config import ModelConfig, Parameters
-from .model import TraceState, pack_queue_rows, queue_rows
+from .model import TraceState, _check_queue_history, pack_queue_rows, queue_rows
 
 __all__ = ["CheckpointError", "FORMAT_VERSION", "save_checkpoint", "load_checkpoint"]
 
@@ -88,17 +88,10 @@ def _check_state(state: TraceState, config: ModelConfig) -> None:
     queue = state.queue
     if queue.dtype.kind not in "iu" or not ((queue == 0) | (queue == 1)).all():
         raise CheckpointError("trace_state.queue: expected bits, each 0 or 1")
-    arr = config.arrays
-    pair = np.repeat(np.arange(config.n_pairs), arr.delay - 1)  # of each queue bit
-    lag = np.arange(queue.size) - arr.queue_bounds[pair] + 1
-    differs = queue != queue.take(arr.lag_src[lag, arr.pre[pair]])
-    if differs.any():
-        m = pair[differs.argmax()]
-        i, j = int(arr.pre[m]), int(arr.post[m])
-        raise CheckpointError(
-            f"trace_state.queues: pair ({i}, {j}) disagrees with another queue from unit "
-            f"{i}; every queue from one unit holds a prefix of the same history"
-        )
+    try:
+        _check_queue_history(config, queue)
+    except ValueError as err:
+        raise CheckpointError(f"trace_state.queues: {err}") from None
     step_count = state.step_count
     if isinstance(step_count, bool) or not isinstance(step_count, (int, np.integer)):
         raise CheckpointError("trace_state.step_count: expected an integer")
@@ -291,7 +284,11 @@ def _queue(rows: list, config: ModelConfig) -> np.ndarray:
             raise CheckpointError(f"{at}: expected {n} bits, each 0 or 1")
         return x
 
-    return pack_queue_rows(config, _pair_values(rows, config, "trace_state.queues", read))
+    values = _pair_values(rows, config, "trace_state.queues", read)
+    try:
+        return pack_queue_rows(config, values)
+    except ValueError as err:  # rows from one unit that disagree
+        raise CheckpointError(f"trace_state.queues: {err}") from None
 
 
 def _read_config(doc: dict, where: str) -> ModelConfig:

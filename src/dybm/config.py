@@ -274,6 +274,16 @@ class ModelConfig:
         return _DerivedArrays(self)
 
 
+def _accumulates(lags: int, width: int) -> bool:
+    """Whether a (lags, width) block of near-window terms is summed over its
+    lags faster by one ``np.add.accumulate`` than by ``lags - 1`` row adds;
+    both add in the same order. Measured on a 2-vCPU Xeon with numpy 2.4:
+    accumulate costs about 20 ns per column plus 3.5 ns per term, a row add
+    about 1.2 us per call plus 0.6 ns per term. So long, narrow blocks
+    accumulate and short, wide ones add rows."""
+    return width * (20 + 3.5 * lags) < (lags - 1) * (1200 + 0.6 * width)
+
+
 class _DerivedArrays:
     """Per-config numpy views used by the per-step kernels, built in array
     passes from the config's sorted pair columns. One config is shared by
@@ -293,14 +303,23 @@ class _DerivedArrays:
     ``queue_start`` and ``queue_pre`` are the first (newest) position and
     the source unit of each non-empty segment.
 
-    Near-window tables, with ``D = max_delay``: every pair from unit ``i``
-    queues the same history of ``i``, so any pair's copy of its lag ``s``
-    will do. ``lag_src[s, i]`` (D, N) is the flat position of one such
-    copy, and ``lag_coeff[s, l, i]`` (D, n_mu, N) is ``mus[l]**(-s)``. Row
-    0, and the lags that no pair from ``i`` queues, point at position 0
-    with coefficient 0. ``beta_at[m, l]`` indexes row ``d - 1`` of (pair
-    ``m``'s source, rate ``l``) in the flattened (D, n_mu, N) running sum
-    of those terms over the lags.
+    Near-window tables: every pair from unit ``i`` queues the same history
+    of ``i``, so the segment of the first longest pair from ``i`` (its
+    lead, starting at queue position ``lead_start[i]``, the queue length
+    when ``i`` queues nothing) holds every lag that any pair from ``i``
+    needs. Units are grouped into blocks by the
+    bit length of (their lag count - 1), so a block's lag count is less
+    than twice that of each of its units. A block of ``n`` units and
+    ``L`` lags owns a run of ``L * n_mu * n`` slots, laid out as
+    (lag, rate, unit), and ``lag_runs`` holds ``(start, stop, (L, n_mu *
+    n), accumulates)`` for each block with ``L > 1``. ``lag_src`` is the
+    queue position each slot reads (a lead bit, or 0 past the unit's own
+    lags) and ``lag_coeff`` its ``mus[l]**(-lag)`` (0 past the unit's
+    lags), so the tables hold fewer than twice as many slots as there are
+    distinct (unit, lag, rate) terms, and never more than twice the queue
+    times ``n_mu``. A last slot, read by delay-1 pairs, is always 0.
+    ``beta_at[m, l]`` is the slot of (pair ``m``'s source, rate ``l``) at
+    lag ``d - 1``, where the running sum over the lags stops.
 
     Rate tables have the full (n_pairs, n_lambda), (n_pairs, n_mu) or
     (n_units, n_mu) shape of the traces they meet: numpy runs an
@@ -333,21 +352,54 @@ class _DerivedArrays:
         queued = np.flatnonzero(lengths > 0)
         self.queue_start = self.queue_bounds[queued]
         self.queue_pre = pre[queued]
-        # lag s of unit i, at any pair's copy of it: every copy holds the same bit
+        # near-window tables (class docstring)
         n, size = config.n_units, int(self.queue_bounds[-1])
         queue_pair = np.repeat(np.arange(config.n_pairs), lengths)
         queue_lag = np.arange(size) - self.queue_bounds[queue_pair] + 1
-        position = np.full((config.max_delay, n), size)
-        position[queue_lag, pre[queue_pair]] = np.arange(size)
-        self.lag_src = np.where(position < size, position, 0)
+        top = np.zeros(n, dtype=np.int64)  # lags of each unit's longest queue
+        np.maximum.at(top, pre, lengths)
+        longest = np.flatnonzero(lengths == top[pre])
+        self.lead_start = np.full(n, size)  # of the first of them
+        np.minimum.at(self.lead_start, pre[longest], self.queue_bounds[longest])
+        # blocks of units whose lag counts share a bit length, in that order
+        sources = np.flatnonzero(top)
+        group = np.frexp(top[sources] - 1.0)[1]
+        order = np.argsort(group, kind="stable")
+        units, group = sources[order], group[order]
+        cuts = (np.flatnonzero(group[1:] != group[:-1]) + 1).tolist()
+        edges = [0, *cuts, units.size] if units.size else []
+        base, width = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        runs, total = [], 0
+        for lo, hi in zip(edges, edges[1:]):
+            members = units[lo:hi]
+            lags, w = int(top[members].max()), n_mu * (hi - lo)
+            base[members] = total + np.arange(hi - lo)
+            width[members] = hi - lo
+            if lags > 1:
+                runs.append((total, total + lags * w, (lags, w), _accumulates(lags, w)))
+            total += lags * w
+        self.lag_runs = tuple(runs)
+        # each lead bit, its block row (lag - 1) and its slots, laid out
+        # (rate, bit): a loop along a short rate axis costs one call per row
+        span = top[units]
+        row = np.arange(int(span.sum())) - np.repeat(np.cumsum(span) - span, span)
+        bit = np.repeat(self.lead_start[units], span) + row
+        unit = np.repeat(units, span)
+        slot = base[unit] + (row * n_mu + np.arange(n_mu)[:, None]) * width[unit]
+        self.lag_src = np.zeros(total + 1, dtype=np.int64)  # slot total stays 0 for delay 1
+        self.lag_src[slot] = bit
         # the powers of every queue position in one call, the values a sum
         # over each pair's own segment uses: numpy's power can round the last
-        # bit differently for another array layout. The extra zero column is
-        # the padding's coefficient.
-        coeff = np.zeros((n_mu, size + 1))
-        coeff[:, :size] = self.mu[:, None] ** (-queue_lag[None, :])
-        self.lag_coeff = coeff.take(position[:, None, :] + (size + 1) * np.arange(n_mu)[:, None])
-        self.beta_at = ((delay - 1) * (n_mu * n) + pre)[:, None] + n * np.arange(n_mu)
+        # bit differently for another array layout
+        coeff = self.mu[:, None] ** (-queue_lag[None, :])
+        self.lag_coeff = np.zeros(total + 1)
+        self.lag_coeff[slot] = coeff[:, bit]
+        queues = delay > 1
+        rate_step = width[pre] * queues
+        self.beta_at = np.empty((config.n_pairs, n_mu), dtype=np.int64)
+        self.beta_at[:, 0] = np.where(queues, base[pre] + (delay - 2) * n_mu * rate_step, total)
+        for ell in range(1, n_mu):  # a column at a time: one call per rate
+            np.add(self.beta_at[:, ell - 1], rate_step, out=self.beta_at[:, ell])
 
         self.post_k = np.repeat(post[:, None], n_lambda, axis=1)
         self.post_l = self.post_k if n_mu == n_lambda else np.repeat(post[:, None], n_mu, axis=1)

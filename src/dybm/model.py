@@ -21,11 +21,13 @@ segment boundary) and reads each segment's oldest bit as the arrival.
 The near-window trace ``beta[m, l]`` is derived from the queue on every
 step, never carried recursively: carrying it forward would repeatedly
 multiply by ``1/mu`` and is numerically unstable. Every pair from one
-source unit queues a prefix of the same history, so the queued bits times
-the precomputed ``mu**(-lag)`` table are summed in lag order once per
-source unit and rate, and each pair reads the partial sum at its own
-delay: d_max - 1 adds per source and rate, d_max being the longest delay
-of the config, and one gather per pair and rate.
+source unit queues a prefix of the same history, so the bits of each
+unit's longest queue times the precomputed ``mu**(-lag)`` table are
+summed in lag order once per source unit and rate, and each pair reads
+the partial sum at its own delay. Units whose lag counts share a bit
+length are summed together as one block, by row adds or one accumulate,
+so the work is fewer than twice the distinct (unit, lag, rate) terms, a
+few calls per block, and one gather per pair and rate.
 The coefficients grow toward the delay horizon on purpose (they mirror the
 near side of the weight kernel); the configuration validator bounds their
 sum.
@@ -73,10 +75,12 @@ class TraceState:
     the module docstring. Every pair from unit ``i`` queues the same
     history of ``i``, so each pair's segment is a prefix of the longest
     segment from ``i``. Every state that ``init_state`` and ``advance``
-    reach keeps this, the near-window trace reads it (``_beta_matrix``),
-    and checkpoints refuse a state that breaks it. ``step_count`` counts
-    absorbed slices. States compare and hash by identity, as their fields
-    are arrays.
+    reach keeps this, and the near-window trace relies on it: it reads
+    only the first longest segment from each unit (``_beta_matrix``).
+    ``pack_queue_rows`` and checkpoints refuse a queue that breaks it; a
+    state built around such a queue by hand gets the traces of that one
+    segment. ``step_count`` counts absorbed slices. States compare and
+    hash by identity, as their fields are arrays.
     """
 
     alpha: np.ndarray
@@ -99,11 +103,31 @@ def queue_rows(config: ModelConfig, queue: np.ndarray) -> list[list[int]]:
 
 def pack_queue_rows(config: ModelConfig, rows) -> np.ndarray:
     """Flat queue from per-pair rows in ``config.pairs`` order; the inverse
-    of ``queue_rows``."""
+    of ``queue_rows``. Raises ValueError when the rows do not match the
+    pair delays or when two rows from one unit disagree (``TraceState``)."""
     lengths = [len(row) for row in rows]
     if lengths != [d - 1 for d in config.arrays.delay.tolist()]:
         raise ValueError("queue rows do not match the pair delays")
-    return np.array([bit for row in rows for bit in row], dtype=np.uint8)
+    queue = np.array([bit for row in rows for bit in row], dtype=np.uint8)
+    _check_queue_history(config, queue)
+    return queue
+
+
+def _check_queue_history(config: ModelConfig, queue: np.ndarray) -> None:
+    """Raise ValueError unless every pair's segment of the flat ``queue`` is
+    a prefix of the first longest segment from its source unit, the one
+    the near-window trace reads (``TraceState``)."""
+    arr = config.arrays
+    pair = np.repeat(np.arange(config.n_pairs), arr.delay - 1)  # of each queue bit
+    lead = arr.lead_start[arr.pre[pair]] + np.arange(queue.size) - arr.queue_bounds[pair]
+    differs = queue != queue.take(lead)
+    if differs.any():
+        m = pair[differs.argmax()]
+        i, j = int(arr.pre[m]), int(arr.post[m])
+        raise ValueError(
+            f"pair ({i}, {j}) disagrees with another queue from unit {i}; every queue "
+            "from one unit holds a prefix of the same history"
+        )
 
 
 @dataclass(frozen=True)
@@ -154,17 +178,23 @@ def advance(state: TraceState, config: ModelConfig, new_slice, out: TraceState |
 
 def _beta_matrix(state: TraceState, config: ModelConfig) -> np.ndarray:
     """Near-window traces for all pairs, shape (n_pairs, n_mu); computed
-    fresh from the queue on every call. Each source unit's weighted lags
-    are summed in lag order, once per rate, and pair (i, j) with delay d
-    reads the partial sum of source i after lag d - 1, which adds the same
-    terms in the same order as a sum over the pair's own segment. Row 0
-    is zero, so delay-1 pairs read zero."""
+    fresh from the queue on every call. The weighted lags of each source
+    unit's longest queue are summed in lag order, once per rate, block by
+    block (``config.arrays.lag_runs``), and pair (i, j) with delay d reads
+    the partial sum of source i after lag d - 1: the same terms added in
+    the same order as a sum over the pair's own segment. Delay-1 pairs
+    read the zero in the last slot."""
     arr = config.arrays
     if not state.queue.size:
         return np.zeros((config.n_pairs, config.n_mu))
-    w = arr.lag_coeff * state.queue.take(arr.lag_src)[:, None, :]
-    for s in range(2, len(w)):
-        np.add(w[s - 1], w[s], out=w[s])
+    w = arr.lag_coeff * state.queue.take(arr.lag_src)
+    for lo, hi, shape, accumulates in arr.lag_runs:
+        run = w[lo:hi].reshape(shape)
+        if accumulates:
+            np.add.accumulate(run, axis=0, out=run)
+        else:
+            for s in range(1, shape[0]):
+                np.add(run[s - 1], run[s], out=run[s])
     return w.take(arr.beta_at)
 
 
@@ -175,7 +205,10 @@ def _check_index(kind: str, index: int, size: int) -> None:
 
 def beta(state: TraceState, config: ModelConfig, i: int, j: int, ell: int) -> float:
     """Near-window trace of pair (i, j) for decay rate index ``ell``:
-    sum over lag s in [1, d-1] of mus[ell]**(-s) * queue[s - 1]."""
+    sum over lag s in [1, d-1] of mus[ell]**(-s) * x_i[t - s], unit i's
+    value s steps back. Every queue from unit i holds those bits, the
+    pair's own among them, as long as the state keeps the ``TraceState``
+    invariant; the sum reads them from the longest queue from i."""
     try:
         m = config.pair_index[(i, j)]
     except KeyError:

@@ -259,6 +259,14 @@ class TestQueuePrefix:
         with pytest.raises(CheckpointError, match=r"^trace_state\.queues: pair \(0, 0\) disagrees"):
             load_checkpoint(json.dumps(doc))
 
+    def test_load_refuses_disagreeing_rows_out_of_order(self):
+        # rows out of pair order go through the per-row reader and pack_queue_rows
+        doc = json.loads(save_checkpoint(Parameters.zeros(self.CFG), self.CFG, init_state(self.CFG)))
+        doc["trace_state"]["queues"][1][2] = [0, 1, 1]
+        doc["trace_state"]["queues"].reverse()
+        with pytest.raises(CheckpointError, match=r"^trace_state\.queues: pair \(0, 0\) disagrees"):
+            load_checkpoint(json.dumps(doc))
+
 
 class TestMalformedDocuments:
     def test_truncated_document(self, rng):

@@ -418,7 +418,7 @@ class TestDerivedArraysReadOnly:
     @settings(max_examples=10)
     def test_every_table_but_the_bincount_indexes_is_read_only(self, cfg):
         tables = {k: a for k, a in vars(cfg.arrays).items() if isinstance(a, np.ndarray)}
-        assert len(tables) == 18
+        assert len(tables) == 19
         writeable = {k for k, a in tables.items() if a.flags.writeable}
         assert writeable == set(_DerivedArrays.BINCOUNT_INDEXES)
 

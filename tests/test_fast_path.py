@@ -167,6 +167,20 @@ class TestAgainstTraceDefinitions:
         with pytest.raises(ValueError, match="delays"):
             pack_queue_rows(MIXED, rows[:-1])
 
+    @pytest.mark.parametrize(
+        "pair, lag, named",
+        [((0, 2), 0, (0, 2)), ((0, 1), 1, (0, 1)), ((1, 2), 2, (1, 2)), ((0, 0), 0, (0, 1))],
+    )
+    def test_pack_refuses_rows_that_disagree(self, pair, lag, named):
+        # the near-window trace reads each unit's first longest queue, (0, 0)
+        # and (1, 1) in KEYED, so every other queue must agree with it
+        rng = np.random.default_rng(9)
+        rows = queue_rows(KEYED, walk(KEYED, (rng.random((7, 3)) < 0.5).astype(np.int64)).queue)
+        rows[KEYED.pair_index[pair]][lag] ^= 1
+        i, j = named
+        with pytest.raises(ValueError, match=rf"^pair \({i}, {j}\) disagrees with another queue from unit {i};"):
+            pack_queue_rows(KEYED, rows)
+
 
 def beta_per_pair(cfg, state) -> np.ndarray:
     """The near-window trace summed over each pair's own queue segment, lag
@@ -222,6 +236,38 @@ class TestPerSourceBeta:
         delays = {(i, j): int(rng.integers(1, 40)) for i in range(4) for j in range(4)}
         cfg = ModelConfig(4, (0.5,), tuple(rng.uniform(0.3, 0.95, size=3)), delays)
         self.check(cfg, (rng.random((70, 4)) < 0.5).astype(np.int64))
+
+    def test_row_adds_and_one_accumulate(self):
+        # 160 units queue two lags each, a wide block summed by row adds;
+        # unit 0 queues 39, alone in a narrow block summed by one accumulate
+        delays = {((j - r) % 160, j): 3 for j in range(160) for r in (1, 2)}
+        delays[(0, 5)] = 40
+        cfg = ModelConfig(160, (0.5,), (0.6, 0.85), delays)
+        runs = {shape: accumulates for _, _, shape, accumulates in cfg.arrays.lag_runs}
+        assert runs == {(2, 2 * 159): False, (39, 2): True}
+        rng = np.random.default_rng(61)
+        self.check(cfg, (rng.random((45, 160)) < 0.5).astype(np.int64))
+
+    def test_one_long_delay_among_short_ones(self):
+        # the tables grow with the lags each unit queues, not with the
+        # longest delay times the number of units: here 999 units queue
+        # one lag each and unit 0 queues 69999
+        delays = {((j - r) % 1000, j): 2 for j in range(1000) for r in (1, 2)}
+        delays[(0, 500)] = 70000
+        cfg = ModelConfig(1000, (0.5,), (0.99,), delays)
+        arr = cfg.arrays
+        terms = 999 + 69999  # distinct (unit, lag) terms, one rate
+        assert arr.lag_src.size == arr.lag_coeff.size <= 2 * terms + 1
+        tables = (arr.lag_src, arr.lag_coeff, arr.beta_at, arr.lead_start)
+        assert sum(a.nbytes for a in tables) < 2 * 16 * terms + 8 * (cfg.n_pairs + cfg.n_units) + 16
+        rng = np.random.default_rng(67)
+        history = [rng.random(69999) < 0.5] + [rng.random(1) < 0.5 for _ in range(999)]
+        rows = [history[i][: d - 1].tolist() for (i, _), d in zip(cfg.pairs, arr.delay.tolist())]
+        state = init_state(cfg)
+        state.queue[:] = pack_queue_rows(cfg, rows)
+        for x in (rng.random((3, 1000)) < 0.5).astype(np.int64):
+            assert _beta_matrix(state, cfg).tobytes() == beta_per_pair(cfg, state).tobytes()
+            advance(state, cfg, x, state)
 
 
 def assert_same_state(got, want):

@@ -78,6 +78,35 @@ class TestStepGradient:
         np.testing.assert_array_equal(state.alpha, before.alpha)
         np.testing.assert_array_equal(state.queue, before.queue)
 
+    @pytest.mark.parametrize(
+        "lambdas, mus",
+        [((0.5, 0.3), (0.4, 0.25)), ((0.5,), (0.4, 0.25, 0.7)), ((0.5, 0.3, 0.8), (0.4,))],
+        ids=["shared-gather", "more-mus", "more-lambdas"],
+    )
+    def test_matches_per_pair_formula_bit_for_bit(self, lambdas, mus):
+        # the target's r is gathered once for d_u and d_v when the rate
+        # counts match, and once per bank when they do not
+        delays = {(0, 0): 1, (0, 1): 3, (1, 0): 2, (1, 2): 1, (2, 0): 5, (2, 2): 4}
+        cfg = ModelConfig(3, lambdas, mus, delays, temperature=0.5)
+        assert (cfg.arrays.post_l is cfg.arrays.post_k) == (len(lambdas) == len(mus))
+        rng = np.random.default_rng(19)
+        params = Parameters(
+            rng.normal(size=3), rng.normal(size=(6, len(lambdas))), rng.normal(size=(6, len(mus)))
+        )
+        state = init_state(cfg)
+        for x in (rng.random((9, 3)) < 0.5).astype(int):
+            advance(state, cfg, x, state)
+        x = np.array([1, 0, 1])
+        grad = step_gradient(params, state, cfg, x)
+        r = (x - fire_probs(params, state, cfg)) / cfg.temperature
+        assert grad.d_bias.tobytes() == r.tobytes()
+        for m, (i, j) in enumerate(cfg.pairs):
+            for k in range(cfg.n_lambda):
+                assert grad.d_u[m, k] == state.alpha[m, k] * r[j]
+            for ell in range(cfg.n_mu):
+                want = -(beta(state, cfg, i, j, ell) * r[j]) - state.gamma[j, ell] * r[i]
+                assert grad.d_v[m, ell] == want
+
 
 class TestSequenceLogLikelihood:
     def test_zero_params_counts_bits(self):
@@ -120,36 +149,6 @@ class TestSequenceLogLikelihood:
         cfg = ModelConfig.dense(2)
         with pytest.raises(ValueError):
             sequence_log_likelihood(Parameters.zeros(cfg), cfg, [])
-
-
-    @pytest.mark.parametrize(
-        "lambdas, mus",
-        [((0.5, 0.3), (0.4, 0.25)), ((0.5,), (0.4, 0.25, 0.7)), ((0.5, 0.3, 0.8), (0.4,))],
-        ids=["shared-gather", "more-mus", "more-lambdas"],
-    )
-    def test_matches_per_pair_formula_bit_for_bit(self, lambdas, mus):
-        # the target's r is gathered once for d_u and d_v when the rate
-        # counts match, and once per bank when they do not
-        delays = {(0, 0): 1, (0, 1): 3, (1, 0): 2, (1, 2): 1, (2, 0): 5, (2, 2): 4}
-        cfg = ModelConfig(3, lambdas, mus, delays, temperature=0.5)
-        assert (cfg.arrays.post_l is cfg.arrays.post_k) == (len(lambdas) == len(mus))
-        rng = np.random.default_rng(19)
-        params = Parameters(
-            rng.normal(size=3), rng.normal(size=(6, len(lambdas))), rng.normal(size=(6, len(mus)))
-        )
-        state = init_state(cfg)
-        for x in (rng.random((9, 3)) < 0.5).astype(int):
-            advance(state, cfg, x, state)
-        x = np.array([1, 0, 1])
-        grad = step_gradient(params, state, cfg, x)
-        r = (x - fire_probs(params, state, cfg)) / cfg.temperature
-        assert grad.d_bias.tobytes() == r.tobytes()
-        for m, (i, j) in enumerate(cfg.pairs):
-            for k in range(cfg.n_lambda):
-                assert grad.d_u[m, k] == state.alpha[m, k] * r[j]
-            for ell in range(cfg.n_mu):
-                want = -(beta(state, cfg, i, j, ell) * r[j]) - state.gamma[j, ell] * r[i]
-                assert grad.d_v[m, ell] == want
 
 
 class TestSequenceGradient:
