@@ -10,6 +10,7 @@ flags; nothing is seeded from the clock.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -205,6 +206,7 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+@functools.cache  # once per process: the commands look up train, rollout and the rest when run
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dybm",

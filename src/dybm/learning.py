@@ -5,12 +5,18 @@ fixed features, so the per-step gradient is available in closed form and
 the sequence log-likelihood is concave: full-batch ascent with a small
 enough rate can never decrease it. Online mode applies one update per
 observed slice; the traces do not depend on the parameters, so updating
-mid-sequence loses nothing. For the same reason full-batch training walks
-the dataset once, as one stream of feature blocks that cross series ends,
-and rescores the stream every epoch. One scorer, ``_grad_logp``, serves
-both modes: an online step is the features of one state, a block those of many.
-Walks step one state in place, and online training reuses one gradient row
-and steps its own copy of the parameters in place.
+mid-sequence loses nothing. For the same reason full-batch training builds
+the dataset's features once, as one stream of feature blocks that cross
+series ends, and rescores the stream every epoch. A queue holds only past
+slices of its source unit, and full-batch training holds the whole series,
+so the blocks are built from the series itself (``_fill``) rather than by a
+walk, with ``advance``'s operations in its order. One scorer, ``_grad_logp``,
+serves both modes: an online step is the features of one state, a block
+those of many. Totals over steps are added one step at a time in step order
+(``_add_in_order``), so both modes round alike. Walks, which online
+training, scoring and rollouts take, step one state in place, and online
+training reuses one gradient row and steps its own copy of the parameters
+in place.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import (
     ConfigError, ModelConfig, Parameters, _count, _FlatBanks, _positive, as_time_slice
@@ -226,26 +233,98 @@ def _block(config: ModelConfig, steps: int) -> _Features:
 
 
 def _blocks(config: ModelConfig, series_list: list[np.ndarray], max_steps: int) -> Iterator[_Features]:
-    """One ``_walk`` over each series in turn, as one stream of feature
-    blocks of at most ``max_steps`` consecutive (series, step) rows in
-    dataset order. Blocks cross series ends; the traces restart from the
-    zero-history state at each series start. Each state is copied into its
-    block as the walk reaches it, so no more than one block's features and
-    one state are held at a time."""
+    """Each series in turn, as one stream of feature blocks of at most
+    ``max_steps`` consecutive (series, step) rows in dataset order: row t
+    holds slice t and the features of the state that a ``_walk`` reaches
+    before it, bit for bit. Blocks cross series ends; the traces restart
+    from the zero-history state at each series start and carry across block
+    ends within a series. ``_fill`` builds the rows of one series in one
+    block; no more than one block is held at a time."""
+    arr = config.arrays
+    # the (unit, lag) that ``_fill`` reads for each pair's arrival, for its
+    # target's source-trace input and for the queue bit of each near-window
+    # slot (none when no pair queues a bit), and how far back each unit is
+    # read: its longest delay as a source, and at least one step
+    shape = (config.n_pairs, config.n_lambda)
+    arrival = np.broadcast_to(arr.pre[:, None], shape), np.broadcast_to(arr.delay[:, None], shape)
+    slots = None
+    if arr.queue_bounds[-1]:
+        pair = np.repeat(np.arange(config.n_pairs), arr.delay - 1).take(arr.lag_src)
+        slots = arr.pre.take(pair), arr.lag_src - arr.queue_bounds.take(pair) + 1
+    depth = np.ones(config.n_units, dtype=np.int64)
+    np.maximum.at(depth, arr.pre, arr.delay)
+    taps = (arrival, (arr.post_l, 1), slots, depth, np.tile(arr.mu, (config.n_pairs, 1)))
     left, i = sum(map(len, series_list)), 0
     for slices in series_list:
-        for state, x in _walk(config, slices):
+        start, carry = 0, None
+        while start < len(slices):
             if i == 0:
                 block = _block(config, min(max_steps, left))
-            f = _features(state, config)
-            block.x[i] = x
-            block.alpha[i] = f.alpha
-            block.beta[i] = f.beta
-            block.gamma_post[i] = f.gamma_post
-            i, left = i + 1, left - 1
+            stop = min(len(slices), start + len(block.x) - i)
+            carry = _fill(config, taps, block, i, slices, start, stop, carry)
+            i, left, start = i + stop - start, left - (stop - start), stop
             if i == len(block.x):
                 yield block
                 i = 0
+
+
+def _fill(config: ModelConfig, taps: tuple, f: _Features, i: int, slices, start: int, stop: int, carry):
+    """Fill rows ``i``, ``i + 1``, … of block ``f`` with steps ``start`` to
+    ``stop - 1`` of a series and return the carry of the last row: its
+    arrival traces and each pair's copy of its target's source trace.
+    ``carry`` is that of the step before ``start``, None at a series start.
+
+    Every queued bit is a past slice, so the rows read a uint8 copy of the
+    series, zero before its start, instead of stepping a queue: each unit's
+    column from as far back as any trace reads it. One step at a time,
+    α = α × lam_k + x_pre[t - d] for a pair of delay d, and γ = (γ +
+    x_post[t - 1]) × mu; each input is written into its row first and the
+    rest added to it, and since addition commutes this rounds as
+    ``advance`` does. β multiplies each ``lag_src`` slot's coefficient by
+    its bit and sums the slots along ``lag_runs``, as ``_beta_matrix``
+    does, for a chunk of steps at once whose table is no larger than the β
+    rows it fills (or one step's, when that alone is larger). Scratch is a
+    few arrays the size of the block's slices plus each unit's read depth,
+    one chunk's table and uint8 copies of the inputs."""
+    (arrival_unit, arrival_lag), (source_unit, source_lag), slots, depth, mu = taps
+    arr = config.arrays
+    steps = stop - start
+    rows = slice(i, i + steps)
+    f.x[rows] = slices[start:stop]
+    # unit u's column holds its slices start - depth[u] … stop - 2, one after another
+    length = steps - 1 + depth
+    head = np.cumsum(length) - length + depth  # where each column reaches slice start
+    time = np.arange(int(length.sum())) - np.repeat(head - start, length)
+    owner = np.repeat(np.arange(config.n_units), length)
+    past = np.where(time >= 0, slices[np.maximum(time, 0), owner], 0)
+    past = sliding_window_view(past.astype(np.uint8), past.size - steps + 1)  # row k: step start + k
+    alpha, gamma, beta = f.alpha[rows], f.gamma_post[rows], f.beta[rows]
+    alpha[...] = past[:, head[arrival_unit] - arrival_lag]
+    gamma[...] = past[:, head[source_unit] - source_lag]
+    a, g = carry or (np.zeros(alpha.shape[1:]), np.zeros(gamma.shape[1:]))
+    decayed = np.empty(alpha.shape[1:])
+    for t in range(steps):
+        alpha[t] += np.multiply(a, arr.lam_k, out=decayed)
+        gamma[t] += g
+        gamma[t] *= mu
+        a, g = alpha[t], gamma[t]
+    if slots is None:
+        beta[...] = 0.0
+    else:
+        unit, lag = slots
+        at = head[unit] - lag
+        chunk = max(1, beta.size // at.size)
+        for c in range(0, steps, chunk):
+            w = arr.lag_coeff * past[c : c + chunk, at]
+            for lo, hi, (lags, width), accumulates in arr.lag_runs:
+                run = w[:, lo:hi].reshape(len(w), lags, width)
+                if accumulates:
+                    np.add.accumulate(run, axis=1, out=run)
+                else:
+                    for s in range(1, lags):
+                        np.add(run[:, s - 1], run[:, s], out=run[:, s])
+            np.take(w, arr.beta_at, axis=1, out=beta[c : c + chunk])
+    return a.copy(), g.copy()
 
 
 def _block_steps(config: ModelConfig) -> int:
@@ -285,11 +364,15 @@ def _score(params: Parameters, config: ModelConfig, slices: np.ndarray) -> tuple
 
 def _add_in_order(rows: np.ndarray, total):
     """``total`` plus each row of ``rows`` in turn, one step at a time, as a
-    per-step loop adds them; ``rows`` is overwritten with the running sums.
-    ``np.cumsum`` along one axis adds in order, where a sum over the axis
-    may add pairwise and round differently."""
+    per-step loop adds them; ``rows`` may be overwritten. numpy reduces a
+    (T, W) array with W >= 2 along axis 0 one row at a time, into a running
+    row, but sums a 1-D array pairwise, which rounds differently; so 1-D
+    rows (one number per step) take ``np.cumsum``, which adds in order at
+    any shape."""
     rows[0] += total
-    return np.cumsum(rows, axis=0, out=rows)[-1]
+    if rows.ndim == 1:
+        return np.cumsum(rows, out=rows)[-1]
+    return np.add.reduce(rows, axis=0)
 
 
 def sequence_gradient(params: Parameters, config: ModelConfig, series) -> Gradient:

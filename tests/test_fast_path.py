@@ -14,6 +14,7 @@ scorer behind ``eval_prediction`` and ``sequence_log_likelihood``.
 
 import functools
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from dybm.generator import eval_prediction
 from dybm.learning import Gradient, TrainerConfig, TrainMetrics, sgd_update, step_gradient, train
 from dybm.model import (
     _beta_matrix,
+    _features,
     advance,
     beta,
     cond_prob,
@@ -489,6 +491,111 @@ class TestDatasetBlockStream:
         dataset = [(rng.random((t, MIXED.n_units)) < 0.5).astype(np.int64) for t in self.LENGTHS]
         train(Parameters.zeros(MIXED), MIXED, dataset, TrainerConfig(self.RATE, epochs=self.EPOCHS))
         assert len(calls) == self.EPOCHS
+
+
+class TestBlocksFromSeries:
+    """``_blocks`` fills its rows from the series itself, not by stepping a
+    queue; every row must hold the slice and the features of the state a
+    ``_walk`` reaches, bit for bit, whether the rows are kept in one block
+    or cut into blocks of a few steps, so that the traces carry across
+    block ends and one-slice series fall at block starts and ends."""
+
+    LENGTHS = (1, 9, 1, 14, 1, 6, 1)  # series start at rows 0, 1, 10, 11, 25, 26, 32
+
+    @staticmethod
+    def assert_rows_match_walk(cfg, dataset, max_steps):
+        want = [
+            (x.tobytes(), f.alpha.tobytes(), f.beta.tobytes(), f.gamma_post.tobytes())
+            for slices in dataset
+            for f, x in ((_features(state, cfg), x) for state, x in learning._walk(cfg, slices))
+        ]
+        got = []
+        for block in learning._blocks(cfg, dataset, max_steps):
+            assert len(block.x) <= max_steps
+            got.extend(zip(*(
+                [row.tobytes() for row in a] for a in (block.x, block.alpha, block.beta, block.gamma_post)
+            )))
+        assert got == want
+
+    @pytest.mark.parametrize("max_steps", [None, 1, 3, 5], ids=["kept", "1", "3", "5"])
+    @pytest.mark.parametrize(
+        "cfg",
+        [MIXED, ALL_DELAY_ONE, EMPTY, ONE_UNIT, RING],
+        ids=["mixed", "delay1", "empty", "one-unit", "ring"],  # the ring's wide blocks add row by row
+    )
+    def test_rows_match_walk_bit_for_bit(self, cfg, max_steps):
+        rng = np.random.default_rng(41)
+        dataset = [(rng.random((t, cfg.n_units)) < 0.5).astype(np.int64) for t in self.LENGTHS]
+        if max_steps is not None:  # a one-slice series starts or ends a block
+            rows = np.cumsum((0,) + self.LENGTHS[:-1])[np.array(self.LENGTHS) == 1]
+            assert any(rows % max_steps == 0) or any((rows + 1) % max_steps == 0)
+        self.assert_rows_match_walk(cfg, dataset, max_steps or sum(self.LENGTHS))
+
+    @settings(max_examples=60)
+    @given(
+        configs(max_units=4, max_delay=9, allow_empty=True),
+        st.lists(st.integers(1, 12), min_size=1, max_size=5),
+        st.integers(1, 8),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_configs_up_to_delay_9(self, cfg, lengths, max_steps, seed):
+        rng = np.random.default_rng(seed)
+        dataset = [(rng.random((t, cfg.n_units)) < 0.5).astype(np.int64) for t in lengths]
+        self.assert_rows_match_walk(cfg, dataset, max_steps)
+
+    def test_memory_does_not_grow_with_delay_times_units(self):
+        # 512 units at delay 2 plus one pair at delay 20,000: a window of
+        # every unit as far back as the longest delay would take 10 MB per
+        # block of 40 steps; ``_blocks`` holds the block it fills (and the
+        # one before, until that is released), arrays the size of the
+        # block's slices and, as a walk's state does, each unit's history
+        # and one step's near-window table
+        n, steps = 512, 40
+        delays = {(i, i): 2 for i in range(n)}
+        delays[(0, 1)] = 20_000
+        cfg = ModelConfig(n, (0.5,), (0.99,), delays)
+        series = (np.random.default_rng(2).random((3 * steps, n)) < 0.5).astype(np.int64)
+        state_bytes = 8 * (cfg.arrays.queue_bounds[-1] + cfg.arrays.lag_coeff.size)
+        tracemalloc.start()
+        try:
+            block_bytes = 0
+            for block in learning._blocks(cfg, [series], steps):
+                block_bytes = max(block_bytes, sum(a.nbytes for a in vars(block).values()))
+                del block
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * block_bytes + 4 * 8 * n * steps + 4 * state_bytes
+
+
+class TestAddInOrder:
+    """The full-batch sums add every step to one running total in step
+    order, as a per-step loop does."""
+
+    @staticmethod
+    def per_step(rows, total):
+        for row in rows:
+            total = total + row
+        return total
+
+    @pytest.mark.parametrize(
+        "steps, width", [(100_000, 2), (100_000, 3), (10_000, 22), (100, 8449)], ids=str
+    )
+    def test_rows_add_one_at_a_time(self, steps, width):
+        rng = np.random.default_rng(width)
+        rows = rng.normal(0.0, 1.0, size=(steps, width)) * 10.0 ** rng.integers(-8, 8, size=(steps, 1))
+        total = rng.normal(0.0, 1.0, size=width)
+        want = self.per_step(rows, total)
+        assert learning._add_in_order(rows.copy(), total).tobytes() == want.tobytes()
+
+    def test_one_number_per_step_adds_in_order(self):
+        # a 1-D sum is pairwise in numpy; this data rounds differently that way
+        rng = np.random.default_rng(3)
+        rows = rng.normal(0.0, 1.0, size=1000) * 10.0 ** rng.integers(-8, 8, size=1000)
+        want = self.per_step(rows, 0.5)
+        pairwise = np.add.reduce(np.concatenate(([0.5], rows)))
+        assert pairwise != want
+        assert learning._add_in_order(rows.copy(), 0.5) == want
 
 
 class TestOnlineStep:

@@ -506,23 +506,24 @@ class TestFullBatchFeatureCache:
     EPOCHS = 4
 
     def run(self, monkeypatch, cap=None):
-        """Full-batch training with ``advance`` calls counted and the bytes
-        of every feature block recorded."""
+        """Full-batch training with ``_fill`` calls (the rows of one series
+        in one block) counted and the bytes of every feature block
+        recorded."""
         if cap is not None:
             monkeypatch.setattr(learning, "_FEATURE_BYTES", cap)
         calls, block_bytes = [], []
-        advance_, block_ = learning.advance, learning._block
+        fill_, block_ = learning._fill, learning._block
 
         def counted(*args):
             calls.append(1)
-            return advance_(*args)
+            return fill_(*args)
 
         def measured(*args):
             block = block_(*args)
             block_bytes.append(sum(a.nbytes for a in vars(block).values()))
             return block
 
-        monkeypatch.setattr(learning, "advance", counted)
+        monkeypatch.setattr(learning, "_fill", counted)
         monkeypatch.setattr(learning, "_block", measured)
         rng = np.random.default_rng(21)
         dataset = [(rng.random((t, 2)) < 0.5).astype(int) for t in (9, 14, 6)]
@@ -534,14 +535,16 @@ class TestFullBatchFeatureCache:
 
     def test_traces_built_once_when_they_fit(self, monkeypatch):
         _, _, calls, block_bytes = self.run(monkeypatch)
-        assert calls == (9 - 1) + (14 - 1) + (6 - 1)  # one advance between slices
+        assert calls == 3  # one fill per series
         assert len(block_bytes) == 1  # the whole dataset is one block
 
     def test_rebuilt_in_bounded_blocks_when_they_do_not(self, monkeypatch):
         cap = 4 * learning._step_bytes(self.CFG)  # less than the shortest series
         kept_params, kept, _, _ = self.run(monkeypatch)
         params, metrics, calls, block_bytes = self.run(monkeypatch, cap)
-        assert calls == self.EPOCHS * ((9 - 1) + (14 - 1) + (6 - 1))
+        # blocks of 4 rows cut the series of 9, 14 and 6 slices into
+        # 4 + 4 + 1, 3 + 4 + 4 + 3 and 1 + 4 + 1 rows: 10 fills per epoch
+        assert calls == self.EPOCHS * 10
         assert max(block_bytes) <= cap
         assert len(block_bytes) == self.EPOCHS * math.ceil(29 / 4)  # blocks cross series ends
         assert params.bias.tobytes() == kept_params.bias.tobytes()
