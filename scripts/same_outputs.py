@@ -14,7 +14,9 @@ arrival and three near-window rates), each in both modes; ``eval`` of
 every checkpoint and of a hand-edited copy of it (pair rows reversed,
 integral values written as JSON integers); ``generate`` (sample and
 argmax, with and without ``--primer``, from an edited copy, and from the
-mixed model); ``validate``; and ``train`` on three copies of the ``random_n3``
+mixed model); online ``train``, ``eval`` and a primed ``generate`` on the
+``random_n3`` fixture tiled to 14,400 slices, so that the trace builder
+reads it in several chunks and the chunk ends are compared; ``validate``; and ``train`` on three copies of the ``random_n3``
 run configuration that ``ModelConfig`` rejects (a pair with an index out of
 range, a zero delay, a delay past the overflow guard), each of which exits
 2. The edited copies' ``u`` and ``v`` and the padded CSV take the readers'
@@ -40,6 +42,7 @@ from bench_pairs import ROOT, _export, _git
 
 EPOCHS = "40"
 SPLIT = (1, 7, 16, 24)  # random_n3's 48 slices, cut into series
+TILES = 300  # random_n3's 48 slices, repeated: more than three chunks of its features
 # run configurations that train must reject, by the connectivity row that
 # replaces random_n3's fifth row, (1, 1) with delay 2
 REJECTED = {
@@ -84,6 +87,12 @@ def _runs(fix: Path) -> list[tuple[str, list[str]]]:
     runs.append(("generate-mixed", ["generate", "mixed-online.json", "--horizon", "60",
                                     "--mode", "sample", "--seed", "5",
                                     "--primer", f"{fix}/random_n3.csv"]))
+    runs.append(("tiled-online", ["train", f"{fix}/random_n3_run.json", "tiled.csv", "--out",
+                                  "tiled-online.json", "--epochs", "1", "--mode", "online"]))
+    runs.append(("eval-tiled-online", ["eval", "tiled-online.json", "tiled.csv"]))
+    runs.append(("generate-tiled-primed", ["generate", "tiled-online.json", "--horizon", "60",
+                                           "--mode", "sample", "--seed", "5", "--primer",
+                                           "tiled.csv"]))
     runs.append(("validate", ["validate"]))
     for name in REJECTED:
         runs.append((name, ["train", f"{name}_run.json", f"{fix}/random_n3.csv", "--out",
@@ -99,6 +108,12 @@ def _split(fixture: Path, work: Path) -> None:
         part = header + "".join(rows[start : start + length])
         (work / f"part{k}.csv").write_text(part, encoding="utf-8")
         start += length
+
+
+def _tiled(fixture: Path, work: Path) -> None:
+    """Write the fixture's slices ``TILES`` times over as ``tiled.csv``."""
+    header, *rows = fixture.read_text(encoding="utf-8").splitlines(keepends=True)
+    (work / "tiled.csv").write_text(header + "".join(rows) * TILES, encoding="utf-8")
 
 
 def _padded(fixture: Path, work: Path) -> None:
@@ -159,6 +174,7 @@ def _outputs(tree: Path, work: Path) -> dict[str, str]:
     """Every compared output of ``tree``'s package, run in ``work``."""
     fixtures = tree / "src" / "dybm" / "fixtures"
     _split(fixtures / "random_n3.csv", work)
+    _tiled(fixtures / "random_n3.csv", work)
     _padded(fixtures / "random_n3.csv", work)
     _rejected(fixtures / "random_n3_run.json", work)
     _mixed(fixtures / "random_n3_run.json", work)

@@ -21,8 +21,8 @@ import numpy as np
 from .checkpoint import _known, _parse, _read_config, _require, load_checkpoint, save_checkpoint
 from .config import ConfigError, ModelConfig, Parameters, _count
 from .generator import RolloutConfig, eval_prediction, rollout
-from .learning import TrainerConfig, TrainingDiverged, train
-from .model import advance, expected_footprint, init_state, measured_footprint
+from .learning import TrainerConfig, TrainingDiverged, _end_state, train
+from .model import expected_footprint, measured_footprint
 from .oracle import forward_kernel, reverse_kernel
 from .seriesio import SeriesFormatError, format_series, read_series
 from .validate import run_all
@@ -143,10 +143,7 @@ def _cmd_kernel_dump(args: argparse.Namespace) -> int:
 
 
 def _bench_config(n_units: int, fan_in: int) -> ModelConfig:
-    delays = {}
-    for j in range(n_units):
-        for r in range(1, fan_in + 1):
-            delays[((j - r) % n_units, j)] = 3
+    delays = {((j - r) % n_units, j): 3 for j in range(n_units) for r in range(1, fan_in + 1)}
     return ModelConfig(n_units, (0.5,), (0.25,), delays)
 
 
@@ -173,29 +170,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         started = time.perf_counter()
         params, _ = train(Parameters.zeros(config), config, [data], trainer)
         elapsed = time.perf_counter() - started
-        state = init_state(config)  # the audited state has absorbed the whole series
-        for x in data:
-            advance(state, config, x, state)
+        state = _end_state(config, data)  # the audited state has absorbed the whole series
         expected = expected_footprint(config)
         measured = measured_footprint(state, params)
+        audit = {
+            name: {"measured": getattr(measured, name), "expected": getattr(expected, name)}
+            for name in ("trace_scalars", "param_scalars", "queue_bits")
+        }
+        per_synapse = elapsed / (args.steps * config.n_pairs) * 1e6
         report["sweep"].append(
-            {
-                "n_units": n,
-                "pairs": config.n_pairs,
-                "per_synapse_update_us": elapsed / (args.steps * config.n_pairs) * 1e6,
-                "trace_scalars": {
-                    "measured": measured.trace_scalars,
-                    "expected": expected.trace_scalars,
-                },
-                "param_scalars": {
-                    "measured": measured.param_scalars,
-                    "expected": expected.param_scalars,
-                },
-                "queue_bits": {
-                    "measured": measured.queue_bits,
-                    "expected": expected.queue_bits,
-                },
-            }
+            {"n_units": n, "pairs": config.n_pairs, "per_synapse_update_us": per_synapse, **audit}
         )
     print(json.dumps(report, indent=2))
     return 0

@@ -4,7 +4,8 @@ A trained model defines the distribution of the next slice given the past,
 so rolling it forward (sample a slice, feed it back, repeat) is itself a
 generative model of the series. Argmax mode thresholds the firing
 probabilities instead of sampling; exact ties at one half predict silence,
-so argmax rollouts are fully deterministic.
+so argmax rollouts are fully deterministic. Only generated slices pass
+through ``advance``; a primer's and a scored series' traces are built.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError, ModelConfig, Parameters, _count
-from .learning import _normalize_series, _score
+from .learning import _end_state, _normalize_series, _score
 from .model import TraceState, advance, fire_probs, init_state
 from .rng import _reseater, step_stream
 
@@ -72,12 +73,10 @@ def rollout(params: Parameters, config: ModelConfig, rollout_cfg: RolloutConfig)
     ``rng.step_stream(seed, t)``, so runs are reproducible given the seed.
     The rollout builds one Philox, the step-0 stream, and re-seats it at
     each step, which gives the same draws as a fresh jumped stream per step.
-    The rollout owns one state and steps it in place.
+    The primer's end state comes from the trace builder; the rollout then
+    steps that one state in place.
     """
-    state = init_state(config)
-    if rollout_cfg.primer is not None:
-        for x in _normalize_series(rollout_cfg.primer, config.n_units):
-            advance(state, config, x, state)
+    state = init_state(config) if rollout_cfg.primer is None else _end_state(config, rollout_cfg.primer)
     if rollout_cfg.mode == "sample":
         stream_at = _reseater(step_stream(rollout_cfg.seed, 0))
     out = np.empty((rollout_cfg.horizon, config.n_units), dtype=np.int64)

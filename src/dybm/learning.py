@@ -5,45 +5,34 @@ fixed features, so the per-step gradient is available in closed form and
 the sequence log-likelihood is concave: full-batch ascent with a small
 enough rate can never decrease it. Online mode applies one update per
 observed slice; the traces do not depend on the parameters, so updating
-mid-sequence loses nothing. For the same reason full-batch training builds
-the dataset's features once, as one stream of feature blocks that cross
-series ends, and rescores the stream every epoch. A queue holds only past
-slices of its source unit, and full-batch training holds the whole series,
-so the blocks are built from the series itself (``_fill``) rather than by a
-walk, with ``advance``'s operations in its order. One scorer, ``_grad_logp``,
-serves both modes: an online step is the features of one state, a block
-those of many. Totals over steps are added one step at a time in step order
-(``_add_in_order``), so both modes round alike. Walks, which online
-training, scoring and rollouts take, step one state in place, and online
-training reuses one gradient row and steps its own copy of the parameters
-in place.
+mid-sequence loses nothing. A queue holds only past slices of its source
+unit, so one trace builder (``_TraceBuilder``) reads the features of a
+known series from the series itself, a chunk at a time. Online training
+reads each row as one step's features, scoring drives a whole chunk, and
+full-batch training builds the dataset's features once, as one stream of
+blocks that cross series ends, and rescores it every epoch. One scorer,
+``_grad_logp``, serves both modes. Totals over steps are added one step at
+a time in step order (``_add_in_order``), so both modes round alike.
+Online training reuses one gradient row and steps its own copy of the
+parameters in place.
 """
 
 from __future__ import annotations
 
 import math
 import time
+import weakref
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import (
     ConfigError, ModelConfig, Parameters, _count, _FlatBanks, _positive, as_time_slice
 )
-from .model import (
-    TraceState,
-    _drives,
-    _features,
-    _Features,
-    _log_probs,
-    _scaled_drives,
-    _sigmoid,
-    advance,
-    init_state,
-)
+# ``advance`` is not called here, but the benchmark's span shims look it up in this module
+from .model import TraceState, _drives, _features, _Features, _log_probs, _sigmoid, _trace_step, advance
 
 __all__ = [
     "Gradient",
@@ -62,8 +51,13 @@ __all__ = [
 DIVERGENCE_LIMIT = 1e6
 
 # Feature bytes full-batch training may keep across epochs; a dataset whose
-# features do not fit is rebuilt every epoch in blocks of at most this size.
+# features do not fit is rebuilt every epoch.
 _FEATURE_BYTES = 1 << 25
+
+# Feature bytes of one chunk: a known series is read a chunk at a time, and a
+# chunk's fill lands on the online update of its first row. 13 slices at 256
+# units and 2048 pairs: fewer than one update in ten, and about 2 MB of tables.
+_CHUNK_BYTES = 5 << 18
 
 
 class TrainingDiverged(RuntimeError):
@@ -194,128 +188,95 @@ def _normalize_series(series, n_units: int) -> np.ndarray:
     return slices
 
 
-def _walk(config: ModelConfig, slices: np.ndarray) -> Iterator[tuple[TraceState, np.ndarray]]:
-    """The one pass over a series: from the zero-history start state, yield
-    each checked slice with the state that precedes it. A slice is absorbed
-    into the traces only when the next one is reached, so the state after
-    the last slice, which no caller reads, is never built. The walk owns
-    one state and steps it in place, so a yielded state holds only until
-    the next one is drawn; a consumer that keeps one must copy it."""
-    state = init_state(config)
-    for t, x in enumerate(slices):
-        if t:
-            advance(state, config, slices[t - 1], state)
-        yield state, x
-
-
 def _step_bytes(config: ModelConfig) -> int:
-    """Bytes of one slice's features in a block."""
-    m = config.n_pairs
-    return 8 * (config.n_units + 2 * m * config.n_lambda + 4 * m * config.n_mu)
+    """Bytes of one slice's features in a kept block: its slice, α, β and γ rows."""
+    return 8 * (config.n_units + config.n_pairs * (config.n_lambda + 2 * config.n_mu))
 
 
-def _block(config: ModelConfig, steps: int) -> _Features:
-    """Features of ``steps`` consecutive rows on a leading step axis, whose
-    slices and trace arrays are still to be filled, one row at a time, by
-    ``_blocks``."""
-    arr, m = config.arrays, config.n_pairs
-    offset = config.n_units * np.arange(steps)[:, None, None]
-    post_k = arr.post_k + offset
-    return _Features(
-        x=np.empty((steps, config.n_units), dtype=np.int64),
-        alpha=np.empty((steps, m, config.n_lambda)),
-        beta=np.empty((steps, m, config.n_mu)),
-        gamma_post=np.empty((steps, m, config.n_mu)),
-        post_k=post_k,
-        post_l=post_k if arr.post_l is arr.post_k else arr.post_l + offset,
-        pre_l=arr.pre_l + offset,
-    )
+def _block_steps(config: ModelConfig, steps: int | None = None) -> int:
+    """The chunk: most slices whose features fit ``_CHUNK_BYTES`` and ``_FEATURE_BYTES``,
+    or fewer, the power of two that holds ``steps`` slices (few lengths, small tables)."""
+    most = max(1, min(_CHUNK_BYTES, _FEATURE_BYTES) // _step_bytes(config))
+    return most if steps is None else min(most, 1 << (steps - 1).bit_length())
 
 
-def _blocks(config: ModelConfig, series_list: list[np.ndarray], max_steps: int) -> Iterator[_Features]:
-    """Each series in turn, as one stream of feature blocks of at most
-    ``max_steps`` consecutive (series, step) rows in dataset order: row t
-    holds slice t and the features of the state that a ``_walk`` reaches
-    before it, bit for bit. Blocks cross series ends; the traces restart
-    from the zero-history state at each series start and carry across block
-    ends within a series. ``_fill`` builds the rows of one series in one
-    block; no more than one block is held at a time."""
-    arr = config.arrays
-    # the (unit, lag) that ``_fill`` reads for each pair's arrival, for its
-    # target's source-trace input and for the queue bit of each near-window
-    # slot (none when no pair queues a bit), and how far back each unit is
-    # read: its longest delay as a source, and at least one step
-    shape = (config.n_pairs, config.n_lambda)
-    arrival = np.broadcast_to(arr.pre[:, None], shape), np.broadcast_to(arr.delay[:, None], shape)
-    slots = None
-    if arr.queue_bounds[-1]:
-        pair = np.repeat(np.arange(config.n_pairs), arr.delay - 1).take(arr.lag_src)
-        slots = arr.pre.take(pair), arr.lag_src - arr.queue_bounds.take(pair) + 1
-    depth = np.ones(config.n_units, dtype=np.int64)
-    np.maximum.at(depth, arr.pre, arr.delay)
-    taps = (arrival, (arr.post_l, 1), slots, depth, np.tile(arr.mu, (config.n_pairs, 1)))
-    left, i = sum(map(len, series_list)), 0
-    for slices in series_list:
-        start, carry = 0, None
-        while start < len(slices):
-            if i == 0:
-                block = _block(config, min(max_steps, left))
-            stop = min(len(slices), start + len(block.x) - i)
-            carry = _fill(config, taps, block, i, slices, start, stop, carry)
-            i, left, start = i + stop - start, left - (stop - start), stop
-            if i == len(block.x):
-                yield block
-                i = 0
+class _TraceBuilder:
+    """Feature rows of known series, a chunk of at most C = ``steps``
+    slices at a time, into reused buffers: row r of a chunk from slice s
+    holds slice s + r and, bit for bit, the features of the state that
+    ``advance`` reaches from ``init_state`` over slices 0 … s + r - 1.
 
+    The rows read a float copy of each unit's recent slices (``history``:
+    from as far back as its longest queue reaches, zero before the series
+    start, its slice at chunk step k at ``head[u] + k``), which each fill
+    shifts by the slices the last one took. Row r + 1 gathers each unit's
+    last slice at ``source[r]`` and each pair's arrival at ``arrival + r``,
+    then steps α and γ (per unit) through ``advance``'s own step; γ goes to
+    the pairs once per chunk. β weights each near-window slot's bit (at
+    ``slots``; only the zero slot when no pair queues a bit) and sums them
+    along ``lag_runs`` as ``_beta_matrix`` does, in sub-chunks of at most a
+    chunk's β size. ``queue`` locates each bit of the state's queue. A state
+    is stepped only when a row or ``state`` reads it."""
 
-def _fill(config: ModelConfig, taps: tuple, f: _Features, i: int, slices, start: int, stop: int, carry):
-    """Fill rows ``i``, ``i + 1``, … of block ``f`` with steps ``start`` to
-    ``stop - 1`` of a series and return the carry of the last row: its
-    arrival traces and each pair's copy of its target's source trace.
-    ``carry`` is that of the step before ``start``, None at a series start.
+    def __init__(self, config: ModelConfig, steps: int) -> None:
+        arr, n, m, k = config.arrays, config.n_units, config.n_pairs, config.n_lambda
+        depth = np.zeros(n, dtype=np.int64)
+        np.maximum.at(depth, arr.pre, arr.delay - 1)
+        self.head = np.cumsum(depth + steps) - steps
+        self.slices = self.head + np.arange(steps)[:, None]
+        self.source = np.repeat(self.slices[:, :, None], config.n_mu, axis=2)
+        self.arrival = np.tile((self.head.take(arr.pre) - arr.delay + 1)[:, None], k)
+        pair = np.repeat(np.arange(m), arr.delay - 1)  # of each queue bit
+        lag = np.arange(pair.size) - arr.queue_bounds.take(pair) + 1
+        self.queue = self.head.take(arr.pre.take(pair)) - lag
+        at = self.queue.take(arr.lag_src) if pair.size else np.zeros(1, dtype=np.int64)
+        self.slots = at + np.arange(min(steps, max(1, steps * m * config.n_mu // at.size)))[:, None]
+        self.w = np.empty(self.slots.shape)
+        self.alpha, self.decayed = np.empty((steps + 1, m, k)), np.empty((m, k))
+        self.beta, self.gamma_post = np.empty((2, steps, m, config.n_mu))
+        self.gamma = np.empty((steps + 1, n, config.n_mu))
+        self.history = np.zeros(int(self.head[-1]) + steps)
+        self.steps, self.filled, self.index = steps, 0, None
+        self.arr = weakref.proxy(arr)  # ``arr`` keeps the idle builder: no cycle to outlive a config
 
-    Every queued bit is a past slice, so the rows read a uint8 copy of the
-    series, zero before its start, instead of stepping a queue: each unit's
-    column from as far back as any trace reads it. One step at a time,
-    α = α × lam_k + x_pre[t - d] for a pair of delay d, and γ = (γ +
-    x_post[t - 1]) × mu; each input is written into its row first and the
-    rest added to it, and since addition commutes this rounds as
-    ``advance`` does. β multiplies each ``lag_src`` slot's coefficient by
-    its bit and sums the slots along ``lag_runs``, as ``_beta_matrix``
-    does, for a chunk of steps at once whose table is no larger than the β
-    rows it fills (or one step's, when that alone is larger). Scratch is a
-    few arrays the size of the block's slices plus each unit's read depth,
-    one chunk's table and uint8 copies of the inputs."""
-    (arrival_unit, arrival_lag), (source_unit, source_lag), slots, depth, mu = taps
-    arr = config.arrays
-    steps = stop - start
-    rows = slice(i, i + steps)
-    f.x[rows] = slices[start:stop]
-    # unit u's column holds its slices start - depth[u] … stop - 2, one after another
-    length = steps - 1 + depth
-    head = np.cumsum(length) - length + depth  # where each column reaches slice start
-    time = np.arange(int(length.sum())) - np.repeat(head - start, length)
-    owner = np.repeat(np.arange(config.n_units), length)
-    past = np.where(time >= 0, slices[np.maximum(time, 0), owner], 0)
-    past = sliding_window_view(past.astype(np.uint8), past.size - steps + 1)  # row k: step start + k
-    alpha, gamma, beta = f.alpha[rows], f.gamma_post[rows], f.beta[rows]
-    alpha[...] = past[:, head[arrival_unit] - arrival_lag]
-    gamma[...] = past[:, head[source_unit] - source_lag]
-    a, g = carry or (np.zeros(alpha.shape[1:]), np.zeros(gamma.shape[1:]))
-    decayed = np.empty(alpha.shape[1:])
-    for t in range(steps):
-        alpha[t] += np.multiply(a, arr.lam_k, out=decayed)
-        gamma[t] += g
-        gamma[t] *= mu
-        a, g = alpha[t], gamma[t]
-    if slots is None:
-        beta[...] = 0.0
-    else:
-        unit, lag = slots
-        at = head[unit] - lag
-        chunk = max(1, beta.size // at.size)
-        for c in range(0, steps, chunk):
-            w = arr.lag_coeff * past[c : c + chunk, at]
+    def rows(self, x, alpha, beta, gamma_post) -> _Features:
+        """Features of ``len(x)`` rows, with the first rows of the bincount indices of C
+        rows, N apart, made on first use (online training reads its rows with the config's)."""
+        if self.index is None:
+            arr, offset = self.arr, self.gamma.shape[1] * np.arange(self.steps)[:, None, None]
+            post_k = arr.post_k + offset
+            post_l = post_k if arr.post_l is arr.post_k else arr.post_l + offset
+            self.index = post_k, post_l, arr.pre_l + offset
+        k, l, p = (a[: len(x)] for a in self.index)
+        return _Features(x, alpha, beta, gamma_post, k, k if self.index[1] is self.index[0] else l, p)
+
+    def _step(self, slices: np.ndarray, start: int, stop: int, more: bool) -> None:
+        """Step α and γ over slices ``start`` (0 or the last ``stop``) to ``stop - 1``
+        of a series, and into row stop - start when ``more`` asks for it."""
+        alpha, gamma, history, n, k = self.alpha, self.gamma, self.history, stop - start, self.filled
+        if start:  # shift by the last fill's slices and start from its last row
+            history[:-k], alpha[0], gamma[0] = history[k:], alpha[k], gamma[k]
+        else:
+            history[:] = alpha[0] = gamma[0] = 0.0
+        self.filled = n
+        history[self.slices[:n]] = slices[start:stop]
+        rows = n if more else n - 1
+        np.take(history, self.source[:rows], out=gamma[1 : rows + 1], mode="clip")
+        for r in range(1, rows + 1):
+            a, g = alpha[r], gamma[r]
+            np.take(history[r - 1 :], self.arrival, out=a, mode="clip")
+            _trace_step(self.arr, alpha[r - 1], gamma[r - 1], a, g, a, g, self.decayed)
+
+    def fill(self, slices: np.ndarray, start: int, stop: int, more: bool) -> tuple:
+        """The slices ``start`` to ``stop - 1`` and their α, β and γ rows,
+        held until the next fill."""
+        arr, n, gamma = self.arr, stop - start, self.gamma
+        self._step(slices, start, stop, more)
+        np.take(gamma[:n].reshape(n, -1), arr.gamma_post, axis=1, out=self.gamma_post[:n], mode="clip")
+        for c in range(0, n, len(self.w)):
+            w = self.w[: min(len(self.w), n - c)]
+            np.take(self.history[c:], self.slots[: len(w)], out=w, mode="clip")
+            w *= arr.lag_coeff
             for lo, hi, (lags, width), accumulates in arr.lag_runs:
                 run = w[:, lo:hi].reshape(len(w), lags, width)
                 if accumulates:
@@ -323,13 +284,63 @@ def _fill(config: ModelConfig, taps: tuple, f: _Features, i: int, slices, start:
                 else:
                     for s in range(1, lags):
                         np.add(run[:, s - 1], run[:, s], out=run[:, s])
-            np.take(w, arr.beta_at, axis=1, out=beta[c : c + chunk])
-    return a.copy(), g.copy()
+            np.take(w, arr.beta_at, axis=1, out=self.beta[c : c + len(w)], mode="clip")
+        return slices[start:stop], self.alpha[:n], self.beta[:n], self.gamma_post[:n]
+
+    def chunks(self, slices: np.ndarray) -> Iterator[tuple]:
+        """The rows of one series, a chunk at a time (``fill``)."""
+        for start in range(0, len(slices), self.steps):
+            stop = min(len(slices), start + self.steps)
+            yield self.fill(slices, start, stop, stop < len(slices))
+
+    def state(self, slices: np.ndarray) -> TraceState:
+        """The state after a series, stepping no row's features."""
+        for start in range(0, len(slices), self.steps):
+            self._step(slices, start, min(len(slices), start + self.steps), True)
+        k, queue = self.filled, self.history.take(self.queue + self.filled).astype(np.uint8)
+        return TraceState(self.alpha[k].copy(), self.gamma[k].copy(), queue, len(slices))
 
 
-def _block_steps(config: ModelConfig) -> int:
-    """Most slices whose features fit in ``_FEATURE_BYTES`` (at least one)."""
-    return max(1, _FEATURE_BYTES // _step_bytes(config))
+@contextmanager
+def _builder(config: ModelConfig, steps: int) -> Iterator[_TraceBuilder]:
+    """A ``_TraceBuilder`` of chunk length ``steps`` for the block. Fresh buffers cost a page
+    fault at every first touch, so one idle builder per length is kept in ``config.arrays``;
+    a nested or concurrent use (``dict.pop`` is atomic) makes its own."""
+    idle = config.arrays.trace_builders
+    builder = idle.pop(steps, None) or _TraceBuilder(config, steps)
+    yield builder
+    idle.setdefault(steps, builder)
+
+
+def _end_state(config: ModelConfig, series) -> TraceState:
+    """The state after a known series, from the zero-history start state."""
+    slices = _normalize_series(series, config.n_units)
+    with _builder(config, _block_steps(config, len(slices))) as builder:
+        return builder.state(slices)
+
+
+def _blocks(config: ModelConfig, series_list: list[np.ndarray], max_steps: int) -> Iterator[_Features]:
+    """Each series in turn, as one stream of fresh feature blocks of at most
+    ``max_steps`` (series, step) rows in dataset order, copied from a
+    ``_TraceBuilder`` of that chunk length; they cross series ends, and one
+    is held at a time."""
+    left, i = sum(map(len, series_list)), 0
+    with _builder(config, max_steps) as builder:
+        for slices in series_list:
+            start = 0
+            while start < len(slices):
+                if i == 0:
+                    n = min(max_steps, left)
+                    like = (slices, builder.alpha, builder.beta, builder.gamma_post)
+                    block = builder.rows(*(np.empty((n, *a.shape[1:]), a.dtype) for a in like))
+                stop = min(len(slices), start + len(block.x) - i)
+                chunk = builder.fill(slices, start, stop, stop < len(slices))
+                for a, b in zip((block.x, block.alpha, block.beta, block.gamma_post), chunk):
+                    a[i : i + stop - start] = b
+                i, left, start = i + stop - start, left - (stop - start), stop
+                if i == len(block.x):
+                    yield block
+                    i = 0
 
 
 def sequence_log_likelihood(params: Parameters, config: ModelConfig, series) -> float:
@@ -342,23 +353,16 @@ def _score(params: Parameters, config: ModelConfig, slices: np.ndarray) -> tuple
     """Log-likelihood of a series, and how many of its bits the firing
     probabilities predict when thresholded at one half (ties predict 0).
 
-    One ``_walk`` computes each step's logits; they are stacked in blocks
-    of at most ``_block_steps`` steps, and each block is scored at once.
-    Scoring a block makes several temporaries of its size (the logits,
-    the sigmoid and the log-probability terms), so blocks keep that memory
-    independent of series length. The training cap is loose here, as a
-    logit row holds N doubles where a feature row holds
-    N + M·(2·n_lambda + 4·n_mu), but it does bound every block by
-    ``_FEATURE_BYTES``. Step log-probabilities are added in step order."""
-    max_steps = _block_steps(config)
-    walk = _walk(config, slices)
+    One drive gives the logits of a whole chunk of ``_TraceBuilder`` rows;
+    step log-probabilities are added in step order."""
     total, correct = 0.0, 0
-    for start in range(0, len(slices), max_steps):
-        x = slices[start : start + max_steps]
-        z = np.stack([_scaled_drives(params, state, config) for state, _ in islice(walk, len(x))])
-        e = np.exp(-np.abs(z))
-        total = _add_in_order(_log_probs(z, x, e), total)
-        correct += int(np.count_nonzero((_sigmoid(z, e) > 0.5) == x))
+    with _builder(config, _block_steps(config, len(slices))) as builder:
+        for chunk in builder.chunks(slices):
+            f = builder.rows(*chunk)
+            z = _drives(params, f, config) / config.temperature
+            e = np.exp(-np.abs(z))
+            total = _add_in_order(_log_probs(z, f.x, e), total)
+            correct += int(np.count_nonzero((_sigmoid(z, e) > 0.5) == f.x))
     return float(total), correct
 
 
@@ -379,7 +383,8 @@ def sequence_gradient(params: Parameters, config: ModelConfig, series) -> Gradie
     """Sum of step gradients along a series, traces advancing between
     steps; equals the gradient of ``sequence_log_likelihood``."""
     slices = _normalize_series(series, config.n_units)
-    return _sequence_grad_ll(params, config, _blocks(config, [slices], _block_steps(config)))[0]
+    blocks = _blocks(config, [slices], _block_steps(config, len(slices)))
+    return _sequence_grad_ll(params, config, blocks)[0]
 
 
 def _sequence_grad_ll(
@@ -495,32 +500,37 @@ def train(
                 }
             )
 
-    # full-batch blocks are built once and kept when the dataset fits in one
-    steps, max_steps = sum(map(len, series_list)), _block_steps(config)
-    fits = trainer.mode == "full_batch" and steps <= max_steps
+    # full-batch blocks are built once and kept when the dataset's features fit
+    steps = sum(map(len, series_list))
+    max_steps = _block_steps(config, steps)
+    fits = trainer.mode == "full_batch" and steps * _step_bytes(config) <= _FEATURE_BYTES
     kept = list(_blocks(config, series_list, max_steps)) if fits else None
-    row = np.empty(config.arrays.n_params + 1)  # one online step's gradient, then log p
-    grad = Gradient._wrap(row[:-1], config.arrays.bank_shapes)
+    arr = config.arrays
+    row = np.empty(arr.n_params + 1)  # one online step's gradient, then log p
+    grad = Gradient._wrap(row[:-1], arr.bank_shapes)
     global_step = 0
-    for epoch in range(trainer.epochs):
-        epoch_ll = 0.0
-        if trainer.mode == "full_batch":
-            blocks = kept or _blocks(config, series_list, max_steps)
-            total, epoch_ll = _sequence_grad_ll(params, config, blocks, metrics.step_nll)
-            global_step += steps
-            update(total, epoch_ll, epoch, global_step)
-        else:
-            order = list(range(len(series_list)))
-            if rng is not None:
-                rng.shuffle(order)
-            for series_idx in order:
-                for state, x in _walk(config, series_list[series_idx]):
-                    _grad_logp(params, config, _features(state, config, x), row)
-                    log_p = float(row[-1])
-                    global_step += 1
-                    update(grad, log_p, epoch, global_step)
-                    epoch_ll += log_p
-                    metrics.step_nll.append(-log_p)
-        metrics.epoch_log_likelihood.append(epoch_ll)
+    with _builder(config, max_steps) if trainer.mode == "online" else nullcontext() as builder:
+        for epoch in range(trainer.epochs):
+            epoch_ll = 0.0
+            if trainer.mode == "full_batch":
+                blocks = kept or _blocks(config, series_list, max_steps)
+                total, epoch_ll = _sequence_grad_ll(params, config, blocks, metrics.step_nll)
+                global_step += steps
+                update(total, epoch_ll, epoch, global_step)
+            else:
+                order = list(range(len(series_list)))
+                if rng is not None:
+                    rng.shuffle(order)
+                for series_idx in order:
+                    for chunk in builder.chunks(series_list[series_idx]):
+                        for step in zip(*chunk):  # row t of the chunk, as one step's features
+                            f = _Features(*step, arr.post_k, arr.post_l, arr.pre_l)
+                            _grad_logp(params, config, f, row)
+                            log_p = float(row[-1])
+                            global_step += 1
+                            update(grad, log_p, epoch, global_step)
+                            epoch_ll += log_p
+                            metrics.step_nll.append(-log_p)
+            metrics.epoch_log_likelihood.append(epoch_ll)
     metrics.wall_ms = elapsed_ms()
     return params, metrics

@@ -38,7 +38,8 @@ the same drive, which firing probabilities, energies and learning share.
 
 ``advance`` returns a fresh state and leaves its input untouched, so
 snapshots can be read concurrently and compared, unless ``out=state`` asks
-it to step that state in place, as every walk over a series does.
+it to step that state in place, as a rollout does over the slices it
+generates; the traces of a known series come from ``learning``'s builder.
 """
 
 from __future__ import annotations
@@ -168,12 +169,18 @@ def advance(state: TraceState, config: ModelConfig, new_slice, out: TraceState |
     arrived = np.concatenate((x, out.queue)).take(arr.arrival_k)  # before the shift
     out.queue[1:] = out.queue[:-1]
     out.queue[arr.queue_start] = x.take(arr.queue_pre)
-    out.alpha *= arr.lam_k
-    out.alpha += arrived
-    out.gamma += x[:, None]
-    out.gamma *= arr.mu_l
+    _trace_step(arr, out.alpha, out.gamma, arrived, x[:, None], out.alpha, out.gamma, out.alpha)
     out.step_count += 1
     return out
+
+
+def _trace_step(arr, alpha, gamma, arrived, x, alpha_out, gamma_out, decayed) -> None:
+    """The α/γ step of ``advance`` and ``learning._TraceBuilder``: α × lam_k (into ``decayed``)
+    + arrived into ``alpha_out``, (γ + x) × mu into ``gamma_out``; outputs may be inputs."""
+    np.multiply(alpha, arr.lam_k, out=decayed)
+    np.add(decayed, arrived, out=alpha_out)
+    np.add(gamma, x, out=gamma_out)
+    gamma_out *= arr.mu_l
 
 
 def _beta_matrix(state: TraceState, config: ModelConfig) -> np.ndarray:
@@ -269,11 +276,6 @@ def _drives(params: Parameters, f: _Features, config: ModelConfig) -> np.ndarray
     return drive
 
 
-def _scaled_drives(params: Parameters, state: TraceState, config: ModelConfig) -> np.ndarray:
-    """Drive over temperature: the logit of each unit's firing probability."""
-    return _drives(params, _features(state, config), config) / config.temperature
-
-
 def unit_energy(
     params: Parameters, state: TraceState, config: ModelConfig, j: int, x_j: int
 ) -> float:
@@ -304,7 +306,7 @@ def _log_probs(z: np.ndarray, x: np.ndarray, e: np.ndarray | None = None) -> np.
 
 def fire_probs(params: Parameters, state: TraceState, config: ModelConfig) -> np.ndarray:
     """Probability that each unit fires next step, given the state."""
-    return _sigmoid(_scaled_drives(params, state, config))
+    return _sigmoid(_drives(params, _features(state, config), config) / config.temperature)
 
 
 def fire_prob(params: Parameters, state: TraceState, config: ModelConfig, j: int) -> float:
@@ -325,7 +327,7 @@ def cond_prob(
     wide networks, which is why both are returned.
     """
     x = as_time_slice(slice_values, config.n_units)
-    log_p = float(_log_probs(_scaled_drives(params, state, config), x))
+    log_p = float(_log_probs(_drives(params, _features(state, config), config) / config.temperature, x))
     return float(np.exp(log_p)), log_p
 
 

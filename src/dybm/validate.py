@@ -222,9 +222,11 @@ def check_block_gradient(seed: int = 0, cases: int = 50) -> PropertyReport:
         per_step = learning.Gradient.zeros(config)
         per_step_ll = 0.0
         for slices in dataset:
-            for state, x in learning._walk(config, slices):
+            state = model.init_state(config)
+            for x in slices:
                 per_step.add_(learning.step_gradient(params, state, config, x))
                 per_step_ll += model.cond_prob(params, state, config, x)[1]
+                state = model.advance(state, config, x)
         blocks = learning._blocks(config, dataset, int(rng.integers(1, lengths.sum() + 1)))
         block, block_ll = learning._sequence_grad_ll(params, config, blocks)
         errors = []

@@ -7,9 +7,12 @@ lag, and to the truncated-kernel firing probability (``naive_fire_prob``).
 Queue bits must agree exactly. The configs cover mixed delays with delay-1
 pairs, configs where every delay is 1, and empty connectivity.
 
-The full-batch block scorer is held to the per-step gradient and
-log-probability summed along the walk, bit for bit, and so is the logit
-scorer behind ``eval_prediction`` and ``sequence_log_likelihood``.
+The trace builder of a known series (``learning._TraceBuilder``) is held
+to a loop of ``advance`` calls, bit for bit: its feature rows, its end
+state, and online training, scoring and full-batch blocks read through it,
+across chunk ends. The full-batch block scorer is held to the per-step
+gradient and log-probability summed along the walk, bit for bit, and so is
+the logit scorer behind ``eval_prediction`` and ``sequence_log_likelihood``.
 """
 
 import functools
@@ -77,6 +80,16 @@ def walk(cfg, history):
     for x in history:
         state = advance(state, cfg, x)
     return state
+
+
+def states(cfg, slices):
+    """Each slice with the state before it, from a loop of pure ``advance``
+    calls; the state after the last slice is never built."""
+    state = init_state(cfg)
+    for t, x in enumerate(slices):
+        if t:
+            state = advance(state, cfg, slices[t - 1])
+        yield state, x
 
 
 def beta_by_definition(cfg, history) -> np.ndarray:
@@ -312,17 +325,6 @@ class TestInPlaceStep:
         rng = np.random.default_rng(41)
         self.check(cfg, (rng.random((23, cfg.n_units)) < 0.5).astype(np.int64))
 
-    def test_walk_steps_one_state(self):
-        # the walk's states are one object; each equals the pure walk's
-        rng = np.random.default_rng(43)
-        slices = (rng.random((11, MIXED.n_units)) < 0.5).astype(np.int64)
-        seen = set()
-        for t, (state, x) in enumerate(learning._walk(MIXED, slices)):
-            seen.add(id(state))
-            assert_same_state(state, walk(MIXED, slices[:t]))
-            assert x.tobytes() == slices[t].tobytes()
-        assert len(seen) == 1
-
 
 class TestEmptyConnectivity:
     def test_step_is_bias_only(self):
@@ -358,7 +360,7 @@ def per_step_sums(params, cfg, slices):
     """Gradient, log-likelihood and per-step NLLs, one step at a time."""
     total = Gradient.zeros(cfg)
     ll, nll = 0.0, []
-    for state, x in learning._walk(cfg, slices):
+    for state, x in states(cfg, slices):
         log_p = cond_prob(params, state, cfg, x)[1]
         total.add_(step_gradient(params, state, cfg, x))
         ll += log_p
@@ -421,7 +423,7 @@ class TestBlockScorer:
 
         slices = (rng.random((9, cfg.n_units)) < 0.5).astype(np.int64)
         rows = score(slices)
-        for row, (state, x) in zip(rows, learning._walk(cfg, slices), strict=True):
+        for row, (state, x) in zip(rows, states(cfg, slices), strict=True):
             grad = step_gradient(params, state, cfg, x)
             assert grad.theta.tobytes() == row[:-1].tobytes()
             assert np.float64(cond_prob(params, state, cfg, x)[1]).tobytes() == row[-1].tobytes()
@@ -445,7 +447,7 @@ class TestDatasetBlockStream:
         for _ in range(epochs):
             total, epoch_ll = Gradient.zeros(cfg), 0.0
             for slices in dataset:
-                for state, x in learning._walk(cfg, slices):
+                for state, x in states(cfg, slices):
                     log_p = cond_prob(params, state, cfg, x)[1]
                     total.add_(step_gradient(params, state, cfg, x))
                     epoch_ll += log_p
@@ -496,7 +498,7 @@ class TestDatasetBlockStream:
 class TestBlocksFromSeries:
     """``_blocks`` fills its rows from the series itself, not by stepping a
     queue; every row must hold the slice and the features of the state a
-    ``_walk`` reaches, bit for bit, whether the rows are kept in one block
+    loop of ``advance`` calls reaches, bit for bit, whether the rows are kept in one block
     or cut into blocks of a few steps, so that the traces carry across
     block ends and one-slice series fall at block starts and ends."""
 
@@ -507,7 +509,7 @@ class TestBlocksFromSeries:
         want = [
             (x.tobytes(), f.alpha.tobytes(), f.beta.tobytes(), f.gamma_post.tobytes())
             for slices in dataset
-            for f, x in ((_features(state, cfg), x) for state, x in learning._walk(cfg, slices))
+            for f, x in ((_features(state, cfg), x) for state, x in states(cfg, slices))
         ]
         got = []
         for block in learning._blocks(cfg, dataset, max_steps):
@@ -544,28 +546,47 @@ class TestBlocksFromSeries:
         self.assert_rows_match_walk(cfg, dataset, max_steps)
 
     def test_memory_does_not_grow_with_delay_times_units(self):
-        # 512 units at delay 2 plus one pair at delay 20,000: a window of
-        # every unit as far back as the longest delay would take 10 MB per
-        # block of 40 steps; ``_blocks`` holds the block it fills (and the
-        # one before, until that is released), arrays the size of the
-        # block's slices and, as a walk's state does, each unit's history
-        # and one step's near-window table
+        # 512 units at delay 2 plus one pair at delay 20,000: a history of
+        # every unit as far back as the longest delay would take 10 MB even
+        # as bytes. Every route reads each unit only as far back as its own
+        # longest queue: ``_blocks`` holds the block it fills (and the one
+        # before, until that is released), and the trace builder holds its
+        # tables and buffers, a few arrays the size of a chunk's rows plus,
+        # as a walk's state does, each unit's history and one step's
+        # near-window table. Online training and scoring read the builder's
+        # own chunks of ``_block_steps`` rows (two of them here).
         n, steps = 512, 40
         delays = {(i, i): 2 for i in range(n)}
         delays[(0, 1)] = 20_000
-        cfg = ModelConfig(n, (0.5,), (0.99,), delays)
         series = (np.random.default_rng(2).random((3 * steps, n)) < 0.5).astype(np.int64)
-        state_bytes = 8 * (cfg.arrays.queue_bounds[-1] + cfg.arrays.lag_coeff.size)
-        tracemalloc.start()
-        try:
+
+        def peak(route):
+            cfg = ModelConfig(n, (0.5,), (0.99,), delays)
+            cfg.arrays  # each route builds its own chunk tables, traced
+            tracemalloc.start()
+            try:
+                return cfg, route(cfg), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def blocks(cfg):
             block_bytes = 0
             for block in learning._blocks(cfg, [series], steps):
                 block_bytes = max(block_bytes, sum(a.nbytes for a in vars(block).values()))
                 del block
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * block_bytes + 4 * 8 * n * steps + 4 * state_bytes
+            return block_bytes
+
+        cfg, block_bytes, got = peak(blocks)
+        state_bytes = 8 * (cfg.arrays.queue_bounds[-1] + cfg.arrays.lag_coeff.size)
+        assert got <= 2 * block_bytes + 4 * 8 * n * steps + 4 * state_bytes
+        chunk_bytes = learning._block_steps(cfg) * learning._step_bytes(cfg)
+        assert learning._block_steps(cfg) < len(series) < 2 * learning._block_steps(cfg)
+        trainer = TrainerConfig(1e-3, epochs=1, mode="online")
+        for route in (
+            lambda cfg: train(Parameters.zeros(cfg), cfg, [series], trainer),
+            lambda cfg: learning.sequence_log_likelihood(Parameters.zeros(cfg), cfg, series),
+        ):
+            assert peak(route)[2] <= 4 * chunk_bytes + 4 * state_bytes
 
 
 class TestAddInOrder:
@@ -661,6 +682,96 @@ class TestOnlineStep:
         for record in records:
             del record["wall_ms"]
         assert records == want_records
+
+
+class TestTraceBuilder:
+    """The trace builder fills a known series' rows a chunk at a time into
+    buffers it reuses, and online training, scoring and rollout primers
+    read it. The rows, the state after the last slice, online training and
+    scoring must be the loop of ``advance`` calls', bit for bit, for series
+    of 1, C - 1, C, C + 1 and 3C + 2 slices, where C is the chunk the
+    builder picks for a long series: with a budget of five steps' features,
+    or the default budget for the ring (53 steps)."""
+
+    CONFIGS = pytest.mark.parametrize(
+        "cfg", [MIXED, ALL_DELAY_ONE, EMPTY, ONE_UNIT, RING],
+        ids=["mixed", "delay1", "empty", "one-unit", "ring"],
+    )
+
+    @staticmethod
+    def series(cfg, monkeypatch):
+        if cfg is not RING:
+            monkeypatch.setattr(learning, "_CHUNK_BYTES", 5 * learning._step_bytes(cfg))
+        c = learning._block_steps(cfg)
+        assert c == (5 if cfg is not RING else 53)
+        rng = np.random.default_rng(c)
+        return [(rng.random((t, cfg.n_units)) < 0.4).astype(np.int64) for t in (1, c - 1, c, c + 1, 3 * c + 2)]
+
+    @CONFIGS
+    def test_end_state_is_the_advance_loops(self, cfg, monkeypatch):
+        for slices in self.series(cfg, monkeypatch):
+            assert_same_state(learning._end_state(cfg, slices), walk(cfg, slices))
+
+    @CONFIGS
+    def test_rows_are_the_advance_loops(self, cfg, monkeypatch):
+        for slices in self.series(cfg, monkeypatch):
+            want = [
+                (x.tobytes(), f.alpha.tobytes(), f.beta.tobytes(), f.gamma_post.tobytes())
+                for f, x in ((_features(state, cfg), x) for state, x in states(cfg, slices))
+            ]
+            got = []
+            with learning._builder(cfg, learning._block_steps(cfg)) as builder:
+                for chunk in builder.chunks(slices):
+                    got += [tuple(row.tobytes() for row in rows) for rows in zip(*chunk)]
+                    # one index array serves both when the rate counts agree
+                    f = builder.rows(*chunk)
+                    assert (f.post_l is f.post_k) == (cfg.n_mu == cfg.n_lambda)
+            assert got == want
+
+    @CONFIGS
+    def test_online_train_is_the_public_loop(self, cfg, monkeypatch):
+        rng = np.random.default_rng(59)
+        params = Parameters(
+            bias=rng.normal(0.0, 1.0, size=cfg.n_units),
+            u=rng.normal(0.0, 1.0, size=(cfg.n_pairs, cfg.n_lambda)),
+            v=rng.normal(0.0, 1.0, size=(cfg.n_pairs, cfg.n_mu)),
+        )
+        trainer = TrainerConfig(0.05, epochs=1, mode="online")
+        for slices in self.series(cfg, monkeypatch):
+            got, metrics = train(params, cfg, [slices], trainer)
+            want, expected, _ = TestOnlineStep.pure_train(params, cfg, [slices], trainer)
+            assert got.theta.tobytes() == want.theta.tobytes()
+            assert metrics.step_nll == expected.step_nll
+
+    @CONFIGS
+    def test_scores_are_the_chained_cond_probs(self, cfg, monkeypatch):
+        rng = np.random.default_rng(61)
+        params = Parameters(
+            bias=rng.normal(0.0, 1.0, size=cfg.n_units),
+            u=rng.normal(0.0, 0.5, size=(cfg.n_pairs, cfg.n_lambda)),
+            v=rng.normal(0.0, 0.5, size=(cfg.n_pairs, cfg.n_mu)),
+        )
+        for slices in self.series(cfg, monkeypatch):
+            chained, correct = 0.0, 0
+            for state, x in states(cfg, slices):
+                chained += cond_prob(params, state, cfg, x)[1]
+                correct += int(np.sum((fire_probs(params, state, cfg) > 0.5) == x))
+            assert learning._score(params, cfg, slices) == (chained, correct)
+
+    def test_a_nested_use_gets_its_own_buffers(self):
+        # a training record sink may score on the model's own config
+        # while the training builder's chunk is still being read
+        rng = np.random.default_rng(67)
+        slices = (rng.random((12, MIXED.n_units)) < 0.5).astype(np.int64)
+        with learning._builder(MIXED, 4) as outer:
+            chunk = next(outer.chunks(slices))
+            before = [a.tobytes() for a in chunk]
+            with learning._builder(MIXED, 4) as inner:
+                assert inner is not outer
+                list(inner.chunks(slices[::-1]))
+            assert [a.tobytes() for a in chunk] == before
+        with learning._builder(MIXED, 4) as again:
+            assert again is inner  # the spare kept for the next use
 
 
 class TestEpochLogLikelihood:

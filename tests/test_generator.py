@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dybm import generator, learning
+from dybm import generator, learning, model
 from dybm.config import ConfigError, ModelConfig, Parameters
 from dybm.generator import PredictionMetrics, RolloutConfig, eval_prediction, rollout, sample_step
 from dybm.model import advance, fire_probs, init_state
@@ -235,8 +235,11 @@ class TestEvalPrediction:
 
 
 class TestAdvanceCalls:
-    """Each walk absorbs a slice only when a later slice needs the state:
-    the state after the last slice is never built."""
+    """Each α/γ step, which ``advance`` and the trace builder of a known
+    series share (``model._trace_step``), absorbs a slice only when a later
+    slice, or a rollout's next step, needs the state: the state after the
+    last slice is never built. Scoring and a rollout's primer take the
+    builder; a rollout's generated slices take ``advance``."""
 
     CFG = ModelConfig.dense(2, delay=3)
 
@@ -246,10 +249,11 @@ class TestAdvanceCalls:
 
         def counting(*args):
             counted.append(1)
-            return advance(*args)
+            return step(*args)
 
-        for module in (learning, generator):
-            monkeypatch.setattr(module, "advance", counting)
+        step = model._trace_step
+        for module in (model, learning):
+            monkeypatch.setattr(module, "_trace_step", counting)
         return counted
 
     @pytest.mark.parametrize("steps", [1, 2, 9])

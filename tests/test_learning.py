@@ -506,25 +506,26 @@ class TestFullBatchFeatureCache:
     EPOCHS = 4
 
     def run(self, monkeypatch, cap=None):
-        """Full-batch training with ``_fill`` calls (the rows of one series
-        in one block) counted and the bytes of every feature block
-        recorded."""
+        """Full-batch training with the trace builder's fills (the rows of
+        one series in one block) counted and the feature bytes of every
+        block recorded: its slices and trace rows, as its bincount indices
+        are the first rows of tables shared by every block."""
         if cap is not None:
             monkeypatch.setattr(learning, "_FEATURE_BYTES", cap)
         calls, block_bytes = [], []
-        fill_, block_ = learning._fill, learning._block
+        fill_, blocks_ = learning._TraceBuilder.fill, learning._blocks
 
         def counted(*args):
             calls.append(1)
             return fill_(*args)
 
         def measured(*args):
-            block = block_(*args)
-            block_bytes.append(sum(a.nbytes for a in vars(block).values()))
-            return block
+            for block in blocks_(*args):
+                block_bytes.append(sum(a.nbytes for a in (block.x, block.alpha, block.beta, block.gamma_post)))
+                yield block
 
-        monkeypatch.setattr(learning, "_fill", counted)
-        monkeypatch.setattr(learning, "_block", measured)
+        monkeypatch.setattr(learning._TraceBuilder, "fill", counted)
+        monkeypatch.setattr(learning, "_blocks", measured)
         rng = np.random.default_rng(21)
         dataset = [(rng.random((t, 2)) < 0.5).astype(int) for t in (9, 14, 6)]
         params, metrics = train(
