@@ -319,7 +319,7 @@ class _DerivedArrays:
     distinct (unit, lag, rate) terms, and never more than twice the queue
     times ``n_mu``. A last slot, read by delay-1 pairs, is always 0.
     ``beta_at[m, l]`` is the slot of (pair ``m``'s source, rate ``l``) at
-    lag ``d - 1``, where the running sum over the lags stops.
+    lag ``d - 1``, where the running sum (``model._near_window``) stops.
 
     Rate tables have the full (n_pairs, n_lambda), (n_pairs, n_mu) or
     (n_units, n_mu) shape of the traces they meet: numpy runs an

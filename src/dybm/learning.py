@@ -7,8 +7,9 @@ enough rate can never decrease it. Online mode applies one update per
 observed slice; the traces do not depend on the parameters, so updating
 mid-sequence loses nothing. A queue holds only past slices of its source
 unit, so one trace builder (``_TraceBuilder``) reads the features of a
-known series from the series itself, a chunk at a time. Online training
-reads each row as one step's features, scoring drives a whole chunk, and
+known series from the series itself, a chunk at a time, summing β with
+the one kernel a single state uses (``model._near_window``). Online
+training reads each row as one step's features, scoring drives a chunk, and
 full-batch training builds the dataset's features once, as one stream of
 blocks that cross series ends, and rescores it every epoch. One scorer,
 ``_grad_logp``, serves both modes. Totals over steps are added one step at
@@ -32,7 +33,9 @@ from .config import (
     ConfigError, ModelConfig, Parameters, _count, _FlatBanks, _positive, as_time_slice
 )
 # ``advance`` is not called here, but the benchmark's span shims look it up in this module
-from .model import TraceState, _drives, _features, _Features, _log_probs, _sigmoid, _trace_step, advance
+from .model import (
+    TraceState, _drives, _features, _Features, _log_probs, _near_window, _sigmoid, _trace_step, advance
+)
 
 __all__ = [
     "Gradient",
@@ -212,11 +215,11 @@ class _TraceBuilder:
     shifts by the slices the last one took. Row r + 1 gathers each unit's
     last slice at ``source[r]`` and each pair's arrival at ``arrival + r``,
     then steps α and γ (per unit) through ``advance``'s own step; γ goes to
-    the pairs once per chunk. β weights each near-window slot's bit (at
-    ``slots``; only the zero slot when no pair queues a bit) and sums them
-    along ``lag_runs`` as ``_beta_matrix`` does, in sub-chunks of at most a
-    chunk's β size. ``queue`` locates each bit of the state's queue. A state
-    is stepped only when a row or ``state`` reads it."""
+    the pairs once per chunk. β gathers each near-window slot's bit (at
+    ``slots``; only the zero slot when no pair queues a bit) and sums the
+    rows with ``_beta_matrix``'s kernel, in sub-chunks of at most a chunk's
+    β size. ``queue`` locates each bit of the state's queue. A state is
+    stepped only when a row or ``state`` reads it."""
 
     def __init__(self, config: ModelConfig, steps: int) -> None:
         arr, n, m, k = config.arrays, config.n_units, config.n_pairs, config.n_lambda
@@ -277,14 +280,7 @@ class _TraceBuilder:
             w = self.w[: min(len(self.w), n - c)]
             np.take(self.history[c:], self.slots[: len(w)], out=w, mode="clip")
             w *= arr.lag_coeff
-            for lo, hi, (lags, width), accumulates in arr.lag_runs:
-                run = w[:, lo:hi].reshape(len(w), lags, width)
-                if accumulates:
-                    np.add.accumulate(run, axis=1, out=run)
-                else:
-                    for s in range(1, lags):
-                        np.add(run[:, s - 1], run[:, s], out=run[:, s])
-            np.take(w, arr.beta_at, axis=1, out=self.beta[c : c + len(w)], mode="clip")
+            _near_window(w, arr, self.beta[c : c + len(w)])
         return slices[start:stop], self.alpha[:n], self.beta[:n], self.gamma_post[:n]
 
     def chunks(self, slices: np.ndarray) -> Iterator[tuple]:

@@ -20,17 +20,11 @@ segment boundary) and reads each segment's oldest bit as the arrival.
 
 The near-window trace ``beta[m, l]`` is derived from the queue on every
 step, never carried recursively: carrying it forward would repeatedly
-multiply by ``1/mu`` and is numerically unstable. Every pair from one
-source unit queues a prefix of the same history, so the bits of each
-unit's longest queue times the precomputed ``mu**(-lag)`` table are
-summed in lag order once per source unit and rate, and each pair reads
-the partial sum at its own delay. Units whose lag counts share a bit
-length are summed together as one block, by row adds or one accumulate,
-so the work is fewer than twice the distinct (unit, lag, rate) terms, a
-few calls per block, and one gather per pair and rate.
-The coefficients grow toward the delay horizon on purpose (they mirror the
-near side of the weight kernel); the configuration validator bounds their
-sum.
+multiply by ``1/mu`` and is numerically unstable. One kernel,
+``_near_window``, sums it for one state here and for a chunk of a known
+series in ``learning``'s trace builder. The coefficients grow toward the
+delay horizon on purpose (they mirror the near side of the weight
+kernel); the configuration validator bounds their sum.
 
 The next slice's conditional reads a state only through its features
 (``_Features``). One state's features and a stack of T states' go through
@@ -185,24 +179,34 @@ def _trace_step(arr, alpha, gamma, arrived, x, alpha_out, gamma_out, decayed) ->
 
 def _beta_matrix(state: TraceState, config: ModelConfig) -> np.ndarray:
     """Near-window traces for all pairs, shape (n_pairs, n_mu); computed
-    fresh from the queue on every call. The weighted lags of each source
-    unit's longest queue are summed in lag order, once per rate, block by
-    block (``config.arrays.lag_runs``), and pair (i, j) with delay d reads
-    the partial sum of source i after lag d - 1: the same terms added in
-    the same order as a sum over the pair's own segment. Delay-1 pairs
-    read the zero in the last slot."""
+    fresh from the queue on every call (``_near_window``)."""
     arr = config.arrays
     if not state.queue.size:
         return np.zeros((config.n_pairs, config.n_mu))
-    w = arr.lag_coeff * state.queue.take(arr.lag_src)
+    return _near_window(arr.lag_coeff * state.queue.take(arr.lag_src), arr)
+
+
+def _near_window(w: np.ndarray, arr, out: np.ndarray | None = None) -> np.ndarray:
+    """Near-window traces from the weighted lag terms ``w``, the bit at each
+    slot of ``arr.lag_src`` times ``arr.lag_coeff``: (n_pairs, n_mu) from
+    one state's (slots,), or (R, n_pairs, n_mu) from R states' (R, slots),
+    into ``out`` when given. Each block of ``arr.lag_runs`` is summed in
+    place along its lags, in lag order, by row adds or one accumulate, and
+    pair (i, j) with delay d reads the partial sum of source i after lag
+    d - 1 (``arr.beta_at``): the same terms added in the same order as a sum
+    over the pair's own segment. Delay-1 pairs read the zero in the last
+    slot. Every pair from one unit queues a prefix of the same history
+    (``TraceState``), so the work is fewer than twice the distinct (unit,
+    lag, rate) terms, a few calls per block and one gather per pair and
+    rate."""
     for lo, hi, shape, accumulates in arr.lag_runs:
-        run = w[lo:hi].reshape(shape)
+        run = w.T[lo:hi].reshape(*shape, -1)  # (lags, width, R): a lag is one plain index
         if accumulates:
             np.add.accumulate(run, axis=0, out=run)
         else:
             for s in range(1, shape[0]):
                 np.add(run[s - 1], run[s], out=run[s])
-    return w.take(arr.beta_at)
+    return w.take(arr.beta_at, -1, out, "clip")  # keywords cost more than this gather at N = 3
 
 
 def _check_index(kind: str, index: int, size: int) -> None:

@@ -260,12 +260,22 @@ class TestQueuePrefix:
             load_checkpoint(json.dumps(doc))
 
     def test_load_refuses_disagreeing_rows_out_of_order(self):
-        # rows out of pair order go through the per-row reader and pack_queue_rows
+        # rows out of pair order go through the per-row reader
         doc = json.loads(save_checkpoint(Parameters.zeros(self.CFG), self.CFG, init_state(self.CFG)))
         doc["trace_state"]["queues"][1][2] = [0, 1, 1]
         doc["trace_state"]["queues"].reverse()
         with pytest.raises(CheckpointError, match=r"^trace_state\.queues: pair \(0, 0\) disagrees"):
             load_checkpoint(json.dumps(doc))
+
+    @pytest.mark.parametrize("edit", ["as-saved", "rows-reversed"])
+    def test_one_fault_is_named_on_either_path(self, edit):
+        # disagreeing queues and a negative alpha entry: both readers check
+        # the traces first, so the row order does not change the message
+        doc = json.loads(save_checkpoint(Parameters.zeros(self.CFG), self.CFG, init_state(self.CFG)))
+        doc["trace_state"]["queues"][1][2] = [0, 1, 1]
+        doc["trace_state"]["alpha"][0][2] = [-1.0]
+        with pytest.raises(CheckpointError, match="alpha has a negative entry"):
+            load_checkpoint(json.dumps(EDITS[edit](doc)))
 
 
 class TestMalformedDocuments:

@@ -63,6 +63,14 @@ RING = ModelConfig(
     (0.5, 0.8),
     {((j - r) % 160, j): 1 + (r - 1) % 4 for j in range(160) for r in (1, 2, 3)},
 )
+# 160 units queue two lags each, a wide block summed by row adds; unit 0
+# queues 39, alone in a narrow block summed by one accumulate
+TWO_RUNS = ModelConfig(
+    160,
+    (0.5,),
+    (0.6, 0.85),
+    {((j - r) % 160, j): 3 for j in range(160) for r in (1, 2)} | {(0, 5): 40},
+)
 # the network of the fullbatch_small benchmark workload
 SMALL_DENSE = ModelConfig.dense(3, lambdas=(0.5,), mus=(0.25,), delay=2)
 # unit 0 feeds every unit at delay 3 (one (source, delay) key, three
@@ -253,11 +261,7 @@ class TestPerSourceBeta:
         self.check(cfg, (rng.random((70, 4)) < 0.5).astype(np.int64))
 
     def test_row_adds_and_one_accumulate(self):
-        # 160 units queue two lags each, a wide block summed by row adds;
-        # unit 0 queues 39, alone in a narrow block summed by one accumulate
-        delays = {((j - r) % 160, j): 3 for j in range(160) for r in (1, 2)}
-        delays[(0, 5)] = 40
-        cfg = ModelConfig(160, (0.5,), (0.6, 0.85), delays)
+        cfg = TWO_RUNS
         runs = {shape: accumulates for _, _, shape, accumulates in cfg.arrays.lag_runs}
         assert runs == {(2, 2 * 159): False, (39, 2): True}
         rng = np.random.default_rng(61)
@@ -691,11 +695,13 @@ class TestTraceBuilder:
     scoring must be the loop of ``advance`` calls', bit for bit, for series
     of 1, C - 1, C, C + 1 and 3C + 2 slices, where C is the chunk the
     builder picks for a long series: with a budget of five steps' features,
-    or the default budget for the ring (53 steps)."""
+    or the default budget for the ring (53 steps). With five steps,
+    ``TWO_RUNS`` sums its β in sub-chunks of four rows, through both a
+    row-add block and an accumulate block in one call."""
 
     CONFIGS = pytest.mark.parametrize(
-        "cfg", [MIXED, ALL_DELAY_ONE, EMPTY, ONE_UNIT, RING],
-        ids=["mixed", "delay1", "empty", "one-unit", "ring"],
+        "cfg", [MIXED, ALL_DELAY_ONE, EMPTY, ONE_UNIT, RING, TWO_RUNS],
+        ids=["mixed", "delay1", "empty", "one-unit", "ring", "two-runs"],
     )
 
     @staticmethod
