@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: train, eval, generate, validate, kernel-dump, bench. Machine
-output (metrics, reports, CSV) goes to stdout; human progress goes to
-stderr. Exit codes: 0 success, 1 validation-suite failure, 2 bad input or
+output (metrics, reports, CSV) goes to stdout, its JSON strict (no NaN
+or Infinity); human progress goes to stderr. Exit codes: 0 success, 1 validation-suite failure, 2 bad input or
 configuration, 3 training divergence. All randomness flows from --seed
 flags; nothing is seeded from the clock.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from dataclasses import fields
@@ -29,9 +30,35 @@ from .validate import run_all
 
 __all__ = ["main"]
 
+# Machine output is strict JSON: a number that is not finite has no JSON form.
+# The encoders are built once; json.dumps(…, allow_nan=False) builds one per call.
+_JSON = json.JSONEncoder(allow_nan=False)
+_JSON_REPORT = json.JSONEncoder(allow_nan=False, indent=2)
+
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+def _json(doc: dict, encoder: json.JSONEncoder = _JSON) -> str:
+    """``doc`` as strict JSON; raises ValueError naming a field that is not finite."""
+    try:
+        return encoder.encode(doc)
+    except ValueError:
+        field, value = _non_finite(doc, "")
+        raise ValueError(f"{field} is {value}, which JSON output cannot hold") from None
+
+
+def _non_finite(doc, path: str):
+    """(dotted path, value) of the first number in ``doc`` that is not finite, or None."""
+    if isinstance(doc, float):
+        return None if math.isfinite(doc) else (path, doc)
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        found = _non_finite(value, f"{path}.{key}" if path else str(key))
+        if found:
+            return found
+    return None
 
 
 def _load_run_config(path: str) -> tuple[ModelConfig, dict]:
@@ -77,7 +104,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         config,
         dataset,
         trainer,
-        record_sink=lambda rec: print(json.dumps(rec), flush=False),
+        record_sink=lambda rec: print(_json(rec), flush=False),
     )
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(save_checkpoint(params, config))
@@ -94,15 +121,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     params, config, _ = load_checkpoint(_read(args.model))
     scores = eval_prediction(params, config, _read_series_for(args.data, config))
-    print(
-        json.dumps(
-            {
-                "log_likelihood": scores.log_likelihood,
-                "nll_per_bit": scores.nll_per_bit,
-                "accuracy": scores.accuracy,
-            }
-        )
-    )
+    doc = {"log_likelihood": scores.log_likelihood, "nll_per_bit": scores.nll_per_bit, "accuracy": scores.accuracy}
+    print(_json(doc))
     return 0
 
 
@@ -181,7 +201,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         report["sweep"].append(
             {"n_units": n, "pairs": config.n_pairs, "per_synapse_update_us": per_synapse, **audit}
         )
-    print(json.dumps(report, indent=2))
+    print(_json(report, _JSON_REPORT))
     return 0
 
 

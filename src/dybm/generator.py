@@ -4,19 +4,22 @@ A trained model defines the distribution of the next slice given the past,
 so rolling it forward (sample a slice, feed it back, repeat) is itself a
 generative model of the series. Argmax mode thresholds the firing
 probabilities instead of sampling; exact ties at one half predict silence,
-so argmax rollouts are fully deterministic. Only generated slices pass
-through ``advance``; a primer's and a scored series' traces are built.
+so argmax rollouts are fully deterministic. No path here calls
+``advance``: a scored series, a primer and each generated slice as it is
+sampled all step through ``learning``'s trace builder.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ConfigError, ModelConfig, Parameters, _count
-from .learning import _end_state, _normalize_series, _score
-from .model import TraceState, advance, fire_probs, init_state
+from .learning import _block_steps, _builder, _normalize_series, _score, _TraceBuilder
+# ``advance`` is not called here, but the benchmark's span shims look it up in this module
+from .model import TraceState, _drives, _Features, _sigmoid, advance, fire_probs
 from .rng import _reseater, step_stream
 
 __all__ = [
@@ -60,11 +63,6 @@ def sample_step(
     return (draws < p).astype(np.int64)
 
 
-def argmax_step(params: Parameters, state: TraceState, config: ModelConfig) -> np.ndarray:
-    """Most likely value per unit; probability exactly one half rounds down."""
-    return (fire_probs(params, state, config) > 0.5).astype(np.int64)
-
-
 def rollout(params: Parameters, config: ModelConfig, rollout_cfg: RolloutConfig) -> np.ndarray:
     """Generate ``horizon`` slices autoregressively; returns (horizon, N).
 
@@ -73,21 +71,28 @@ def rollout(params: Parameters, config: ModelConfig, rollout_cfg: RolloutConfig)
     ``rng.step_stream(seed, t)``, so runs are reproducible given the seed.
     The rollout builds one Philox, the step-0 stream, and re-seats it at
     each step, which gives the same draws as a fresh jumped stream per step.
-    The primer's end state comes from the trace builder; the rollout then
-    steps that one state in place.
+    The trace builder steps through the primer and then through each
+    generated slice as it is written. A primer is read in the chunk that
+    scoring it takes, so a window that was just scored continues on the
+    same idle builder; an unprimed rollout shares no builder, so it steps
+    one of its own, a slice per chunk, and keeps none idle.
     """
-    state = init_state(config) if rollout_cfg.primer is None else _end_state(config, rollout_cfg.primer)
-    if rollout_cfg.mode == "sample":
+    n, horizon = config.n_units, rollout_cfg.horizon
+    if rollout_cfg.primer is None:
+        primer, context = np.empty((0, n), np.int64), nullcontext(_TraceBuilder(config, 1))
+    else:
+        primer = _normalize_series(rollout_cfg.primer, n)
+        context = _builder(config, _block_steps(config, len(primer)))
+    sample = rollout_cfg.mode == "sample"
+    if sample:
         stream_at = _reseater(step_stream(rollout_cfg.seed, 0))
-    out = np.empty((rollout_cfg.horizon, config.n_units), dtype=np.int64)
-    for t in range(rollout_cfg.horizon):
-        if rollout_cfg.mode == "sample":
-            x = sample_step(params, state, config, stream_at(t))
-        else:
-            x = argmax_step(params, state, config)
-        out[t] = x
-        if t + 1 < rollout_cfg.horizon:  # nothing reads the state after the last slice
-            advance(state, config, x, state)
+    arr = config.arrays
+    out = np.empty((horizon, n), dtype=np.int64)
+    with context as builder:
+        for t, (alpha, beta, gamma_post) in enumerate(builder.extend(primer, out)):
+            f = _Features(None, alpha, beta, gamma_post, arr.post_k, arr.post_l, arr.pre_l)
+            p = _sigmoid(_drives(params, f, config) / config.temperature)
+            out[t] = stream_at(t).random(n) < p if sample else p > 0.5
     return out
 
 

@@ -32,8 +32,9 @@ the same drive, which firing probabilities, energies and learning share.
 
 ``advance`` returns a fresh state and leaves its input untouched, so
 snapshots can be read concurrently and compared, unless ``out=state`` asks
-it to step that state in place, as a rollout does over the slices it
-generates; the traces of a known series come from ``learning``'s builder.
+it to step that state in place. ``advance`` and ``_beta_matrix`` serve the
+public single-state API only: the package's own passes (training, scoring
+and rollouts, generated slices included) step ``learning``'s trace builder.
 """
 
 from __future__ import annotations

@@ -289,6 +289,25 @@ class TestKernelDump:
             assert [float(x) for x in line.split(",")[1:]] == [0.0, 0.0, 0.0]
 
 
+class TestStrictJson:
+    def test_non_finite_eval_exits_2(self, tmp_path):
+        # a valid config and parameters whose log-likelihood over-runs to -inf:
+        # the JSON printed would not parse as JSON, so nothing is printed
+        config = ModelConfig(1, (0.5,), (0.5,), {(0, 0): 1023})
+        params = Parameters(bias=np.zeros(1), u=np.zeros((1, 1)), v=np.ones((1, 1)))
+        model = tmp_path / "model.json"
+        model.write_text(save_checkpoint(params, config))
+        data = tmp_path / "ones.csv"
+        data.write_text("u0\n" + "1\n" * 1100)
+        code, stdout, stderr = run_cli("eval", model, data)
+        assert (code, stdout) == (2, "")
+        assert "error: log_likelihood is -inf" in stderr
+
+    def test_a_nested_field_is_named(self):
+        with pytest.raises(ValueError, match=r"^sweep\.1\.per_synapse_update_us is nan, "):
+            cli._json({"sweep": [{"pairs": 1.5}, {"per_synapse_update_us": float("nan")}]}, cli._JSON_REPORT)
+
+
 class TestBench:
     def test_counts_match_formulas(self):
         code, stdout, _ = run_cli(

@@ -10,7 +10,8 @@ pairs, configs where every delay is 1, and empty connectivity.
 The trace builder of a known series (``learning._TraceBuilder``) is held
 to a loop of ``advance`` calls, bit for bit: its feature rows, its end
 state, and online training, scoring and full-batch blocks read through it,
-across chunk ends. The full-batch block scorer is held to the per-step
+across chunk ends; so are a rollout's rows and slices, generated slices
+included. The full-batch block scorer is held to the per-step
 gradient and log-probability summed along the walk, bit for bit, and so is
 the logit scorer behind ``eval_prediction`` and ``sequence_log_likelihood``.
 """
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 
 from dybm import learning
 from dybm.config import ModelConfig, Parameters
-from dybm.generator import eval_prediction
+from dybm.generator import RolloutConfig, eval_prediction, rollout, sample_step
 from dybm.learning import Gradient, TrainerConfig, TrainMetrics, sgd_update, step_gradient, train
 from dybm.model import (
     _beta_matrix,
@@ -42,6 +43,7 @@ from dybm.model import (
     queue_rows,
 )
 from dybm.oracle import expand_weights, naive_fire_prob, traces_from_scratch, truncation_horizon
+from dybm.rng import step_stream
 
 from conftest import configs, histories
 
@@ -778,6 +780,62 @@ class TestTraceBuilder:
             assert [a.tobytes() for a in chunk] == before
         with learning._builder(MIXED, 4) as again:
             assert again is inner  # the spare kept for the next use
+
+
+class TestRolloutBuilder:
+    """A rollout steps the trace builder through its primer and then through
+    each slice it generates (``_TraceBuilder.extend``). Its rows and its
+    slices must be those of the chained ``sample_step`` or argmax and
+    ``advance`` calls, bit for bit, for primers of 0, 1, C - 1, C and C + 1
+    slices and horizons of 1, C and 2C + 1 slices, with a budget of five
+    steps' features (C = 5), so primer and horizon each cross chunk ends."""
+
+    CONFIGS = pytest.mark.parametrize(
+        "cfg", [MIXED, ALL_DELAY_ONE, EMPTY, ONE_UNIT, TWO_RUNS],
+        ids=["mixed", "delay1", "empty", "one-unit", "two-runs"],
+    )
+
+    @staticmethod
+    def cases(cfg, monkeypatch):
+        monkeypatch.setattr(learning, "_CHUNK_BYTES", 5 * learning._step_bytes(cfg))
+        c = learning._block_steps(cfg)
+        assert c == 5
+        rng = np.random.default_rng(71)
+        params = Parameters(
+            bias=rng.normal(0.0, 1.0, size=cfg.n_units),
+            u=rng.normal(0.0, 1.0, size=(cfg.n_pairs, cfg.n_lambda)),
+            v=rng.normal(0.0, 1.0, size=(cfg.n_pairs, cfg.n_mu)),
+        )
+        for p in (0, 1, c - 1, c, c + 1):
+            for horizon in (1, c, 2 * c + 1):
+                yield params, (rng.random((p, cfg.n_units)) < 0.4).astype(np.int64), horizon
+
+    @CONFIGS
+    def test_rows_are_the_advance_loops(self, cfg, monkeypatch):
+        for _, primer, horizon in self.cases(cfg, monkeypatch):
+            out = (np.random.default_rng(horizon).random((horizon, cfg.n_units)) < 0.4).astype(np.int64)
+            state = walk(cfg, primer)
+            with learning._builder(cfg, learning._block_steps(cfg, len(primer) or horizon)) as builder:
+                for k, rows in enumerate(builder.extend(primer, out)):
+                    f = _features(state, cfg)
+                    assert [a.tobytes() for a in rows] == [a.tobytes() for a in (f.alpha, f.beta, f.gamma_post)]
+                    state = advance(state, cfg, out[k])
+            assert k == horizon - 1
+
+    @CONFIGS
+    @pytest.mark.parametrize("mode", ["sample", "argmax"])
+    def test_rollout_is_the_chained_steps(self, cfg, mode, monkeypatch):
+        for params, primer, horizon in self.cases(cfg, monkeypatch):
+            roll = RolloutConfig(horizon, mode, seed=horizon, primer=primer if len(primer) else None)
+            state, want = walk(cfg, primer), []
+            for t in range(horizon):
+                if mode == "sample":
+                    want.append(sample_step(params, state, cfg, step_stream(horizon, t)))
+                else:
+                    want.append((fire_probs(params, state, cfg) > 0.5).astype(np.int64))
+                state = advance(state, cfg, want[-1])
+            got = rollout(params, cfg, roll)
+            assert got.dtype == np.int64 and got.tobytes() == np.array(want).tobytes()
 
 
 class TestEpochLogLikelihood:

@@ -238,8 +238,8 @@ class TestAdvanceCalls:
     """Each α/γ step, which ``advance`` and the trace builder of a known
     series share (``model._trace_step``), absorbs a slice only when a later
     slice, or a rollout's next step, needs the state: the state after the
-    last slice is never built. Scoring and a rollout's primer take the
-    builder; a rollout's generated slices take ``advance``."""
+    last slice is never built. Scoring and a rollout, its generated slices
+    included, take the builder."""
 
     CFG = ModelConfig.dense(2, delay=3)
 
