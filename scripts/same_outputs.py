@@ -16,13 +16,15 @@ integral values written as JSON integers); ``generate`` (sample and
 argmax, with and without ``--primer``, from an edited copy, and from the
 mixed model); online ``train``, ``eval`` and a primed ``generate`` on the
 ``random_n3`` fixture tiled to 14,400 slices, so that the trace builder
-reads it in several chunks and the chunk ends are compared; ``validate``; and ``train`` on three copies of the ``random_n3``
-run configuration that ``ModelConfig`` rejects (a pair with an index out of
-range, a zero delay, a delay past the overflow guard), each of which exits
-2. The edited copies' ``u`` and ``v`` and the padded CSV take the readers'
+reads it in several chunks and the chunk ends are compared; ``validate``;
+``bench --sizes 8,16,64 --fan-in 3 --steps 30``; and ``train`` on three
+copies of the ``random_n3`` run configuration that ``ModelConfig`` rejects
+(a pair with an index out of range, a zero delay, a delay past the
+overflow guard), each of which exits 2. The edited copies' ``u`` and ``v`` and the padded CSV take the readers'
 per-item paths, the files as written their vector passes.
 Compares each command's exit code, stdout and written checkpoint byte for
-byte, with ``wall_ms`` masked in the training records, and the stderr of
+byte, with ``wall_ms`` masked in the training records and
+``per_synapse_update_us`` in the bench report, and the stderr of
 each command that exits non-zero (the stderr of a command that succeeds
 carries timings and is not compared). Prints each difference and exits 1
 when there is any, 0 otherwise.
@@ -94,6 +96,7 @@ def _runs(fix: Path) -> list[tuple[str, list[str]]]:
                                            "--mode", "sample", "--seed", "5", "--primer",
                                            "tiled.csv"]))
     runs.append(("validate", ["validate"]))
+    runs.append(("bench", ["bench", "--sizes", "8,16,64", "--fan-in", "3", "--steps", "30"]))
     for name in REJECTED:
         runs.append((name, ["train", f"{name}_run.json", f"{fix}/random_n3.csv", "--out",
                             f"{name}.json", "--epochs", EPOCHS]))
@@ -166,8 +169,9 @@ def _edited(document: str) -> str:
 
 
 def _masked(stdout: str) -> str:
-    """The output with every training record's ``wall_ms`` value nulled."""
-    return re.sub(r'"wall_ms": [^,}]*', '"wall_ms": null', stdout)
+    """The output with its timings nulled: every training record's ``wall_ms``
+    and every bench entry's ``per_synapse_update_us``."""
+    return re.sub(r'"(wall_ms|per_synapse_update_us)": [^,}\n]*', r'"\1": null', stdout)
 
 
 def _outputs(tree: Path, work: Path) -> dict[str, str]:

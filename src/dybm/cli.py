@@ -22,8 +22,8 @@ import numpy as np
 from .checkpoint import _known, _parse, _read_config, _require, load_checkpoint, save_checkpoint
 from .config import ConfigError, ModelConfig, Parameters, _count
 from .generator import RolloutConfig, eval_prediction, rollout
-from .learning import TrainerConfig, TrainingDiverged, _end_state, train
-from .model import expected_footprint, measured_footprint
+from .learning import TrainerConfig, TrainingDiverged, train
+from .model import advance, expected_footprint, init_state, measured_footprint
 from .oracle import forward_kernel, reverse_kernel
 from .seriesio import SeriesFormatError, format_series, read_series
 from .validate import run_all
@@ -120,7 +120,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     params, config, _ = load_checkpoint(_read(args.model))
-    scores = eval_prediction(params, config, _read_series_for(args.data, config))
+    data = _read_series_for(args.data, config)
+    with np.errstate(over="ignore"):  # a score that overflows is refused by name below
+        scores = eval_prediction(params, config, data)
     doc = {"log_likelihood": scores.log_likelihood, "nll_per_bit": scores.nll_per_bit, "accuracy": scores.accuracy}
     print(_json(doc))
     return 0
@@ -190,7 +192,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         started = time.perf_counter()
         params, _ = train(Parameters.zeros(config), config, [data], trainer)
         elapsed = time.perf_counter() - started
-        state = _end_state(config, data)  # the audited state has absorbed the whole series
+        state = init_state(config)  # the audited state absorbs the whole series, untimed
+        for x in data:
+            state = advance(state, config, x)
         expected = expected_footprint(config)
         measured = measured_footprint(state, params)
         audit = {

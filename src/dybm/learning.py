@@ -16,7 +16,7 @@ blocks that cross series ends, and rescores it every epoch. One scorer,
 ``_grad_logp``, serves both modes. Totals over steps are added one step at
 a time in step order (``_add_in_order``), so both modes round alike.
 Online training reuses one gradient row and steps its own copy of the
-parameters in place.
+parameters in place; ``sgd_update``, the public step, returns new ones.
 """
 
 from __future__ import annotations
@@ -219,9 +219,8 @@ class _TraceBuilder:
     the pairs once per chunk. β gathers each near-window slot's bit (at
     ``slots``; only the zero slot when no pair queues a bit) and sums the
     rows with ``_beta_matrix``'s kernel, in sub-chunks of at most a chunk's
-    β size. ``queue`` locates each bit of the state's queue. A state is
-    stepped only when a row or ``state`` reads it. ``extend`` steps a series
-    that is written as it is read, a rollout's, one row at a time."""
+    β size. A state is stepped only when a row reads it. ``extend`` steps a
+    series that is written as it is read, a rollout's, one row at a time."""
 
     def __init__(self, config: ModelConfig, steps: int) -> None:
         arr, n, m, k = config.arrays, config.n_units, config.n_pairs, config.n_lambda
@@ -233,8 +232,8 @@ class _TraceBuilder:
         self.arrival = np.tile((self.head.take(arr.pre) - arr.delay + 1)[:, None], k)
         pair = np.repeat(np.arange(m), arr.delay - 1)  # of each queue bit
         lag = np.arange(pair.size) - arr.queue_bounds.take(pair) + 1
-        self.queue = self.head.take(arr.pre.take(pair)) - lag
-        at = self.queue.take(arr.lag_src) if pair.size else np.zeros(1, dtype=np.int64)
+        queue = self.head.take(arr.pre.take(pair)) - lag  # the history slot of each queue bit
+        at = queue.take(arr.lag_src) if pair.size else np.zeros(1, dtype=np.int64)
         self.slots = at + np.arange(min(steps, max(1, steps * m * config.n_mu // at.size)))[:, None]
         self.w = np.empty(self.slots.shape)
         self.alpha, self.decayed = np.empty((steps + 1, m, k)), np.empty((m, k))
@@ -324,13 +323,6 @@ class _TraceBuilder:
             w *= arr.lag_coeff
             yield self.alpha[r], _near_window(w, arr, beta), gamma_post
 
-    def state(self, slices: np.ndarray) -> TraceState:
-        """The state after a series, stepping no row's features."""
-        for start in range(0, len(slices), self.steps):
-            self._step(slices, start, min(len(slices), start + self.steps), True)
-        k, queue = self.filled, self.history.take(self.queue + self.filled).astype(np.uint8)
-        return TraceState(self.alpha[k].copy(), self.gamma[k].copy(), queue, len(slices))
-
 
 @contextmanager
 def _builder(config: ModelConfig, steps: int) -> Iterator[_TraceBuilder]:
@@ -341,13 +333,6 @@ def _builder(config: ModelConfig, steps: int) -> Iterator[_TraceBuilder]:
     builder = idle.pop(steps, None) or _TraceBuilder(config, steps)
     yield builder
     idle.setdefault(steps, builder)
-
-
-def _end_state(config: ModelConfig, series) -> TraceState:
-    """The state after a known series, from the zero-history start state."""
-    slices = _normalize_series(series, config.n_units)
-    with _builder(config, _block_steps(config, len(slices))) as builder:
-        return builder.state(slices)
 
 
 def _blocks(config: ModelConfig, series_list: list[np.ndarray], max_steps: int) -> Iterator[_Features]:
@@ -438,21 +423,13 @@ def _sequence_grad_ll(
     return Gradient._wrap(total[:-1], arr.bank_shapes), float(total[-1])
 
 
-def sgd_update(
-    params: Parameters, grad: Gradient, learning_rate: float, out: Parameters | None = None
-) -> Parameters:
-    """One ascent step: parameters plus learning_rate times gradient.
-    ``out`` is None (new parameters are returned) or ``params`` itself,
-    which then steps in place. A non-finite result raises; ``out`` then
-    holds it."""
+def sgd_update(params: Parameters, grad: Gradient, learning_rate: float) -> Parameters:
+    """One ascent step: new parameters, ``params`` plus learning_rate times
+    gradient; ``params`` is left as it was. A non-finite result raises."""
     if grad.shapes != params.shapes:
         raise ValueError("gradient shape does not match parameters")
-    if out is None:
-        out = Parameters._wrap(np.empty_like(params.theta), params.shapes)
-    elif out is not params:
-        raise ValueError("out must be None or the parameters themselves")
     with np.errstate(over="ignore", invalid="ignore"):  # the result is checked below
-        np.add(params.theta, learning_rate * grad.theta, out=out.theta)
+        out = Parameters._wrap(params.theta + learning_rate * grad.theta, params.shapes)
     name = out._non_finite_bank()
     if name is not None:
         raise ValueError(f"update produced non-finite {name}")
@@ -506,7 +483,7 @@ def train(
         return (time.perf_counter() - start) * 1000.0
 
     def update(grad: Gradient, log_likelihood: float, epoch: int, step: int) -> None:
-        # sgd_update's step in place, checked by one pass over theta; only a
+        # sgd_update's add, in place, checked by one pass over theta; only a
         # failed pass looks for a non-finite bank, which is reported first
         with np.errstate(over="ignore", invalid="ignore"):
             np.add(params.theta, trainer.learning_rate * grad.theta, out=params.theta)

@@ -31,10 +31,10 @@ The next slice's conditional reads a state only through its features
 the same drive, which firing probabilities, energies and learning share.
 
 ``advance`` returns a fresh state and leaves its input untouched, so
-snapshots can be read concurrently and compared, unless ``out=state`` asks
-it to step that state in place. ``advance`` and ``_beta_matrix`` serve the
-public single-state API only: the package's own passes (training, scoring
-and rollouts, generated slices included) step ``learning``'s trace builder.
+snapshots can be read concurrently and compared. ``advance`` and
+``_beta_matrix`` serve the public single-state API only: the package's own
+passes (training, scoring and rollouts, generated slices included) step
+``learning``'s trace builder.
 """
 
 from __future__ import annotations
@@ -145,22 +145,17 @@ def init_state(config: ModelConfig) -> TraceState:
     )
 
 
-def advance(state: TraceState, config: ModelConfig, new_slice, out: TraceState | None = None) -> TraceState:
-    """Absorb one observed slice and return the successor state.
+def advance(state: TraceState, config: ModelConfig, new_slice) -> TraceState:
+    """Absorb one observed slice and return the successor state; ``state``
+    is left as it was.
 
     For each pair, the element leaving the queue (the spike that has just
     finished crossing the delay; the slice itself when the delay is 1)
     enters the arrival trace with coefficient 1 after the old trace has
     decayed. Source traces decay and absorb the new slice in one step.
-    ``out`` is None (a copy of ``state`` is stepped) or ``state`` itself,
-    which is then stepped in place and returned.
     """
     x = as_time_slice(new_slice, config.n_units).astype(np.uint8)  # the queue dtype: no cast on writes
-    if out is None:
-        out = state.copy()
-    elif out is not state:
-        raise ValueError("out must be None or the state itself")
-    arr = config.arrays
+    out, arr = state.copy(), config.arrays
     arrived = np.concatenate((x, out.queue)).take(arr.arrival_k)  # before the shift
     out.queue[1:] = out.queue[:-1]
     out.queue[arr.queue_start] = x.take(arr.queue_pre)

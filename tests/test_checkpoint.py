@@ -235,7 +235,7 @@ class TestQueuePrefix:
     def walked(self, length):
         state = init_state(self.CFG)
         for x in (np.random.default_rng(23).random((length, 2)) < 0.5).astype(int):
-            advance(state, self.CFG, x, state)
+            state = advance(state, self.CFG, x)
         return state
 
     @pytest.mark.parametrize("length", [0, 1, 2, 3, 5, 11])

@@ -11,6 +11,7 @@ from dybm.cli import main
 from dybm.config import ModelConfig, Parameters
 from dybm.fixtures import period4_path, period4_run_path, random_n3_path, random_n3_run_path
 from dybm.learning import TrainerConfig, train
+from dybm.model import advance, init_state, measured_footprint
 from dybm.seriesio import parse_series, read_series
 
 _MISSING = object()
@@ -303,6 +304,18 @@ class TestStrictJson:
         assert (code, stdout) == (2, "")
         assert "error: log_likelihood is -inf" in stderr
 
+    def test_non_finite_eval_in_process_prints_only_the_error(self, tmp_path, capsys):
+        # the overflow behind the -inf raises no numpy warning, which the
+        # error::RuntimeWarning filter would turn into a traceback out of main
+        config = ModelConfig(1, (0.5,), (0.5,), {(0, 0): 1023})
+        params = Parameters(bias=np.zeros(1), u=np.zeros((1, 1)), v=np.ones((1, 1)))
+        model = tmp_path / "model.json"
+        model.write_text(save_checkpoint(params, config))
+        data = tmp_path / "ones.csv"
+        data.write_text("u0\n" + "1\n" * 1100)
+        assert main(["eval", str(model), str(data)]) == 2
+        assert capsys.readouterr() == ("", "error: log_likelihood is -inf, which JSON output cannot hold\n")
+
     def test_a_nested_field_is_named(self):
         with pytest.raises(ValueError, match=r"^sweep\.1\.per_synapse_update_us is nan, "):
             cli._json({"sweep": [{"pairs": 1.5}, {"per_synapse_update_us": float("nan")}]}, cli._JSON_REPORT)
@@ -323,6 +336,28 @@ class TestBench:
             assert entry["param_scalars"]["measured"] == entry["param_scalars"]["expected"] == 2 * m + n
             assert entry["queue_bits"]["measured"] == entry["queue_bits"]["expected"] == 2 * m
             assert entry["per_synapse_update_us"] > 0
+
+    def test_audited_state_has_absorbed_the_series(self, monkeypatch):
+        # the state the footprint audit reads is the one after every timed slice
+        audited = []
+
+        def capture(state, params):
+            audited.append(state)
+            return measured_footprint(state, params)
+
+        monkeypatch.setattr(cli, "measured_footprint", capture)
+        argv = ["bench", "--sizes", "8,16", "--fan-in", "3", "--steps", "30", "--seed", "4"]
+        assert main(argv) == 0
+        assert len(audited) == 2
+        for n, state in zip((8, 16), audited):
+            config = cli._bench_config(n, 3)
+            data = np.random.Generator(np.random.Philox(4)).random((30, n)) < 0.5
+            want = init_state(config)
+            for x in data.astype(np.int64):
+                want = advance(want, config, x)
+            assert state.step_count == 30
+            for name in ("alpha", "gamma", "queue"):
+                assert getattr(state, name).tobytes() == getattr(want, name).tobytes()
 
 
 class TestInProcessMain:

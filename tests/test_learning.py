@@ -95,7 +95,7 @@ class TestStepGradient:
         )
         state = init_state(cfg)
         for x in (rng.random((9, 3)) < 0.5).astype(int):
-            advance(state, cfg, x, state)
+            state = advance(state, cfg, x)
         x = np.array([1, 0, 1])
         grad = step_gradient(params, state, cfg, x)
         r = (x - fire_probs(params, state, cfg)) / cfg.temperature
@@ -244,39 +244,6 @@ class TestSgdUpdate:
         out = sgd_update(params, grad, 0.3)
         assert out.theta.tobytes() == (params.theta + 0.3 * grad.theta).tobytes()
         assert out.shapes == params.shapes and not np.shares_memory(out.theta, params.theta)
-
-    def test_in_place_update_is_the_same_axpy(self, rng):
-        cfg = ModelConfig.dense(2, lambdas=(0.5, 0.3))
-        params = Parameters(rng.normal(size=2), rng.normal(size=(4, 2)), rng.normal(size=(4, 1)))
-        grad = Gradient(rng.normal(size=2), rng.normal(size=(4, 2)), rng.normal(size=(4, 1)))
-        want = (params.theta + 0.3 * grad.theta).tobytes()
-        theta = params.theta
-        assert sgd_update(params, grad, 0.3, out=params) is params
-        assert params.theta is theta and params.theta.tobytes() == want
-
-    @pytest.mark.parametrize(
-        "banks, named",
-        [(["bias"], "bias"), (["u"], "u"), (["v"], "v"), (["v", "u"], "u")],
-        ids=["bias", "u", "v", "u-and-v"],
-    )
-    def test_in_place_non_finite_result_rejected(self, banks, named):
-        cfg = ModelConfig.dense(1)
-        params = Parameters.zeros(cfg)
-        grad = Gradient.zeros(cfg)
-        for bank in banks:
-            getattr(grad, "d_" + bank)[0] = np.inf
-        with pytest.raises(ValueError, match=f"^update produced non-finite {named}$"):
-            sgd_update(params, grad, 1.0, out=params)
-
-    def test_out_is_the_parameters_themselves_or_none(self):
-        # as for advance: other parameters, of any shape, are refused before any write
-        cfg = ModelConfig.dense(2)
-        params, grad = Parameters.zeros(cfg), Gradient([1.0, 1.0], np.ones((4, 1)), np.ones((4, 1)))
-        for other in (Parameters.zeros(cfg), Parameters.zeros(ModelConfig.dense(3))):
-            with pytest.raises(ValueError, match="^out must be None or the parameters themselves$"):
-                sgd_update(params, grad, 0.1, out=other)
-            assert not other.theta.any()
-        assert not params.theta.any()
 
 
 class TestGradientLayout:

@@ -97,14 +97,6 @@ class TestAdvance:
         assert queue_rows(cfg, state.queue) == [[0, 0]]
         assert state.step_count == 0
 
-    def test_out_is_the_state_itself_or_none(self):
-        cfg = single_unit_config()
-        state, other = init_state(cfg), init_state(cfg)
-        assert advance(state, cfg, [1], state) is state and state.step_count == 1
-        with pytest.raises(ValueError, match="out"):
-            advance(state, cfg, [1], other)
-        assert other.step_count == 0 and state.step_count == 1
-
     def test_rejects_wrong_length(self):
         cfg = ModelConfig.dense(2)
         with pytest.raises(ValueError):

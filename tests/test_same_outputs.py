@@ -1,5 +1,5 @@
-"""``scripts/same_outputs.py`` masks only ``wall_ms`` and reports a changed
-output.
+"""``scripts/same_outputs.py`` masks only the timings (``wall_ms``,
+``per_synapse_update_us``) and reports a changed output.
 
 The script runs in-process with git patched out and HEAD's export replaced
 by a copy of this tree's ``src/``, planted with a change or not, and with
@@ -7,6 +7,7 @@ its command list cut to one training run, its ``eval`` and one rejected
 run configuration.
 """
 
+import json
 import shutil
 from pathlib import Path
 
@@ -46,6 +47,13 @@ def test_only_wall_ms_is_masked(same_outputs):
     base = {"train stdout": same_outputs._masked(record), "eval stdout": "1\n2\n"}
     change = {"train stdout": later, "eval stdout": "1\n3\n"}
     assert same_outputs._differences(base, change) == ["eval stdout, line 2: '2' -> '3'"]
+
+
+def test_bench_timing_is_masked(same_outputs):
+    # bench prints its report indented, one field a line
+    entry = {"pairs": 24, "per_synapse_update_us": 2.5, "queue_bits": 48}
+    report = json.dumps({"sweep": [entry, {**entry, "per_synapse_update_us": 0.75}]}, indent=2)
+    assert same_outputs._masked(report) == report.replace("2.5", "null").replace("0.75", "null")
 
 
 @pytest.mark.parametrize("plant", PLANTS)
