@@ -17,10 +17,15 @@ argmax, with and without ``--primer``, from an edited copy, and from the
 mixed model); online ``train``, ``eval`` and a primed ``generate`` on the
 ``random_n3`` fixture tiled to 14,400 slices, so that the trace builder
 reads it in several chunks and the chunk ends are compared; ``validate``;
-``bench --sizes 8,16,64 --fan-in 3 --steps 30``; and ``train`` on three
+``bench --sizes 8,16,64 --fan-in 3 --steps 30``; ``train`` on three
 copies of the ``random_n3`` run configuration that ``ModelConfig`` rejects
 (a pair with an index out of range, a zero delay, a delay past the
-overflow guard), each of which exits 2. The edited copies' ``u`` and ``v`` and the padded CSV take the readers'
+overflow guard), each of which exits 2; and ``train`` on the ``random_n3``
+fixture at learning rates at which it diverges, each of which exits 3
+after streaming its records: online at 1e5 (a parameter passes the
+divergence limit in the third epoch), full-batch at 1e4 (in the 35th
+epoch) and full-batch at 1e308 (the first update overflows to inf). The
+edited copies' ``u`` and ``v`` and the padded CSV take the readers'
 per-item paths, the files as written their vector passes.
 Compares each command's exit code, stdout and written checkpoint byte for
 byte, with ``wall_ms`` masked in the training records and
@@ -58,6 +63,12 @@ REJECTED = {
 MIXED_RATES = {"lambdas": [0.5, 0.8], "mus": [0.75, 0.85, 0.95]}
 MIXED_DELAYS = (1, 2, 5, 9)
 MIXED_LEARNING_RATE = 3e-4
+# diverging training runs on random_n3: name -> (mode, learning rate)
+DIVERGING = {
+    "diverged-online": ("online", "1e5"),
+    "diverged-full_batch": ("full_batch", "1e4"),
+    "overflowed-full_batch": ("full_batch", "1e308"),
+}
 
 
 def _runs(fix: Path) -> list[tuple[str, list[str]]]:
@@ -100,6 +111,10 @@ def _runs(fix: Path) -> list[tuple[str, list[str]]]:
     for name in REJECTED:
         runs.append((name, ["train", f"{name}_run.json", f"{fix}/random_n3.csv", "--out",
                             f"{name}.json", "--epochs", EPOCHS]))
+    for name, (mode, rate) in DIVERGING.items():
+        runs.append((name, ["train", f"{fix}/random_n3_run.json", f"{fix}/random_n3.csv", "--out",
+                            f"{name}.json", "--epochs", EPOCHS, "--mode", mode,
+                            "--learning-rate", rate]))
     return runs
 
 

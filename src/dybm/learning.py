@@ -17,6 +17,15 @@ blocks that cross series ends, and rescores it every epoch. One scorer,
 a time in step order (``_add_in_order``), so both modes round alike.
 Online training reuses one gradient row and steps its own copy of the
 parameters in place; ``sgd_update``, the public step, returns new ones.
+``train`` allocates one workspace (``_Workspace``) per call, as
+``sequence_gradient`` does: the drive's pair terms, the scorer's gathers
+of r, η·g and the norm's squares are written into it, so no update
+allocates an M- or P-sized array. The
+divergence guard costs O(1) per update: a running bound B on max |θ|,
+B ← (B + η·(‖g‖ + 2⁻⁵⁰⁰))·(1 + 2⁻³⁰), fed by the gradient norm that every
+record needs, and one exact pass over θ only when B is not ≤
+``DIVERGENCE_LIMIT``; the comment in ``train``'s update says why it
+raises where a pass after every update would.
 """
 
 from __future__ import annotations
@@ -53,6 +62,10 @@ __all__ = [
 # Ascent is unregularised; runaway parameters indicate a misconfigured run
 # (the homeostatic pull of the expectation term is the only stabiliser).
 DIVERGENCE_LIMIT = 1e6
+
+# The slack of train's bound on max |θ| (see its update): relative, for
+# rounding, and absolute, for squares that underflow.
+_SLACK, _TINY = 1.0 + 2.0**-30, 2.0**-500
 
 # Feature bytes full-batch training may keep across epochs; a dataset whose
 # features do not fit is rebuilt every epoch.
@@ -91,13 +104,38 @@ class Gradient(_FlatBanks):
         return self
 
     def norm(self) -> float:
-        # theta is squared once, then summed bank by bank: a single sum
-        # over theta would round the recorded grad_norm values differently
-        sq = self._theta * self._theta
-        a = self.d_bias.size
-        b = a + self.d_u.size
-        add = np.add.reduce
-        return math.sqrt(add(sq[:a]) + add(sq[a:b]) + add(sq[b:]))
+        return _norm(self, np.empty_like(self._theta))
+
+
+def _norm(grad: Gradient, squares: np.ndarray) -> float:
+    """The one gradient norm: θ squared once, into ``squares``, then summed
+    bank by bank; a single sum over θ would round the recorded grad_norm
+    values differently."""
+    sq = np.multiply(grad.theta, grad.theta, out=squares)
+    a = grad.d_bias.size
+    b = a + grad.d_u.size
+    add = np.add.reduce
+    return math.sqrt(add(sq[:a]) + add(sq[a:b]) + add(sq[b:]))
+
+
+class _Workspace:
+    """Scratch that one ``train`` call allocates once, for scored blocks of
+    at most ``steps`` rows (one for online training), so that no update
+    allocates an M- or P-sized temporary: ``pairs(n)``, one array shaped
+    like n states' α and one like their β, takes the drive's pair terms and
+    then the scorer's gathers of r (``model._drives``, ``_grad_logp``);
+    ``rows`` takes the scored rows, each a gradient and then log p; and
+    ``theta`` takes η·g and then the norm's squares (``_norm``)."""
+
+    def __init__(self, config: ModelConfig, steps: int) -> None:
+        arr = config.arrays
+        self.alpha = np.empty((steps, config.n_pairs, config.n_lambda))
+        self.beta = np.empty((steps, config.n_pairs, config.n_mu))
+        self.rows = np.empty((steps, arr.n_params + 1))
+        self.theta = np.empty(arr.n_params)
+
+    def pairs(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.alpha[:n], self.beta[:n]
 
 
 @dataclass
@@ -151,25 +189,38 @@ def step_gradient(
     return Gradient._wrap(row[:-1], arr.bank_shapes)
 
 
-def _grad_logp(params: Parameters, config: ModelConfig, f: _Features, out: np.ndarray) -> np.ndarray:
+def _grad_logp(
+    params: Parameters, config: ModelConfig, f: _Features, out: np.ndarray, work: tuple | None = None
+) -> np.ndarray:
     """The one scorer, of one step or of a block: writes each step's
     gradient, laid out as a ``Gradient.theta``, then its log-probability
     into ``out``, shaped (…, n_params + 1) like ``f.x`` with its last axis
     widened, and returns it. The arithmetic is elementwise per step, so a
-    block row is its step scored alone, bit for bit."""
+    block row is its step scored alone, bit for bit. ``work``, two scratch
+    arrays shaped like ``f.alpha`` and ``f.beta``, takes the drive's pair
+    terms and then the gathers of r; when it is None, fresh arrays do."""
     a = config.n_units
     b = a + config.arrays.post_k.size
-    z = _drives(params, f, config) / config.temperature
-    e = np.exp(-np.abs(z))
-    r = np.divide(f.x - _sigmoid(z, e), config.temperature, out=out[..., :a])
+    t = config.temperature
+    r_k, r_l = work or (None, None)
+    z = _drives(params, f, config, work)
+    # x / 1.0 is x, so both divisions are skipped at the default temperature:
+    # on a model of a few units they are a few percent of a full-batch epoch
+    if t != 1.0:
+        z /= t
+    e = np.abs(z)
+    np.exp(np.negative(e, out=e), out=e)
+    r = np.subtract(f.x, _sigmoid(z, e), out=out[..., :a])
+    if t != 1.0:
+        r /= t
     flat = r.ravel()  # the feature indices address the flattened unit axis
-    r_post = flat.take(f.post_k)
+    r_post = flat.take(f.post_k, None, r_k, "clip")
     np.multiply(f.alpha, r_post, out=out[..., a:b].reshape(f.alpha.shape))
     if f.post_l is not f.post_k:
-        r_post = flat.take(f.post_l)
+        r_post = flat.take(f.post_l, None, r_l, "clip")
     d_v = np.multiply(f.beta, r_post, out=out[..., b:-1].reshape(f.beta.shape))
     np.negative(d_v, out=d_v)  # -(β·r) rounds as (-β)·r does
-    d_v -= f.gamma_post * flat.take(f.pre_l)
+    d_v -= np.multiply(flat.take(f.pre_l, None, r_l, "clip"), f.gamma_post, out=r_l)
     out[..., -1] = _log_probs(z, f.x, e)
     return out
 
@@ -399,24 +450,28 @@ def sequence_gradient(params: Parameters, config: ModelConfig, series) -> Gradie
     """Sum of step gradients along a series, traces advancing between
     steps; equals the gradient of ``sequence_log_likelihood``."""
     slices = _normalize_series(series, config.n_units)
-    blocks = _blocks(config, [slices], _block_steps(config, len(slices)))
-    return _sequence_grad_ll(params, config, blocks)[0]
+    steps = _block_steps(config, len(slices))
+    blocks = _blocks(config, [slices], steps)
+    return _sequence_grad_ll(params, config, blocks, _Workspace(config, steps))[0]
 
 
 def _sequence_grad_ll(
     params: Parameters,
     config: ModelConfig,
     blocks: Iterable[_Features],
+    work: _Workspace,
     step_nll: list[float] | None = None,
 ) -> tuple[Gradient, float]:
     """Gradient and log-likelihood of a dataset from its block stream, both
     added one step at a time in dataset order, the order an online epoch
     adds its steps in, so the log-likelihood is the in-order sum of the
-    per-step NLLs appended to ``step_nll``."""
+    per-step NLLs appended to ``step_nll``. Each block, of at most the
+    workspace's rows, is scored in ``work``."""
     arr = config.arrays
     total = np.zeros(arr.n_params + 1)
     for block in blocks:
-        rows = _grad_logp(params, config, block, np.empty((len(block.x), arr.n_params + 1)))
+        n = len(block.x)
+        rows = _grad_logp(params, config, block, work.rows[:n], work.pairs(n))
         if step_nll is not None:
             step_nll.extend((-rows[:, -1]).tolist())
         total = _add_in_order(rows, total)
@@ -437,8 +492,8 @@ def sgd_update(params: Parameters, grad: Gradient, learning_rate: float) -> Para
 
 
 def _check_guard(params: Parameters, epoch: int, step: int) -> None:
-    if np.abs(params.theta).max(initial=0.0) <= DIVERGENCE_LIMIT:
-        return
+    """Raise ``TrainingDiverged`` naming the first bank whose magnitude is
+    not ≤ ``DIVERGENCE_LIMIT``, if any."""
     for name, bank in zip(params.names, params.banks):
         worst = float(np.abs(bank).max(initial=0.0))
         if not worst <= DIVERGENCE_LIMIT:  # also catches nan and inf
@@ -448,6 +503,22 @@ def _check_guard(params: Parameters, epoch: int, step: int) -> None:
                 epoch=epoch,
                 step=step,
             )
+
+
+def _exact_guard(params: Parameters, epoch: int, step: int) -> float:
+    """The exact divergence check, one pass over θ: max |θ|, or
+    ``TrainingDiverged`` when that is not ≤ ``DIVERGENCE_LIMIT``, naming a
+    non-finite bank first and then the first bank past the limit."""
+    worst = float(np.abs(params.theta).max(initial=0.0))
+    if not worst <= DIVERGENCE_LIMIT:
+        name = params._non_finite_bank()
+        if name is not None:
+            raise TrainingDiverged(
+                f"update produced non-finite {name} at epoch {epoch}, step {step}; "
+                "training aborted", epoch, step
+            )
+        _check_guard(params, epoch, step)
+    return worst
 
 
 def train(
@@ -482,20 +553,37 @@ def train(
     def elapsed_ms() -> float:
         return (time.perf_counter() - start) * 1000.0
 
+    # full-batch blocks are built once and kept when the dataset's features fit
+    steps = sum(map(len, series_list))
+    max_steps = _block_steps(config, steps)
+    fits = trainer.mode == "full_batch" and steps * _step_bytes(config) <= _FEATURE_BYTES
+    kept = list(_blocks(config, series_list, max_steps)) if fits else None
+    arr, rate = config.arrays, trainer.learning_rate
+    work = _Workspace(config, max_steps if trainer.mode == "full_batch" else 1)
+    bound = float(np.abs(params.theta).max(initial=0.0))  # of max |θ|; see update
+
     def update(grad: Gradient, log_likelihood: float, epoch: int, step: int) -> None:
-        # sgd_update's add, in place, checked by one pass over theta; only a
-        # failed pass looks for a non-finite bank, which is reported first
+        # sgd_update's add, θ + η·g, in place, with η·g in the workspace,
+        # whose next use holds the norm's squares. The guard runs its exact
+        # pass over θ (_exact_guard) only when the running bound B on max |θ|
+        # is not ≤ DIVERGENCE_LIMIT, and then resets B to max |θ|; so it
+        # raises at the same update as a pass after every update would:
+        #   max |θ'| ≤ (max |θ| + η·max |g|)(1 + 2u) and max |g| ≤ ‖g‖₂,
+        # with u = 2⁻⁵³. A float sum of non-negative squares is at least its
+        # largest term, so the computed ‖g‖ falls short of max |g| by a few
+        # roundings at most, which the relative slack 2⁻³⁰ covers with those
+        # of the update and of B's own arithmetic; the absolute slack 2⁻⁵⁰⁰
+        # covers squares that underflow (|g| < 2⁻⁵¹¹). A NaN or infinity in g
+        # makes ‖g‖, and so B, non-finite, which forces the exact pass.
+        nonlocal bound
         with np.errstate(over="ignore", invalid="ignore"):
-            np.add(params.theta, trainer.learning_rate * grad.theta, out=params.theta)
-        if not np.abs(params.theta).max(initial=0.0) <= DIVERGENCE_LIMIT:
-            name = params._non_finite_bank()
-            if name is not None:
-                raise TrainingDiverged(
-                    f"update produced non-finite {name} at epoch {epoch}, step {step}; "
-                    "training aborted", epoch, step
-                )
-            _check_guard(params, epoch, step)
-        gnorm = grad.norm()
+            np.add(params.theta, np.multiply(grad.theta, rate, out=work.theta), out=params.theta)
+            gnorm = _norm(grad, work.theta)
+        bound = (bound + rate * (gnorm + _TINY)) * _SLACK
+        if not bound <= DIVERGENCE_LIMIT:
+            bound = _exact_guard(params, epoch, step)
+            if not math.isfinite(gnorm):  # warn of an overflowed norm as the unguarded one does
+                gnorm = _norm(grad, work.theta)
         metrics.grad_norms.append(gnorm)
         if record_sink is not None:
             record_sink(
@@ -508,21 +596,16 @@ def train(
                 }
             )
 
-    # full-batch blocks are built once and kept when the dataset's features fit
-    steps = sum(map(len, series_list))
-    max_steps = _block_steps(config, steps)
-    fits = trainer.mode == "full_batch" and steps * _step_bytes(config) <= _FEATURE_BYTES
-    kept = list(_blocks(config, series_list, max_steps)) if fits else None
-    arr = config.arrays
-    row = np.empty(arr.n_params + 1)  # one online step's gradient, then log p
+    row = work.rows[0]  # one online step's gradient, then log p
     grad = Gradient._wrap(row[:-1], arr.bank_shapes)
+    pairs = work.alpha[0], work.beta[0]
     global_step = 0
     with _builder(config, max_steps) if trainer.mode == "online" else nullcontext() as builder:
         for epoch in range(trainer.epochs):
             epoch_ll = 0.0
             if trainer.mode == "full_batch":
                 blocks = kept or _blocks(config, series_list, max_steps)
-                total, epoch_ll = _sequence_grad_ll(params, config, blocks, metrics.step_nll)
+                total, epoch_ll = _sequence_grad_ll(params, config, blocks, work, metrics.step_nll)
                 global_step += steps
                 update(total, epoch_ll, epoch, global_step)
             else:
@@ -533,7 +616,7 @@ def train(
                     for chunk in builder.chunks(series_list[series_idx]):
                         for step in zip(*chunk):  # row t of the chunk, as one step's features
                             f = _Features(*step, arr.post_k, arr.post_l, arr.pre_l)
-                            _grad_logp(params, config, f, row)
+                            _grad_logp(params, config, f, row, pairs)
                             log_p = float(row[-1])
                             global_step += 1
                             update(grad, log_p, epoch, global_step)

@@ -253,7 +253,9 @@ def _features(state: TraceState, config: ModelConfig, x: np.ndarray | None = Non
     return _Features(x, state.alpha, b, gamma_post, arr.post_k, arr.post_l, arr.pre_l)
 
 
-def _drives(params: Parameters, f: _Features, config: ModelConfig) -> np.ndarray:
+def _drives(
+    params: Parameters, f: _Features, config: ModelConfig, work: tuple | None = None
+) -> np.ndarray:
     """Per-unit input drive of every state in ``f``: bias plus the
     trace-weighted pair terms.
 
@@ -261,18 +263,22 @@ def _drives(params: Parameters, f: _Features, config: ModelConfig) -> np.ndarray
     minus, for each outgoing pair (j, i), v[(j, i)] . gamma[i]. The energy
     of firing is minus the drive; staying silent always has energy zero.
     The sums are taken over the flattened unit axis and subtracted in
-    place, which rounds as ``bias + a - b - c`` does.
+    place, which rounds as ``bias + a - b - c`` does. The pair terms are
+    written into ``work``, two scratch arrays shaped like ``f.alpha`` and
+    ``f.beta``, or into fresh arrays when it is None; the drive is a new
+    array.
     """
     shape = f.alpha.shape[:-2] + (config.n_units,)
     size = math.prod(shape)
+    u_alpha, v_beta = work or (None, None)
 
     def units(index: np.ndarray, terms: np.ndarray) -> np.ndarray:
         return np.bincount(index.ravel(), weights=terms.ravel(), minlength=size)
 
-    drive = params.bias + units(f.post_k, params.u * f.alpha).reshape(shape)
+    drive = params.bias + units(f.post_k, np.multiply(params.u, f.alpha, out=u_alpha)).reshape(shape)
     flat = drive.reshape(size)
-    flat -= units(f.post_l, params.v * f.beta)
-    flat -= units(f.pre_l, params.v * f.gamma_post)
+    flat -= units(f.post_l, np.multiply(params.v, f.beta, out=v_beta))
+    flat -= units(f.pre_l, np.multiply(params.v, f.gamma_post, out=v_beta))
     return drive
 
 

@@ -227,8 +227,10 @@ def check_block_gradient(seed: int = 0, cases: int = 50) -> PropertyReport:
                 per_step.add_(learning.step_gradient(params, state, config, x))
                 per_step_ll += model.cond_prob(params, state, config, x)[1]
                 state = model.advance(state, config, x)
-        blocks = learning._blocks(config, dataset, int(rng.integers(1, lengths.sum() + 1)))
-        block, block_ll = learning._sequence_grad_ll(params, config, blocks)
+        block_steps = int(rng.integers(1, lengths.sum() + 1))
+        blocks = learning._blocks(config, dataset, block_steps)
+        work = learning._Workspace(config, block_steps)
+        block, block_ll = learning._sequence_grad_ll(params, config, blocks, work)
         errors = []
         for a, b in zip(
             block.banks + (np.array([block_ll]),), per_step.banks + (np.array([per_step_ll]),)

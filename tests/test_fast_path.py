@@ -17,6 +17,7 @@ the logit scorer behind ``eval_prediction`` and ``sequence_log_likelihood``.
 """
 
 import functools
+import math
 import operator
 import tracemalloc
 
@@ -28,7 +29,9 @@ from hypothesis import strategies as st
 from dybm import learning
 from dybm.config import ModelConfig, Parameters
 from dybm.generator import RolloutConfig, eval_prediction, rollout, sample_step
-from dybm.learning import Gradient, TrainerConfig, TrainMetrics, sgd_update, step_gradient, train
+from dybm.learning import (
+    Gradient, TrainerConfig, TrainingDiverged, TrainMetrics, sgd_update, step_gradient, train
+)
 from dybm.model import (
     _beta_matrix,
     _features,
@@ -351,7 +354,8 @@ class TestBlockScorer:
         blocks = list(learning._blocks(cfg, [slices], learning._block_steps(cfg)))
         assert len(blocks) == (1 if block_steps is None else 10)
         nll = []
-        grad, ll = learning._sequence_grad_ll(params, cfg, blocks, nll)
+        work = learning._Workspace(cfg, learning._block_steps(cfg))
+        grad, ll = learning._sequence_grad_ll(params, cfg, blocks, work, nll)
         want, want_ll, want_nll = per_step_sums(params, cfg, slices)
         public = learning.sequence_gradient(params, cfg, slices)
         for got in (grad, public):
@@ -407,9 +411,12 @@ class TestDatasetBlockStream:
     RATE = 0.05
 
     @staticmethod
-    def per_step_train(params, cfg, dataset, rate, epochs):
-        metrics = TrainMetrics()
-        for _ in range(epochs):
+    def per_step_train(params, cfg, dataset, rate, epochs, records=None):
+        """The per-step loop, checking θ in full after every update; each
+        update's record is appended to ``records`` as it is made."""
+        metrics, step = TrainMetrics(), 0
+        records = [] if records is None else records
+        for epoch in range(epochs):
             total, epoch_ll = Gradient.zeros(cfg), 0.0
             for slices in dataset:
                 for state, x in states(cfg, slices):
@@ -417,8 +424,12 @@ class TestDatasetBlockStream:
                     total.add_(step_gradient(params, state, cfg, x))
                     epoch_ll += log_p
                     metrics.step_nll.append(-log_p)
-            params = sgd_update(params, total, rate)
+                    step += 1
+            params = checked_update(params, total, rate, epoch, step)
             metrics.grad_norms.append(total.norm())
+            records.append(
+                {"epoch": epoch, "step": step, "log_likelihood": epoch_ll, "grad_norm": total.norm()}
+            )
             metrics.epoch_log_likelihood.append(epoch_ll)
         return params, metrics
 
@@ -584,6 +595,18 @@ class TestAddInOrder:
         assert learning._add_in_order(rows.copy(), 0.5) == want
 
 
+def checked_update(params, grad, rate, epoch, step):
+    """``sgd_update``, checked in full after every update: a non-finite
+    bank raises first, then a bank past the divergence limit
+    (``learning._check_guard``)."""
+    try:
+        params = sgd_update(params, grad, rate)
+    except ValueError as err:  # "update produced non-finite <bank>"
+        raise TrainingDiverged(f"{err} at epoch {epoch}, step {step}; training aborted", epoch, step)
+    learning._check_guard(params, epoch, step)
+    return params
+
+
 class TestOnlineStep:
     """Online ``train`` steps one state and its own copy of the parameters
     in place; it must still be the loop of pure public calls below, bit for
@@ -593,8 +616,11 @@ class TestOnlineStep:
     RATE = 0.05
 
     @staticmethod
-    def pure_train(params, cfg, dataset, trainer):
-        metrics, records, step = TrainMetrics(), [], 0
+    def pure_train(params, cfg, dataset, trainer, records=None):
+        """The loop of public calls, checking θ in full after every update;
+        each update's record is appended to ``records`` as it is made."""
+        metrics, step = TrainMetrics(), 0
+        records = [] if records is None else records
         rng = None if trainer.shuffle_seed is None else np.random.Generator(
             np.random.Philox(trainer.shuffle_seed)
         )
@@ -609,8 +635,8 @@ class TestOnlineStep:
                         state = advance(state, cfg, dataset[index][t - 1])
                     grad = step_gradient(params, state, cfg, x)
                     log_p = cond_prob(params, state, cfg, x)[1]
-                    params = sgd_update(params, grad, trainer.learning_rate)
                     step += 1
+                    params = checked_update(params, grad, trainer.learning_rate, epoch, step)
                     metrics.grad_norms.append(grad.norm())
                     metrics.step_nll.append(-log_p)
                     records.append(
@@ -647,6 +673,125 @@ class TestOnlineStep:
         for record in records:
             del record["wall_ms"]
         assert records == want_records
+
+
+# one unit at temperature 0.5: its drive is the bias until a one arrives
+HOT_UNIT = ModelConfig(1, (0.5,), (0.5,), {(0, 0): 1}, temperature=0.5)
+JUST_UNDER = float(np.nextafter(learning.DIVERGENCE_LIMIT, 0.0))
+
+
+class TestDivergenceGuard:
+    """Training checks θ in full only when a running bound on max |θ|, fed
+    by the gradient norms, passes the divergence limit. It must raise the
+    same ``TrainingDiverged`` (message, epoch and step) after the same
+    records as a full check after every update, in both modes: when a bank
+    grows past the limit, when an update overflows to inf, and when the
+    bias starts just under the limit and the first update carries it one
+    step past it; started at the limit itself, the same update lands on it
+    and training goes on, as the full check lets it. Started past the
+    limit, the first update trips, however small it is."""
+
+    MIXED_SERIES = [
+        (rng.random((t, 3)) < 0.5).astype(np.int64) for rng in [np.random.default_rng(7)] for t in (5, 9, 4)
+    ]
+    # name: (config, starting bias, dataset, learning rate by mode, epochs)
+    CASES = {
+        "magnitude": (MIXED, 0.0, MIXED_SERIES, {"online": 1e4, "full_batch": 1500.0}, 20),
+        "overflow": (HOT_UNIT, -800.0, [np.array([[0]] * 4 + [[1]] * 3)], 1e308, 2),
+        "just-under": (ONE_UNIT, -JUST_UNDER, [np.ones((1, 1), dtype=np.int64)], 2e6, 3),
+        "at-limit": (ONE_UNIT, -learning.DIVERGENCE_LIMIT, [np.ones((1, 1), dtype=np.int64)], 2e6, 3),
+        "past-limit": (ONE_UNIT, 2e6, [np.ones((1, 1), dtype=np.int64)], 1e-3, 3),
+    }
+    # (message, epoch, step, records before it) of each diverging case and mode
+    TRIPS = {
+        ("magnitude", "online"): ("parameter v reached magnitude 2.558e+06", 0, 11, 10),
+        ("magnitude", "full_batch"): ("parameter v reached magnitude 1.504e+06", 7, 144, 7),
+        ("overflow", "online"): ("update produced non-finite bias", 0, 5, 4),
+        ("overflow", "full_batch"): ("update produced non-finite bias", 0, 7, 0),
+        ("just-under", "online"): ("parameter bias reached magnitude 1.000e+06", 0, 1, 0),
+        ("just-under", "full_batch"): ("parameter bias reached magnitude 1.000e+06", 0, 1, 0),
+        ("past-limit", "online"): ("parameter bias reached magnitude 2.000e+06", 0, 1, 0),
+        ("past-limit", "full_batch"): ("parameter bias reached magnitude 2.000e+06", 0, 1, 0),
+    }
+
+    @staticmethod
+    def run(entry):
+        """(the records, then the parameters or the error) of one run."""
+        records = []
+        try:
+            params = entry(records)
+        except TrainingDiverged as err:
+            return records, (str(err), err.epoch, err.step)
+        return records, params.theta.tobytes()
+
+    @pytest.mark.parametrize("mode", ["online", "full_batch"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_trips_where_a_full_check_after_every_update_does(self, case, mode):
+        cfg, bias, dataset, rate, epochs = self.CASES[case]
+        rate = rate[mode] if isinstance(rate, dict) else rate
+        params = Parameters.zeros(cfg)
+        params.bias[:] = bias
+        trainer = TrainerConfig(rate, epochs, mode=mode)
+
+        def trained(records):
+            def sink(record):
+                del record["wall_ms"]
+                records.append(record)
+
+            return train(params, cfg, dataset, trainer, sink)[0]
+
+        def checked(records):
+            if mode == "online":
+                return TestOnlineStep.pure_train(params, cfg, dataset, trainer, records)[0]
+            return TestDatasetBlockStream.per_step_train(params, cfg, dataset, rate, epochs, records)[0]
+
+        got, want = self.run(trained), self.run(checked)
+        assert got == want
+        if (case, mode) in self.TRIPS:
+            message, epoch, step, before = self.TRIPS[case, mode]
+            assert got[1] == (f"{message} at epoch {epoch}, step {step}; training aborted", epoch, step)
+            assert len(got[0]) == before
+        else:
+            assert len(got[0]) == epochs
+
+    def test_an_overflowing_norm_warns_and_is_recorded(self):
+        # near-window coefficients up to 10**299: the first epoch's gradient
+        # squares overflow, but a rate of 1e-300 keeps θ small
+        cfg = ModelConfig(1, (0.5,), (0.1,), {(0, 0): 300})
+        dataset, rate, epochs = [np.ones((310, 1), dtype=np.int64)], 1e-300, 3
+        records, want_records = [], []
+        with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+            got = train(Parameters.zeros(cfg), cfg, dataset, TrainerConfig(rate, epochs), records.append)[0]
+        with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+            want = TestDatasetBlockStream.per_step_train(
+                Parameters.zeros(cfg), cfg, dataset, rate, epochs, want_records
+            )[0]
+        assert got.theta.tobytes() == want.theta.tobytes()
+        for record in records:
+            del record["wall_ms"]
+        assert records == want_records
+        assert records[0]["grad_norm"] == math.inf
+
+    def test_exact_pass_runs_only_past_the_bound(self, monkeypatch):
+        calls = []
+        exact = learning._exact_guard
+
+        def counted(*args):
+            calls.append(args[1:])
+            return exact(*args)
+
+        monkeypatch.setattr(learning, "_exact_guard", counted)
+        rng = np.random.default_rng(3)
+        series = (rng.random((300, MIXED.n_units)) < 0.4).astype(np.int64)
+        train(Parameters.zeros(MIXED), MIXED, [series], TrainerConfig(0.05, 1, mode="online"))
+        assert calls == []
+        # on the limit, every update's bound passes it, and the exact pass lets it through
+        cfg, bias, dataset, rate, epochs = self.CASES["at-limit"]
+        params = Parameters.zeros(cfg)
+        params.bias[:] = bias
+        got, _ = train(params, cfg, dataset, TrainerConfig(rate, epochs, mode="online"))
+        assert calls == [(epoch, epoch + 1) for epoch in range(epochs)]
+        assert got.bias.tolist() == [learning.DIVERGENCE_LIMIT]
 
 
 class TestTraceBuilder:
