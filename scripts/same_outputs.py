@@ -25,8 +25,8 @@ fixture at learning rates at which it diverges, each of which exits 3
 after streaming its records: online at 1e5 (a parameter passes the
 divergence limit in the third epoch), full-batch at 1e4 (in the 35th
 epoch) and full-batch at 1e308 (the first update overflows to inf). The
-edited copies' ``u`` and ``v`` and the padded CSV take the readers'
-per-item paths, the files as written their vector passes.
+checkpoint reader reads the edited copies and the files as written in
+the same one pass; the padded CSV takes the series reader's per-cell path.
 Compares each command's exit code, stdout and written checkpoint byte for
 byte, with ``wall_ms`` masked in the training records and
 ``per_synapse_update_us`` in the bench report, and the stderr of

@@ -21,21 +21,19 @@ The standard encoder writes each float as the shortest decimal that reads
 back to the same double (``-0.0`` included), so loading a saved document
 reproduces parameters and traces bit for bit.
 
-The reader first tries one vector pass per table, which accepts exactly the
-layout above as ``save_checkpoint`` writes it: pair rows in sorted pair
-order (connectivity rows in any order), no pair repeated, each value a JSON
-float and each delay and bit a JSON integer. The pair order is read from
-the config's pair columns (``config.arrays``), so the vector pass never
-builds ``config.pairs`` or ``config.pair_index``. Anything else (integer
-values, rows in another order, repeated pairs, wrong types) goes to the
-per-item reader, which loads the same arrays or names the first bad item.
+The reader checks and converts each table in one pass of vector
+operations: pair rows in any order, sorted into pair order by the
+config's pair columns (``config.arrays``, so loading never builds
+``config.pairs`` or ``config.pair_index``), and values as JSON floats or
+integers. When a check fails, the pass names the first bad row in
+document order, with the first fault of that row.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain
-from operator import itemgetter
+from operator import sub
 
 import numpy as np
 
@@ -48,7 +46,8 @@ FORMAT_VERSION = 1
 
 # the document holds fresh lists only, so the encoder need not look for cycles
 _ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False)
-_FIRST, _SECOND, _THIRD = itemgetter(0), itemgetter(1), itemgetter(2)
+# the least integer that float() cannot round to a finite double
+_TOO_LARGE = 2**1024 - 2**970
 
 
 class CheckpointError(ValueError):
@@ -144,17 +143,6 @@ def save_checkpoint(
 # Reading
 
 
-def _number(x, at: str) -> float:
-    """A JSON number as a float; an integer too large for a double is an
-    error, not an uncaught OverflowError."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise CheckpointError(f"{at}: expected a number")
-    try:
-        return float(x)
-    except OverflowError:
-        raise CheckpointError(f"{at}: number too large for a double") from None
-
-
 def _parse(document: str, what: str) -> dict:
     """A JSON document whose root is an object (``what`` names it in errors);
     nesting too deep for the decoder is malformed, not a RecursionError."""
@@ -188,105 +176,111 @@ def _require(doc: dict, key: str, kind, where: str):
     return value
 
 
-def _float_list(values, where: str, length: int | None = None) -> list[float]:
-    if not isinstance(values, list):
-        raise CheckpointError(f"{where}: expected a list of numbers")
-    if length is not None and len(values) != length:
-        raise CheckpointError(f"{where}: expected {length} values, got {len(values)}")
-    return [_number(x, f"{where}[{idx}]") for idx, x in enumerate(values)]
+def _first(keys: list, *allowed) -> int:
+    """Index of the first of ``keys`` that is none of ``allowed``;
+    ``len(keys)`` when there is none."""
+    left = len(keys)
+    for value in allowed:
+        left -= keys.count(value)  # a count runs in C
+        if not left:
+            return len(keys)
+    return next(k for k, key in enumerate(keys) if key not in allowed)
 
 
-def _float_table(rows: list, width: int) -> np.ndarray | None:
-    """Vector pass: the (len(rows), width) array of ``rows`` when each is a
-    list of ``width`` JSON floats, else None."""
-    if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}:
-        flat = list(chain.from_iterable(rows))
-        if set(map(type, flat)) <= {float}:
-            return np.array(flat, dtype=float).reshape(len(rows), width)
-    return None
+def _rows(rows: list, where: str, last: str) -> tuple[tuple, tuple, tuple, str | None]:
+    """``(pre, post, items, fault)``: the i, j and third item of the leading
+    ``[i, j, x]`` rows of ``rows`` whose i and j are integers, and the
+    message for the row that ends them (None when no row does)."""
+    end = _first(list(map(type, rows)), list)
+    end = _first(list(map(len, rows[:end])), 3)
+    pre, post, items = zip(*rows[:end]) if end else ((), (), ())
+    end = min(_first(list(map(type, pre)), int), _first(list(map(type, post)), int))
+    fault = f"{where}[{end}]: expected [i, j, {last}]" if end < len(rows) else None
+    return pre[:end], post[:end], items[:end], fault
 
 
-def _heads(rows: list) -> tuple[list[int], list[int]] | None:
-    """Vector pass: the list of every row's i and the list of every row's j
-    when each row is a three-item list that starts with two integers, else
-    None."""
-    if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {3}:
-        pre, post = list(map(_FIRST, rows)), list(map(_SECOND, rows))
-        if set(map(type, pre + post)) <= {int}:
-            return pre, post
-    return None
+def _pair_order(rows: list, config: ModelConfig, where: str) -> tuple[tuple, np.ndarray, str | None]:
+    """``(items, m, fault)``: the third items of the leading rows that name
+    distinct connected pairs, each pair's row ``m`` in sorted pair order,
+    and the message for the row after them or, if none, for a pair left out."""
+    pre, post, items, fault = _rows(rows, where, "values")
+    n, arr = config.n_units, config.arrays
+    try:
+        heads = np.fromiter(chain(pre, post), np.int64, 2 * len(pre)).reshape(2, -1)
+    except OverflowError:  # a number beyond int64 is out of range
+        heads = np.array((pre, post), dtype=object)
+    inside = ((heads >= 0) & (heads < n)).all(axis=0)
+    key = np.where(inside, heads[0] * n + heads[1], -1).astype(np.int64)
+    # the connected pairs' keys, sorted, and one past every key
+    known_keys = np.append(arr.pre * n + arr.post, np.iinfo(np.int64).max)
+    m = np.searchsorted(known_keys, key)
+    known = known_keys[m] == key
+    first = np.full(len(known_keys), len(key))  # the first row of each pair
+    np.minimum.at(first, m[known], np.flatnonzero(known))
+    bad = ~known | (first[m] < np.arange(len(key)))
+    if bad.any():
+        k = int(bad.argmax())
+        pair = (pre[k], post[k])
+        found = f"duplicate pair {pair}" if known[k] else f"pair {pair} not in connectivity"
+        fault, items, m = f"{where}[{k}]: {found}", items[:k], m[:k]
+    elif fault is None and len(items) != config.n_pairs:
+        fault = f"{where}: rows cover {len(items)} of {config.n_pairs} pairs"
+    return items, m, fault
 
 
-def _in_pair_order(rows: list, config: ModelConfig) -> bool:
-    """Vector pass: whether ``rows`` are one row per connected pair, headed
-    by the pairs in sorted order."""
-    heads, arr = _heads(rows), config.arrays
-    return heads is not None and heads[0] == arr.pre.tolist() and heads[1] == arr.post.tolist()
+def _numbers(lists, width: int, at) -> np.ndarray:
+    """The ``(len(lists), width)`` float array of ``lists``, each a list of
+    ``width`` JSON numbers, ints or floats; ``at(k)`` names list ``k`` in
+    the error for the first bad list."""
+    end = _first(list(map(type, lists)), list)
+    fault = f"{at(end)}: expected a list of numbers" if end < len(lists) else None
+    k = _first(list(map(len, lists[:end])), width)
+    if k < end:
+        end, fault = k, f"{at(k)}: expected {width} values, got {len(lists[k])}"
+    flat = list(chain.from_iterable(lists[:end]))
+    f = _first(list(map(type, flat)), float, int)  # bool is neither
+    if f < len(flat):
+        fault = f"{at(f // width)}[{f % width}]: expected a number"
+    try:
+        values = np.array(flat[:f], dtype=float)
+    except OverflowError:
+        f = next(f for f, x in enumerate(flat) if type(x) is int and abs(x) >= _TOO_LARGE)
+        fault = f"{at(f // width)}[{f % width}]: number too large for a double"
+    if fault is not None:
+        raise CheckpointError(fault)
+    return values.reshape(-1, width)
 
 
-def _rows(rows: list, where: str, last: str):
-    """Yield (location, pair, third item) for each [i, j, x] row, rejecting
-    malformed rows and repeated pairs."""
-    seen: set[tuple[int, int]] = set()
-    for idx, row in enumerate(rows):
-        at = f"{where}[{idx}]"
-        if not (isinstance(row, list) and len(row) == 3 and type(row[0]) is type(row[1]) is int):
-            raise CheckpointError(f"{at}: expected [i, j, {last}]")
-        pair = (row[0], row[1])
-        if pair in seen:
-            raise CheckpointError(f"{at}: duplicate pair {pair}")
-        seen.add(pair)
-        yield at, pair, row[2]
-
-
-def _pair_values(rows: list, config: ModelConfig, where: str, read) -> list:
-    """One value per connected pair, in ``config.pairs`` order, from rows
-    that cover every pair once. ``read(x, pair, at)`` checks and converts
-    the third item ``x`` of the row for ``pair`` found at location ``at``."""
-    out = [None] * config.n_pairs
-    covered = 0
-    for at, pair, x in _rows(rows, where, "values"):
-        m = config.pair_index.get(pair)
-        if m is None:
-            raise CheckpointError(f"{at}: pair {pair} not in connectivity")
-        out[m] = read(x, pair, at)
-        covered += 1
-    if covered != config.n_pairs:
-        raise CheckpointError(f"{where}: rows cover {covered} of {config.n_pairs} pairs")
-    return out
-
-
-def _pair_table(rows: list, config: ModelConfig, width: int, where: str) -> np.ndarray:
-    if _in_pair_order(rows, config):
-        table = _float_table(list(map(_THIRD, rows)), width)
-        if table is not None:
-            return table
-    values = _pair_values(rows, config, where, lambda x, _, at: _float_list(x, at, width))
-    return np.array(values, dtype=float).reshape(config.n_pairs, width)
+def _float_pairs(rows: list, config: ModelConfig, width: int, where: str) -> np.ndarray:
+    """The ``(n_pairs, width)`` array of an ``[i, j, [values]]`` table, in pair order."""
+    items, m, fault = _pair_order(rows, config, where)
+    values = _numbers(items, width, lambda k: f"{where}[{k}]")
+    if fault is not None:
+        raise CheckpointError(fault)
+    return values[np.argsort(m)]
 
 
 def _queue(rows: list, config: ModelConfig) -> np.ndarray:
-    """The flat queue of ``trace_state.queues``."""
-    if _in_pair_order(rows, config):
-        bits = list(map(_THIRD, rows))
-        if set(map(type, bits)) <= {list} and list(map(len, bits)) == (
-            config.arrays.delay - 1
-        ).tolist():
-            flat = list(chain.from_iterable(bits))
-            if set(map(type, flat)) <= {int} and set(flat) <= {0, 1}:
-                return np.array(flat, dtype=np.uint8)
-
-    def read(x, pair, at):
-        n = config.delays[pair] - 1
-        if not (
-            isinstance(x, list) and len(x) == n and all(type(b) is int and b in (0, 1) for b in x)
-        ):
-            raise CheckpointError(f"{at}: expected {n} bits, each 0 or 1")
-        return x
-
-    # rows that disagree are named by ``_check_state``, after the traces, as on the vector pass
-    values = _pair_values(rows, config, "trace_state.queues", read)
-    return np.array(list(chain.from_iterable(values)), dtype=np.uint8)
+    """The flat queue of ``trace_state.queues``: for each pair, as many bits
+    (JSON ints 0 and 1) as its delay less one."""
+    items, m, fault = _pair_order(rows, config, "trace_state.queues")
+    arr = config.arrays
+    need = arr.delay[m] - 1
+    end = _first(list(map(type, items)), list)
+    end = _first(list(map(sub, map(len, items[:end]), need.tolist())), 0)
+    ends = np.cumsum(need[:end])
+    flat = list(chain.from_iterable(items[:end]))
+    f = _first(flat[: _first(list(map(type, flat)), int)], 0, 1)
+    end = min(end, int(np.searchsorted(ends, f, side="right")))
+    if end < len(items):
+        fault = f"trace_state.queues[{end}]: expected {need[end]} bits, each 0 or 1"
+    if fault is not None:
+        raise CheckpointError(fault)
+    # each pair's bits, gathered from its row; rows that disagree are
+    # named by ``_check_state``, after the traces
+    shift = (ends - need - arr.queue_bounds[m])[np.argsort(m)]
+    bits = np.frombuffer(bytearray(flat), np.uint8)
+    return bits[np.arange(len(flat)) + np.repeat(shift, arr.delay - 1)]
 
 
 def _read_config(doc: dict, where: str) -> ModelConfig:
@@ -296,22 +290,23 @@ def _read_config(doc: dict, where: str) -> ModelConfig:
     cfg = _require(doc, "config", dict, where)
     _known(cfg, ("n_units", "temperature", "lambdas", "mus", "connectivity"), "config")
     conn = _require(cfg, "connectivity", list, "config")
-    heads, delays = _heads(conn), None
-    if heads is not None:
-        values = list(map(_THIRD, conn))
-        if set(map(type, values)) <= {int}:
-            delays = dict(zip(zip(*heads), values))
-    if delays is None or len(delays) < len(conn):  # a repeated pair is named below
-        delays = {}
-        for at, pair, delay in _rows(conn, "config.connectivity", "delay"):
-            if type(delay) is not int:
-                raise CheckpointError(f"{at}: expected [i, j, delay]")
-            delays[pair] = delay
+    pre, post, delays, fault = _rows(conn, "config.connectivity", "delay")
+    pairs = list(zip(pre, post))
+    table = dict(zip(pairs, delays))
+    if len(table) < len(pairs):  # name the first repeat
+        first = {}
+        k = next(k for k, pair in enumerate(pairs) if first.setdefault(pair, k) != k)
+        fault, delays = f"config.connectivity[{k}]: duplicate pair {pairs[k]}", delays[:k]
+    k = _first(list(map(type, delays)), int)
+    if k < len(delays):
+        fault = f"config.connectivity[{k}]: expected [i, j, delay]"
+    if fault is not None:
+        raise CheckpointError(fault)
     return ModelConfig(
         n_units=_require(cfg, "n_units", object, "config"),
         lambdas=_require(cfg, "lambdas", list, "config"),
         mus=_require(cfg, "mus", list, "config"),
-        delays=delays,
+        delays=table,
         temperature=_require(cfg, "temperature", object, "config"),
     )
 
@@ -332,11 +327,10 @@ def load_checkpoint(document: str) -> tuple[Parameters, ModelConfig, TraceState 
     config = _read_config(doc, "checkpoint")
 
     bias = _require(doc, "bias", list, "checkpoint")
-    table = _float_table([bias], config.n_units)
     params = Parameters(
-        bias=_float_list(bias, "bias", config.n_units) if table is None else table[0],
-        u=_pair_table(_require(doc, "u", list, "checkpoint"), config, config.n_lambda, "u"),
-        v=_pair_table(_require(doc, "v", list, "checkpoint"), config, config.n_mu, "v"),
+        bias=_numbers([bias], config.n_units, lambda k: "bias")[0],
+        u=_float_pairs(_require(doc, "u", list, "checkpoint"), config, config.n_lambda, "u"),
+        v=_float_pairs(_require(doc, "v", list, "checkpoint"), config, config.n_mu, "v"),
     )
     try:
         params.validate_for(config)
@@ -349,25 +343,16 @@ def load_checkpoint(document: str) -> tuple[Parameters, ModelConfig, TraceState 
         if not isinstance(ts, dict):
             raise CheckpointError("trace_state must be an object")
         _known(ts, ("alpha", "gamma", "queues", "step_count"), "trace_state")
-        alpha = _pair_table(
-            _require(ts, "alpha", list, "trace_state"), config, config.n_lambda, "trace_state.alpha"
-        )
-        gamma_rows = _require(ts, "gamma", list, "trace_state")
-        if len(gamma_rows) != config.n_units:
+        alpha = _require(ts, "alpha", list, "trace_state")
+        alpha = _float_pairs(alpha, config, config.n_lambda, "trace_state.alpha")
+        gamma = _require(ts, "gamma", list, "trace_state")
+        if len(gamma) != config.n_units:
             raise CheckpointError(
-                f"trace_state.gamma: expected {config.n_units} rows, got {len(gamma_rows)}"
-            )
-        gamma = _float_table(gamma_rows, config.n_mu)
-        if gamma is None:
-            gamma = np.array(
-                [
-                    _float_list(row, f"trace_state.gamma[{i}]", config.n_mu)
-                    for i, row in enumerate(gamma_rows)
-                ]
+                f"trace_state.gamma: expected {config.n_units} rows, got {len(gamma)}"
             )
         state = TraceState(
             alpha=alpha,
-            gamma=gamma,
+            gamma=_numbers(gamma, config.n_mu, lambda k: f"trace_state.gamma[{k}]"),
             queue=_queue(_require(ts, "queues", list, "trace_state"), config),
             step_count=_require(ts, "step_count", int, "trace_state"),
         )

@@ -15,7 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -74,86 +74,59 @@ def _rates(name: str, values) -> tuple[float, ...]:
     return rates
 
 
-def _unzip(keys) -> tuple[tuple, tuple]:
-    """The first items and the second items of ``keys``; ValueError unless
-    every key has exactly two (a key that is not iterable is a TypeError)."""
-    pre, post = zip(*keys, strict=True) if keys else ((), ())
-    return pre, post
-
-
-def _sorted_columns(pre, post, delay) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Equal-length sequences of ints as int64 columns reordered into sorted
-    pair order; None when a number is beyond int64."""
+def _entry_fault(key, d, n_units: int) -> str | None:
+    """The message for the first fault of one ``delays`` entry, in the
+    order checked here; None for a good entry."""
     try:
-        pre, post, delay = np.array((pre, post, delay), dtype=np.int64)
-    except OverflowError:
-        return None
-    order = np.lexsort((post, pre))
-    return pre[order], post[order], delay[order]
-
-
-def _pair_columns(delays: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Vector pass: the sorted columns of ``delays`` when every key is a tuple
-    of two plain ints and every delay a plain int, else None. The types are
-    tested first because the conversion would take a bool, a float or a
-    numeric string for an integer."""
-    if set(map(type, delays)) <= {tuple}:
-        try:
-            pre, post = _unzip(delays)
-        except ValueError:
-            return None
-        delay = tuple(delays.values())
-        if set(map(type, chain(pre, post, delay))) <= {int}:
-            return _sorted_columns(pre, post, delay)
+        i, j = key
+    except (TypeError, ValueError):
+        return f"delays key {key!r} is not an (i, j) pair of unit indices"
+    if not (_is_integer(i) and _is_integer(j) and _is_integer(d)):
+        return f"delays[({i!r}, {j!r})] = {d!r}: unit indices and delay must be integers"
+    if not (0 <= i < n_units and 0 <= j < n_units):
+        return f"delays[({i}, {j})]: unit index out of range for {n_units} units"
+    if d < 1:
+        return f"delays[({i}, {j})] must be >= 1, got {d}"
     return None
-
-
-def _in_range(columns, n_units: int) -> bool:
-    """Whether sorted ``(pre, post, delay)`` columns hold indices in
-    ``[0, n_units)`` and delays >= 1 only; False for no columns."""
-    if columns is None:
-        return False
-    pre, post, delay = columns
-    if pre.size == 0:
-        return True
-    # pre is sorted, so its ends are its extremes
-    in_range = pre[0] >= 0 and pre[-1] < n_units and 0 <= post.min() and post.max() < n_units
-    return in_range and delay.min() >= 1
 
 
 def _connectivity(value, n_units: int) -> tuple[dict, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
     """``value`` as a dict from pairs of plain ints to plain-int delays, with
-    its sorted columns (None when a number is beyond int64). A table that
-    the vector pass does not take (numpy ints, or any fault) is walked in
-    insertion order, which converts numpy integers and names the first bad
-    pair, whatever its fault."""
+    its int64 columns in sorted pair order (None when a number is beyond
+    int64). One pass splits the keys, checks their types, converts the
+    table to columns (numpy integers become ints) and checks index ranges
+    and delays. When a check fails, ``_entry_fault`` names the first bad
+    entry in insertion order, whatever its fault."""
     try:
         delays = dict(value)
     except (TypeError, ValueError):
         raise ConfigError(
             f"delays must map (i, j) pairs to integer delays, got {type(value).__name__}"
         ) from None
-    columns = _pair_columns(delays)
-    if _in_range(columns, n_units):
-        return delays, columns
-    converted = {}
-    for key, d in delays.items():
-        try:
-            i, j = key
-        except (TypeError, ValueError):
-            raise ConfigError(f"delays key {key!r} is not an (i, j) pair of unit indices") from None
-        if not (type(i) is type(j) is type(d) is int):
-            if not (_is_integer(i) and _is_integer(j) and _is_integer(d)):
-                raise ConfigError(
-                    f"delays[({i!r}, {j!r})] = {d!r}: unit indices and delay must be integers"
-                )
-            i, j, d = int(i), int(j), int(d)
-        if not (0 <= i < n_units and 0 <= j < n_units):
-            raise ConfigError(f"delays[({i}, {j})]: unit index out of range for {n_units} units")
-        if d < 1:
-            raise ConfigError(f"delays[({i}, {j})] must be >= 1, got {d}")
-        converted[(i, j)] = d
-    return converted, _sorted_columns(*_unzip(converted), tuple(converted.values()))
+    keys, values = list(delays), tuple(delays.values())
+    try:
+        pre, post = zip(*keys, strict=True) if keys else ((), ())
+        plain = list(map(type, chain(pre, post, values))).count(int) == 3 * len(values)
+        integral = plain or all(map(_is_integer, chain(pre, post, values)))
+    except (TypeError, ValueError):  # a key that is not a pair
+        plain = integral = False
+    if not integral:  # the first entry that fails a check, in one short walk
+        raise ConfigError(next(filter(None, map(_entry_fault, keys, values, repeat(n_units)))))
+    try:
+        columns = np.array((pre, post, values), dtype=np.int64)
+    except OverflowError:  # a number beyond int64 is compared as a Python int
+        columns = np.array((pre, post, values), dtype=object)
+    i, j, d = columns
+    bad = (i < 0) | (i >= n_units) | (j < 0) | (j >= n_units) | (d < 1)
+    if bad.any():
+        k = int(bad.argmax())
+        raise ConfigError(_entry_fault(keys[k], values[k], n_units))
+    if not (plain and list(map(type, keys)).count(tuple) == len(keys)):
+        delays = dict(zip(zip(map(int, pre), map(int, post)), map(int, values)))
+    if columns.dtype == object:
+        return delays, None
+    order = np.lexsort((columns[1], columns[0]))
+    return delays, tuple(column[order] for column in columns)
 
 
 @dataclass
@@ -165,7 +138,7 @@ class ModelConfig:
     fixed hyper-parameters, not learned.
 
     Construction converts ``n_units``, the rates and ``temperature``, then
-    calls ``validate``, which checks and converts the pair table. An
+    ``validate`` checks and converts the pair table in one pass. An
     invalid setting raises ``ConfigError``; for the pair table it names the
     first bad pair in insertion order, whatever its fault. The derived
     tables (``arrays``, ``pairs``, ``pair_index``, ``max_delay``) are built

@@ -226,18 +226,19 @@ def _grad_logp(
 
 
 def _normalize_series(series, n_units: int) -> np.ndarray:
-    """The checked (T, N) int64 array of a non-empty series. A valid 2-D
-    array is checked once, without a copy when it is already int64;
-    anything else is checked slice by slice by ``as_time_slice``, whose
-    errors it raises."""
+    """The checked (T, N) int64 array of a non-empty series: its array is
+    checked once, and not copied when it is int64 already. Only a series
+    that fails that check is walked slice by slice: ``as_time_slice`` names
+    its first bad slice (a scalar is one), or reads a generator of slices."""
     try:
         arr = np.asarray(series)
-    except ValueError:  # ragged slices make no array; each is checked below
+    except ValueError:  # ragged slices make no array; the walk names the bad one
         arr = np.empty(0)
     if arr.ndim == 2 and arr.shape[1] == n_units and ((arr == 0) | (arr == 1)).all():
         slices = arr.astype(np.int64, copy=False)
     else:
-        slices = np.array([as_time_slice(s, n_units) for s in series], dtype=np.int64)
+        walk = series if np.iterable(series) else [series]
+        slices = np.array([as_time_slice(s, n_units) for s in walk], dtype=np.int64)
     if not len(slices):
         raise ValueError("series must contain at least one time slice")
     return slices

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from dybm import checkpoint
 from dybm.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from dybm import config as config_module
 from dybm.config import ConfigError, ModelConfig, Parameters
-from dybm.model import advance, fire_probs, init_state
+from dybm.model import TraceState, advance, fire_probs, init_state
 
 from conftest import configs_with_params, histories
 
@@ -119,6 +120,110 @@ def _integral_as_ints(doc):
     return doc
 
 
+def walk(rows, where, last):
+    """Yield (location, pair, third item) for each ``[i, j, x]`` row of a
+    table, in document order, refusing a malformed row or a repeated pair."""
+    seen = set()
+    for k, row in enumerate(rows):
+        at = f"{where}[{k}]"
+        if not (isinstance(row, list) and len(row) == 3 and type(row[0]) is type(row[1]) is int):
+            raise CheckpointError(f"{at}: expected [i, j, {last}]")
+        pair = (row[0], row[1])
+        if pair in seen:
+            raise CheckpointError(f"{at}: duplicate pair {pair}")
+        seen.add(pair)
+        yield at, pair, row[2]
+
+
+def numbers(values, at, width):
+    """``values`` as ``width`` floats, checked one by one."""
+    if not isinstance(values, list):
+        raise CheckpointError(f"{at}: expected a list of numbers")
+    if len(values) != width:
+        raise CheckpointError(f"{at}: expected {width} values, got {len(values)}")
+    for e, x in enumerate(values):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise CheckpointError(f"{at}[{e}]: expected a number")
+        try:
+            float(x)
+        except OverflowError:
+            raise CheckpointError(f"{at}[{e}]: number too large for a double") from None
+    return [float(x) for x in values]
+
+
+def per_item_load(text):
+    """A reference reader: what ``load_checkpoint`` reads, checked item by
+    item in document order (each table row by row, each row value by
+    value), with the messages that ``load_checkpoint`` gives. It reuses the
+    package's checks of the document's fields and of the decoded state."""
+    known, require = checkpoint._known, checkpoint._require
+    doc = checkpoint._parse(text, "checkpoint")
+    version = require(doc, "format_version", int, "checkpoint")
+    if version != checkpoint.FORMAT_VERSION:
+        raise CheckpointError(f"unsupported format_version {version}; this build reads 1")
+    known(doc, ("format_version", "config", "bias", "u", "v", "trace_state"), "checkpoint")
+    section = require(doc, "config", dict, "checkpoint")
+    known(section, ("n_units", "temperature", "lambdas", "mus", "connectivity"), "config")
+    delays = {}
+    for at, pair, d in walk(require(section, "connectivity", list, "config"), "config.connectivity", "delay"):
+        if type(d) is not int:
+            raise CheckpointError(f"{at}: expected [i, j, delay]")
+        delays[pair] = d
+    cfg = ModelConfig(
+        n_units=require(section, "n_units", object, "config"),
+        lambdas=require(section, "lambdas", list, "config"),
+        mus=require(section, "mus", list, "config"),
+        delays=delays,
+        temperature=require(section, "temperature", object, "config"),
+    )
+
+    def table(rows, where, read):
+        """One value per connected pair, in sorted pair order."""
+        values = {}
+        for at, pair, x in walk(rows, where, "values"):
+            if pair not in cfg.delays:
+                raise CheckpointError(f"{at}: pair {pair} not in connectivity")
+            values[pair] = read(x, pair, at)
+        if len(values) != cfg.n_pairs:
+            raise CheckpointError(f"{where}: rows cover {len(values)} of {cfg.n_pairs} pairs")
+        return [values[pair] for pair in sorted(values)]
+
+    def floats(rows, where, width):
+        values = table(rows, where, lambda x, _, at: numbers(x, at, width))
+        return np.array(values, dtype=float).reshape(cfg.n_pairs, width)
+
+    def bits(x, pair, at):
+        n = cfg.delays[pair] - 1
+        if not (isinstance(x, list) and len(x) == n and all(type(b) is int and b in (0, 1) for b in x)):
+            raise CheckpointError(f"{at}: expected {n} bits, each 0 or 1")
+        return x
+
+    bias = numbers(require(doc, "bias", list, "checkpoint"), "bias", cfg.n_units)
+    u = floats(require(doc, "u", list, "checkpoint"), "u", cfg.n_lambda)
+    v = floats(require(doc, "v", list, "checkpoint"), "v", cfg.n_mu)
+    params = Parameters(bias, u, v)
+    try:
+        params.validate_for(cfg)
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from exc
+    ts = doc.get("trace_state")
+    if ts is None:
+        return params, cfg, None
+    if not isinstance(ts, dict):
+        raise CheckpointError("trace_state must be an object")
+    known(ts, ("alpha", "gamma", "queues", "step_count"), "trace_state")
+    alpha = floats(require(ts, "alpha", list, "trace_state"), "trace_state.alpha", cfg.n_lambda)
+    gamma = require(ts, "gamma", list, "trace_state")
+    if len(gamma) != cfg.n_units:
+        raise CheckpointError(f"trace_state.gamma: expected {cfg.n_units} rows, got {len(gamma)}")
+    gamma = np.array([numbers(row, f"trace_state.gamma[{i}]", cfg.n_mu) for i, row in enumerate(gamma)])
+    queues = table(require(ts, "queues", list, "trace_state"), "trace_state.queues", bits)
+    queue = np.array([b for q in queues for b in q], dtype=np.uint8)
+    state = TraceState(alpha, gamma, queue, require(ts, "step_count", int, "trace_state"))
+    checkpoint._check_state(state, cfg)
+    return params, cfg, state
+
+
 EDITS = {
     "as-saved": lambda doc: doc,
     "rows-reversed": _reversed_rows,
@@ -128,7 +233,8 @@ EDITS = {
 
 
 class TestVectorPass:
-    """The vector pass and the per-item reader load the same model."""
+    """The one pass over each table loads what the per-item reference
+    reader loads, or names the fault that it names."""
 
     @given(
         configs_with_params(max_units=4, max_delay=4, allow_empty=True),
@@ -164,7 +270,7 @@ class TestVectorPass:
                 assert loaded_state.step_count == state.step_count, name
             assert save_checkpoint(loaded, loaded_cfg, loaded_state) == text, name
 
-    def test_each_one_item_edit_loads_as_the_per_item_reader_loads_it(self, monkeypatch):
+    def test_each_one_item_edit_loads_as_the_per_item_reader_loads_it(self):
         def nodes(x, path=()):
             """The path of every value inside ``x``, at any depth."""
             items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
@@ -172,9 +278,9 @@ class TestVectorPass:
                 yield path + (k,)
                 yield from nodes(item, path + (k,))
 
-        def outcome(text):
+        def outcome(load, text):
             try:
-                params, cfg, state = load_checkpoint(text)
+                params, cfg, state = load(text)
             except (CheckpointError, ConfigError) as exc:
                 return type(exc).__name__, str(exc)
             traces = () if state is None else (state.alpha, state.gamma, state.queue)
@@ -186,39 +292,54 @@ class TestVectorPass:
         state = init_state(cfg)
         for x in ([1, 0], [1, 1]):
             state = advance(state, cfg, np.array(x))
-        doc = json.loads(save_checkpoint(params, cfg, state))
+        saved = json.loads(save_checkpoint(params, cfg, state))
         edits = []
-        for path in nodes(doc):
-            for value in (0, 1, 2, True, -0.0, 0.75, 10**400, "01", None, [], [0.5]):
-                edited = json.loads(json.dumps(doc))
-                parent = edited
-                for k in path[:-1]:
-                    parent = parent[k]
-                parent[path[-1]] = value
-                edits.append(json.dumps(edited))
-        vector = [outcome(text) for text in edits]
-        monkeypatch.setattr(checkpoint, "_heads", lambda rows: None)
-        monkeypatch.setattr(checkpoint, "_float_table", lambda rows, width: None)
-        assert vector == [outcome(text) for text in edits]
+        # the document as saved, and with its pair rows out of order
+        for doc in (saved, _reversed_rows(json.loads(json.dumps(saved)))):
+            for path in nodes(doc):
+                # 2**1024 - 2**970 is the least integer that no double holds
+                for value in (0, 1, 2, True, -0.0, 0.75, 10**400, 2**1024 - 2**970, 2**1024 - 2**970 - 1,
+                              "01", None, [], [0.5]):
+                    edited = json.loads(json.dumps(doc))
+                    parent = edited
+                    for k in path[:-1]:
+                        parent = parent[k]
+                    parent[path[-1]] = value
+                    edits.append(json.dumps(edited))
+        got = [outcome(load_checkpoint, text) for text in edits]
+        assert got == [outcome(per_item_load, text) for text in edits]
+        loaded = sum(isinstance(o[0], list) for o in got)
+        assert 10 < loaded < len(got) - 100
 
-    def test_saved_document_takes_no_per_item_call(self, monkeypatch, rng):
+    @pytest.mark.parametrize("edit", ["as-saved", "both"])
+    def test_valid_document_names_no_fault(self, monkeypatch, rng, edit):
         # the online_wide shape: 256 units, fan-in 8, delays 1-4
         delays = {((j - r) % 256, j): 1 + (r - 1) % 4 for j in range(256) for r in range(1, 9)}
         cfg = ModelConfig(256, (0.5, 0.8), (0.5, 0.8), delays)
         params = Parameters(
             bias=rng.normal(size=256), u=rng.normal(size=(2048, 2)), v=rng.normal(size=(2048, 2))
         )
+        params.u[::7] = 1.0  # integral values, which "both" writes as JSON ints
         state = init_state(cfg)
         for x in (rng.random((5, 256)) < 0.3).astype(int):
             state = advance(state, cfg, x)
         text = save_checkpoint(params, cfg, state)
+        document = text if edit == "as-saved" else json.dumps(EDITS[edit](json.loads(text)))
 
-        def per_item(*args):
-            raise AssertionError("per-item reader called")
+        first = checkpoint._first
 
-        monkeypatch.setattr(checkpoint, "_number", per_item)
-        monkeypatch.setattr(checkpoint, "_rows", per_item)
-        loaded, loaded_cfg, loaded_state = load_checkpoint(text)
+        def passing(keys, *allowed):
+            k = first(keys, *allowed)
+            assert k == len(keys), "a check failed"
+            return k
+
+        def named(*args):
+            raise AssertionError("a fault was named")
+
+        monkeypatch.setattr(checkpoint, "_first", passing)
+        monkeypatch.setattr(checkpoint, "CheckpointError", named)
+        monkeypatch.setattr(config_module, "_entry_fault", named)
+        loaded, loaded_cfg, loaded_state = load_checkpoint(document)
         assert loaded.theta.tobytes() == params.theta.tobytes()
         assert loaded_state.queue.tobytes() == state.queue.tobytes()
         assert save_checkpoint(loaded, loaded_cfg, loaded_state) == text

@@ -48,10 +48,14 @@ def outcome(*args):
     return cfg.delays, types, tables
 
 
-def vector_pass_off(monkeypatch):
-    """Force every pair through the per-pair checks and conversion."""
-    monkeypatch.setattr(config_module, "_pair_columns", lambda delays: None)
-    monkeypatch.setattr(config_module, "_in_range", lambda columns, n_units: False)
+def retyped(delays, integer):
+    """``delays`` with every index and delay that is an integer, a numpy
+    one included, made an ``integer``; every other item as it is."""
+
+    def cast(x):
+        return integer(x) if isinstance(x, numbers.Integral) and not isinstance(x, bool) else x
+
+    return {tuple(map(cast, k)) if isinstance(k, tuple) else k: cast(d) for k, d in delays.items()}
 
 
 @st.composite
@@ -87,9 +91,10 @@ def first_fault(delays, n_units):
     """The ``ConfigError`` message for the first faulty entry of ``delays``,
     scanned in insertion order, or None when there is none."""
     for key, d in delays.items():
-        if not (isinstance(key, tuple) and len(key) == 2):
+        try:
+            i, j = key
+        except (TypeError, ValueError):
             return f"delays key {key!r} is not an (i, j) pair of unit indices"
-        i, j = key
         if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in (i, j, d)):
             return f"delays[({i!r}, {j!r})] = {d!r}: unit indices and delay must be integers"
         if not (0 <= i < n_units and 0 <= j < n_units):
@@ -270,8 +275,9 @@ class TestMalformedDelays:
 
 
 class TestVectorPass:
-    """The vector pass and the per-pair checks accept the same configs,
-    build the same tables and name the same first bad pair."""
+    """The one pass over a pair table accepts the tables that the per-pair
+    references in this file accept, builds their tables and names the
+    first bad pair they name."""
 
     BASE = {(2, 1): 3, (0, 0): 1, (1, 2): 4, (0, 2): 2, (2, 0): 1}
 
@@ -287,14 +293,17 @@ class TestVectorPass:
             for key, value in edited:
                 yield f"{m}: {key!r}: {value!r}", dict(items[:m] + [(key, value)] + items[m + 1 :])
 
-    def test_each_one_item_edit_gives_the_per_pair_outcome(self, monkeypatch):
+    def test_each_one_item_edit_gives_the_per_pair_outcome(self):
+        # the reference: the first fault in insertion order, or else the
+        # outcome of the table with plain-int pairs and delays
+        args = (3, (0.5,), (0.25, 0.5))
         edits = list(self.edits())
-        vector = [outcome(3, (0.5,), (0.25, 0.5), delays) for _, delays in edits]
-        vector_pass_off(monkeypatch)
-        per_pair = [outcome(3, (0.5,), (0.25, 0.5), delays) for _, delays in edits]
-        for (label, _), got, want in zip(edits, vector, per_pair):
-            assert got == want, label
-        assert isinstance(vector[0], str) and not all(isinstance(o, str) for o in vector)
+        got = [outcome(*args, delays) for _, delays in edits]
+        for (label, delays), result in zip(edits, got):
+            fault = first_fault(delays, 3)
+            plain = None if fault else {(int(i), int(j)): int(d) for (i, j), d in delays.items()}
+            assert result == (fault or outcome(*args, plain)), label
+        assert isinstance(got[0], str) and not all(isinstance(o, str) for o in got)
 
     def test_bad_pair_named_in_insertion_order(self):
         # the second pair is out of range, the fourth has delay 0
@@ -334,23 +343,21 @@ class TestVectorPass:
         assert arr.post_k.tolist() == [[j] * cfg.n_lambda for _, j in pairs]
         assert arr.pre_l.tolist() == [[i] * cfg.n_mu for i, _ in pairs]
         assert arr.gamma_post.tolist() == [[j * cfg.n_mu + l for l in range(cfg.n_mu)] for _, j in pairs]
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            vector_pass_off(monkeypatch)
-            per_pair = outcome(*args)
-        assert outcome(*args) == per_pair
+        # numpy integers give the same config, as plain ints
+        assert outcome(*args) == outcome(*args[:3], retyped(dict(items), np.int64), args[4])
 
-    @pytest.mark.parametrize("vector", [True, False], ids=["vector-pass", "walk"])
+    # plain ints leave index and delay faults to the vector pass's mask;
+    # numpy integers fail its type count, so the short walk names any fault
+    @pytest.mark.parametrize("integer", [int, np.int64], ids=["vector-pass", "walk"])
     @given(faulty_tables())
     @settings(max_examples=60)
-    def test_first_faulty_entry_is_named(self, vector, table):
+    def test_first_faulty_entry_is_named(self, integer, table):
         n_units, delays = table
+        delays = retyped(delays, integer)
         expected = first_fault(delays, n_units)
         assert expected is not None
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            if not vector:
-                vector_pass_off(monkeypatch)
-            with pytest.raises(ConfigError) as info:
-                ModelConfig(n_units, (0.5,), (0.25,), delays)
+        with pytest.raises(ConfigError) as info:
+            ModelConfig(n_units, (0.5,), (0.25,), delays)
         assert str(info.value) == expected
 
     def test_bad_temperature_named_before_a_bad_pair(self):
@@ -382,9 +389,11 @@ class TestVectorPass:
             state = advance(state, cfg, x)
         assert expected_footprint(cfg) == measured_footprint(state, params)
 
-    def test_wide_config_takes_the_vector_pass(self):
-        columns = config_module._pair_columns(RING)
-        assert columns is not None and config_module._in_range(columns, 256)
+    def test_wide_config_takes_the_vector_pass(self, monkeypatch):
+        def walked(*args):
+            raise AssertionError("an entry was walked")
+
+        monkeypatch.setattr(config_module, "_entry_fault", walked)
         cfg = ModelConfig(256, (0.5, 0.8), (0.5, 0.8), RING)
         assert cfg.arrays.pre.size == 2048
         assert "pairs" not in cfg.__dict__ and "pair_index" not in cfg.__dict__

@@ -382,6 +382,25 @@ class TestTrain:
         with pytest.raises(ValueError, match=r"^time slice must be a length-2 vector, got shape \(1,\)$"):
             entry(Parameters.zeros(cfg), cfg, [[0, 1], [1]])
 
+    @pytest.mark.parametrize(
+        "entry, scalars",
+        [
+            (lambda p, cfg, s: train(p, cfg, [s], TrainerConfig(0.1, epochs=1)), (5, 2.5, None)),
+            (lambda p, cfg, s: sequence_log_likelihood(p, cfg, s), (5, 2.5, None)),
+            (lambda p, cfg, s: eval_prediction(p, cfg, s), (5, 2.5, None)),
+            # a primer of None is no primer
+            (lambda p, cfg, s: rollout(p, cfg, RolloutConfig(horizon=1, primer=s)), (5, 2.5)),
+        ],
+        ids=["train", "sequence_log_likelihood", "eval_prediction", "rollout-primer"],
+    )
+    def test_scalar_series_is_a_bad_slice(self, entry, scalars):
+        cfg = ModelConfig.dense(2)
+        for scalar in scalars:
+            with pytest.raises(ValueError, match=r"^time slice must be a length-2 vector, got shape \(\)$"):
+                entry(Parameters.zeros(cfg), cfg, scalar)
+        # a generator of valid slices is read as the series it yields
+        entry(Parameters.zeros(cfg), cfg, (x for x in [[0, 1], [1, 1], [1, 0]]))
+
     def test_non_finite_update_is_divergence(self):
         # the full-batch update overflows to inf before the magnitude guard
         # can see it

@@ -51,13 +51,13 @@ class TestChecks:
         # giving every pair its neighbour's delay in the derived tables must
         # make both checks fail: the oracle reads each pair's delay from
         # config.delays, not from the tables it checks
-        sorted_columns = config._sorted_columns
+        connectivity = config._connectivity
 
         def rolled(*args):
-            pre, post, delay = sorted_columns(*args)
-            return pre, post, np.roll(delay, 1)
+            delays, (pre, post, delay) = connectivity(*args)
+            return delays, (pre, post, np.roll(delay, 1))
 
-        monkeypatch.setattr(config, "_sorted_columns", rolled)
+        monkeypatch.setattr(config, "_connectivity", rolled)
         for report in (check_trace_recursion(seed=0, cases=40), check_energy_expansion(seed=0, cases=25)):
             assert not report.passed
             assert report.max_error > 1e-3
