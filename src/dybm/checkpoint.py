@@ -38,7 +38,7 @@ from operator import sub
 import numpy as np
 
 from .config import ModelConfig, Parameters
-from .model import TraceState, _check_queue_history, queue_rows
+from .model import TraceState, _join_rows, queue_rows
 
 __all__ = ["CheckpointError", "FORMAT_VERSION", "save_checkpoint", "load_checkpoint"]
 
@@ -58,17 +58,18 @@ class CheckpointError(ValueError):
 # Trace state
 
 
-def _check_state(state: TraceState, config: ModelConfig) -> None:
+def _check_state(state: TraceState, config: ModelConfig, queue_fault: str | None = None) -> None:
     """Reject a trace state that would not load back as it is. The writer
     checks the state it is given, the reader the state it decoded, so the
     writer refuses what the reader refuses: float64 traces of the config's
-    shapes, finite and non-negative, an integer queue of 0/1 bits in which
-    each pair's segment is a prefix of the longest segment from its source
-    unit, and an integer ``step_count`` >= 0."""
+    shapes, finite and non-negative, an integer queue of 0/1 bits and an
+    integer ``step_count`` >= 0. The reader's ``queue_fault`` names the
+    document's per-pair queue rows that disagree (``model._join_rows``);
+    it is raised after the traces' checks."""
     shapes = {
         "alpha": (config.n_pairs, config.n_lambda),
         "gamma": (config.n_units, config.n_mu),
-        "queue": (int(config.arrays.queue_bounds[-1]),),
+        "queue": (int(config.arrays.segment_bounds[-1]),),
     }
     for name, want in shapes.items():
         got = np.shape(getattr(state, name))
@@ -87,10 +88,8 @@ def _check_state(state: TraceState, config: ModelConfig) -> None:
     queue = state.queue
     if queue.dtype.kind not in "iu" or not ((queue == 0) | (queue == 1)).all():
         raise CheckpointError("trace_state.queue: expected bits, each 0 or 1")
-    try:
-        _check_queue_history(config, queue)
-    except ValueError as err:
-        raise CheckpointError(f"trace_state.queues: {err}") from None
+    if queue_fault is not None:
+        raise CheckpointError(f"trace_state.queues: {queue_fault}")
     step_count = state.step_count
     if isinstance(step_count, bool) or not isinstance(step_count, (int, np.integer)):
         raise CheckpointError("trace_state.step_count: expected an integer")
@@ -260,12 +259,12 @@ def _float_pairs(rows: list, config: ModelConfig, width: int, where: str) -> np.
     return values[np.argsort(m)]
 
 
-def _queue(rows: list, config: ModelConfig) -> np.ndarray:
-    """The flat queue of ``trace_state.queues``: for each pair, as many bits
-    (JSON ints 0 and 1) as its delay less one."""
+def _queue(rows: list, config: ModelConfig) -> tuple[np.ndarray, str | None]:
+    """The flat queue of ``trace_state.queues`` and the message for rows
+    that disagree, or None (``model._join_rows``): for each pair, as many
+    bits (JSON ints 0 and 1) as its delay less one."""
     items, m, fault = _pair_order(rows, config, "trace_state.queues")
-    arr = config.arrays
-    need = arr.delay[m] - 1
+    need = config.arrays.delay[m] - 1
     end = _first(list(map(type, items)), list)
     end = _first(list(map(sub, map(len, items[:end]), need.tolist())), 0)
     ends = np.cumsum(need[:end])
@@ -276,11 +275,11 @@ def _queue(rows: list, config: ModelConfig) -> np.ndarray:
         fault = f"trace_state.queues[{end}]: expected {need[end]} bits, each 0 or 1"
     if fault is not None:
         raise CheckpointError(fault)
-    # each pair's bits, gathered from its row; rows that disagree are
-    # named by ``_check_state``, after the traces
-    shift = (ends - need - arr.queue_bounds[m])[np.argsort(m)]
+    # each pair's bits, gathered from its row, in pair order
+    lengths = config.arrays.delay - 1
+    shift = (ends - need)[np.argsort(m)] - (np.cumsum(lengths) - lengths)
     bits = np.frombuffer(bytearray(flat), np.uint8)
-    return bits[np.arange(len(flat)) + np.repeat(shift, arr.delay - 1)]
+    return _join_rows(config, bits[np.arange(len(flat)) + np.repeat(shift, lengths)])
 
 
 def _read_config(doc: dict, where: str) -> ModelConfig:
@@ -350,12 +349,9 @@ def load_checkpoint(document: str) -> tuple[Parameters, ModelConfig, TraceState 
             raise CheckpointError(
                 f"trace_state.gamma: expected {config.n_units} rows, got {len(gamma)}"
             )
-        state = TraceState(
-            alpha=alpha,
-            gamma=_numbers(gamma, config.n_mu, lambda k: f"trace_state.gamma[{k}]"),
-            queue=_queue(_require(ts, "queues", list, "trace_state"), config),
-            step_count=_require(ts, "step_count", int, "trace_state"),
-        )
-        _check_state(state, config)
+        gamma = _numbers(gamma, config.n_mu, lambda k: f"trace_state.gamma[{k}]")
+        queue, disagree = _queue(_require(ts, "queues", list, "trace_state"), config)
+        state = TraceState(alpha, gamma, queue, _require(ts, "step_count", int, "trace_state"))
+        _check_state(state, config, disagree)
 
     return params, config, state

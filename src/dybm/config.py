@@ -5,8 +5,9 @@ A model is a network of ``n_units`` binary units. Each ordered pair
 ``d[i, j] >= 1`` and two banks of weight coefficients: ``u`` (potentiation,
 one coefficient per arrival decay rate) and ``v`` (depression, one per
 near-window decay rate). Unit histories enter the model only through
-geometric sums (eligibility traces) and a short per-pair FIFO queue, which
-is what keeps online learning exact with bounded memory.
+geometric sums (eligibility traces) and a short FIFO queue of each unit's
+recent values, which every pair from the unit reads; that is what keeps
+online learning exact with bounded memory.
 """
 
 from __future__ import annotations
@@ -270,23 +271,20 @@ class _DerivedArrays:
     and delay of each pair, in sorted pair order (the row order of ``u``,
     ``v`` and ``alpha``).
 
-    Queue layout: all queues live in one flat bit array. Pair ``m`` owns
-    the segment ``queue_bounds[m]:queue_bounds[m + 1]`` (its last ``d - 1``
-    source values, newest first), so delay-1 pairs own none.
-    ``queue_start`` and ``queue_pre`` are the first (newest) position and
-    the source unit of each non-empty segment.
+    Queue layout: one flat bit array of one segment per source unit. Unit
+    ``i`` owns ``segment_bounds[i]:segment_bounds[i + 1]``, its last
+    (longest delay from ``i``) - 1 values, newest first; each pair's queue
+    is a prefix of it. ``segment_head`` and ``segment_unit`` are the first
+    (newest) position and the unit of each non-empty segment.
 
-    Near-window tables: every pair from unit ``i`` queues the same history
-    of ``i``, so the segment of the first longest pair from ``i`` (its
-    lead, starting at queue position ``lead_start[i]``, the queue length
-    when ``i`` queues nothing) holds every lag that any pair from ``i``
-    needs. Units are grouped into blocks by the
+    Near-window tables: every lag that any pair from unit ``i`` needs is
+    in ``i``'s segment. Units are grouped into blocks by the
     bit length of (their lag count - 1), so a block's lag count is less
     than twice that of each of its units. A block of ``n`` units and
     ``L`` lags owns a run of ``L * n_mu * n`` slots, laid out as
     (lag, rate, unit), and ``lag_runs`` holds ``(start, stop, (L, n_mu *
     n), accumulates)`` for each block with ``L > 1``. ``lag_src`` is the
-    queue position each slot reads (a lead bit, or 0 past the unit's own
+    queue position each slot reads (a segment bit, or 0 past the unit's own
     lags) and ``lag_coeff`` its ``mus[l]**(-lag)`` (0 past the unit's
     lags), so the tables hold fewer than twice as many slots as there are
     distinct (unit, lag, rate) terms, and never more than twice the queue
@@ -305,7 +303,7 @@ class _DerivedArrays:
     indexes the flattened source trace of each pair's target, and
     ``arrival_k`` indexes the bit that arrives on each pair in
     ``concatenate((slice, queue))``: the source unit itself for delay 1,
-    else the segment's oldest bit.
+    else bit ``d - 2`` of the source's segment.
     ``bank_shapes`` and ``n_params`` are the bank shapes and total size of
     ``Parameters`` and ``Gradient``. ``trace_builders`` keeps an idle
     ``learning._TraceBuilder`` (tables and buffers) by chunk length.
@@ -317,57 +315,50 @@ class _DerivedArrays:
         if config._columns is None:  # only a valid config with a unit index beyond int64
             raise OverflowError("a unit index is beyond the int64 range")
         pre, post, delay = self.pre, self.post, self.delay = config._columns
-        n_lambda, n_mu = config.n_lambda, config.n_mu
+        n, n_lambda, n_mu = config.n_units, config.n_lambda, config.n_mu
         self.lam = np.asarray(config.lambdas, dtype=np.float64)
         self.mu = np.asarray(config.mus, dtype=np.float64)
 
         lengths = delay - 1
-        self.queue_bounds = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
-        queued = np.flatnonzero(lengths > 0)
-        self.queue_start = self.queue_bounds[queued]
-        self.queue_pre = pre[queued]
+        depth = np.zeros(n, dtype=np.int64)  # of each unit's segment: its longest queue
+        np.maximum.at(depth, pre, lengths)
+        self.segment_bounds = np.concatenate(([0], np.cumsum(depth)))
+        self.segment_unit = np.flatnonzero(depth)
+        self.segment_head = self.segment_bounds[self.segment_unit]
         # near-window tables (class docstring)
-        n, size = config.n_units, int(self.queue_bounds[-1])
-        queue_pair = np.repeat(np.arange(config.n_pairs), lengths)
-        queue_lag = np.arange(size) - self.queue_bounds[queue_pair] + 1
-        top = np.zeros(n, dtype=np.int64)  # lags of each unit's longest queue
-        np.maximum.at(top, pre, lengths)
-        longest = np.flatnonzero(lengths == top[pre])
-        self.lead_start = np.full(n, size)  # of the first of them
-        np.minimum.at(self.lead_start, pre[longest], self.queue_bounds[longest])
         # blocks of units whose lag counts share a bit length, in that order
-        sources = np.flatnonzero(top)
-        group = np.frexp(top[sources] - 1.0)[1]
+        group = np.frexp(depth[self.segment_unit] - 1.0)[1]
         order = np.argsort(group, kind="stable")
-        units, group = sources[order], group[order]
+        units, group = self.segment_unit[order], group[order]
         cuts = (np.flatnonzero(group[1:] != group[:-1]) + 1).tolist()
         edges = [0, *cuts, units.size] if units.size else []
         base, width = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
         runs, total = [], 0
         for lo, hi in zip(edges, edges[1:]):
             members = units[lo:hi]
-            lags, w = int(top[members].max()), n_mu * (hi - lo)
+            lags, w = int(depth[members].max()), n_mu * (hi - lo)
             base[members] = total + np.arange(hi - lo)
             width[members] = hi - lo
             if lags > 1:
                 runs.append((total, total + lags * w, (lags, w), _accumulates(lags, w)))
             total += lags * w
         self.lag_runs = tuple(runs)
-        # each lead bit, its block row (lag - 1) and its slots, laid out
+        # each segment bit, its block row (lag - 1) and its slots, laid out
         # (rate, bit): a loop along a short rate axis costs one call per row
-        span = top[units]
+        span = depth[units]
         row = np.arange(int(span.sum())) - np.repeat(np.cumsum(span) - span, span)
-        bit = np.repeat(self.lead_start[units], span) + row
         unit = np.repeat(units, span)
         slot = base[unit] + (row * n_mu + np.arange(n_mu)[:, None]) * width[unit]
         self.lag_src = np.zeros(total + 1, dtype=np.int64)  # slot total stays 0 for delay 1
-        self.lag_src[slot] = bit
-        # the powers of every queue position in one call, the values a sum
-        # over each pair's own segment uses: numpy's power can round the last
-        # bit differently for another array layout
-        coeff = self.mu[:, None] ** (-queue_lag[None, :])
+        self.lag_src[slot] = self.segment_bounds[unit] + row
+        # the powers of each pair's lags 1 … d - 1, in pair order, in one
+        # call, read from the first longest pair's lags: numpy's power can
+        # round the last bit differently for another array layout
+        starts = np.cumsum(lengths) - lengths
+        coeff = self.mu[:, None] ** -(np.arange(lengths.sum()) - np.repeat(starts, lengths) + 1)
+        first = starts[lengths.argmax()] if lengths.size else 0
         self.lag_coeff = np.zeros(total + 1)
-        self.lag_coeff[slot] = coeff[:, bit]
+        self.lag_coeff[slot] = coeff[:, first + row]
         queues = delay > 1
         rate_step = width[pre] * queues
         self.beta_at = np.empty((config.n_pairs, n_mu), dtype=np.int64)
@@ -381,8 +372,7 @@ class _DerivedArrays:
         self.lam_k = np.tile(self.lam, (config.n_pairs, 1))
         self.mu_l = np.tile(self.mu, (config.n_units, 1))
         self.gamma_post = np.ascontiguousarray((np.arange(n_mu)[:, None] + post * n_mu).T)
-        source = pre.copy()
-        source[queued] = config.n_units + self.queue_bounds[queued + 1] - 1
+        source = np.where(queues, n + self.segment_bounds.take(pre) + delay - 2, pre)
         self.arrival_k = np.repeat(source[:, None], n_lambda, axis=1)
 
         self.bank_shapes = ((config.n_units,), (config.n_pairs, n_lambda), (config.n_pairs, n_mu))
@@ -470,11 +460,13 @@ class Parameters(_FlatBanks):
 def as_time_slice(values, n_units: int) -> np.ndarray:
     """Coerce one time step of unit values to an int vector, checking shape
     and that every entry is 0 or 1."""
-    arr = np.asarray(values)
-    if arr.ndim != 1 or arr.shape[0] != n_units:
-        raise ValueError(
-            f"time slice must be a length-{n_units} vector, got shape {arr.shape}"
-        )
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # nested items of unequal shape make no array
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.shape[0] != n_units:
+        got = "a ragged sequence" if arr is None else f"shape {arr.shape}"
+        raise ValueError(f"time slice must be a length-{n_units} vector, got {got}")
     if not ((arr == 0) | (arr == 1)).all():
         raise ValueError("time slice entries must be 0 or 1")
     return arr.astype(np.int64)

@@ -276,16 +276,14 @@ class _TraceBuilder:
 
     def __init__(self, config: ModelConfig, steps: int) -> None:
         arr, n, m, k = config.arrays, config.n_units, config.n_pairs, config.n_lambda
-        depth = np.zeros(n, dtype=np.int64)
-        np.maximum.at(depth, arr.pre, arr.delay - 1)
+        depth = np.diff(arr.segment_bounds)
         self.head = np.cumsum(depth + steps) - steps
         self.slices = self.head + np.arange(steps)[:, None]
         self.source = np.repeat(self.slices[:, :, None], config.n_mu, axis=2)
         self.arrival = np.tile((self.head.take(arr.pre) - arr.delay + 1)[:, None], k)
-        pair = np.repeat(np.arange(m), arr.delay - 1)  # of each queue bit
-        lag = np.arange(pair.size) - arr.queue_bounds.take(pair) + 1
-        queue = self.head.take(arr.pre.take(pair)) - lag  # the history slot of each queue bit
-        at = queue.take(arr.lag_src) if pair.size else np.zeros(1, dtype=np.int64)
+        # the history slot of each queue bit: its unit's head less its lag
+        queue = np.repeat(self.head + arr.segment_bounds[:-1] - 1, depth) - np.arange(depth.sum())
+        at = queue.take(arr.lag_src) if queue.size else np.zeros(1, dtype=np.int64)
         self.slots = at + np.arange(min(steps, max(1, steps * m * config.n_mu // at.size)))[:, None]
         self.w = np.empty(self.slots.shape)
         self.alpha, self.decayed = np.empty((steps + 1, m, k)), np.empty((m, k))

@@ -8,15 +8,17 @@ State carried between time steps, per model:
 * ``gamma[i, l]``: source trace of unit ``i``. Each spike enters with weight
   ``mus[l]`` and decays by ``mus[l]`` each step.
 * ``queue``: the spikes still in transit on every delay line, as one flat
-  ``uint8`` array of length sum(d - 1). Pair ``m`` owns one contiguous
-  segment holding the last ``d - 1`` values of its source unit, newest
-  first; delay-1 pairs own none. ``config.arrays`` holds the segment
-  offsets, and ``queue_rows`` / ``pack_queue_rows`` convert to and from
-  per-pair lists.
+  ``uint8`` array. Every pair from unit ``i`` queues a prefix of the same
+  history of ``i``, so it is stored once: unit ``i`` owns one contiguous
+  segment of its last (longest delay from ``i``) - 1 values, newest
+  first. ``config.arrays`` holds the segment offsets, and ``queue_rows``
+  / ``pack_queue_rows`` convert to and from the per-pair rows of the
+  paper's per-connection queues, each a prefix of its source's segment.
 
 One step shifts the whole flat array by one position, writes each
 segment's newest bit (which also overwrites the one bit that crossed each
-segment boundary) and reads each segment's oldest bit as the arrival.
+segment boundary) and reads bit ``d - 2`` of the source's segment as the
+arrival on a pair of delay ``d``.
 
 The near-window trace ``beta[m, l]`` is derived from the queue on every
 step, never carried recursively: carrying it forward would repeatedly
@@ -68,15 +70,10 @@ class TraceState:
     """Everything the model remembers about the past.
 
     ``queue`` is the flat ``uint8`` array of in-transit bits described in
-    the module docstring. Every pair from unit ``i`` queues the same
-    history of ``i``, so each pair's segment is a prefix of the longest
-    segment from ``i``. Every state that ``init_state`` and ``advance``
-    reach keeps this, and the near-window trace relies on it: it reads
-    only the first longest segment from each unit (``_beta_matrix``).
-    ``pack_queue_rows`` and checkpoints refuse a queue that breaks it; a
-    state built around such a queue by hand gets the traces of that one
-    segment. ``step_count`` counts absorbed slices. States compare and
-    hash by identity, as their fields are arrays.
+    the module docstring, one segment per source unit, so every pair from
+    one unit reads the same history of it. ``step_count`` counts absorbed
+    slices. States compare and hash by identity, as their fields are
+    arrays.
     """
 
     alpha: np.ndarray
@@ -91,39 +88,47 @@ class TraceState:
 
 
 def queue_rows(config: ModelConfig, queue: np.ndarray) -> list[list[int]]:
-    """Per-pair view of a flat queue: row ``m`` holds pair ``m``'s bits,
-    newest first (empty for delay 1)."""
-    bounds = config.arrays.queue_bounds
-    return [queue[bounds[m] : bounds[m + 1]].tolist() for m in range(config.n_pairs)]
+    """Per-pair view of a flat queue: row ``m`` holds pair ``m``'s last
+    ``d - 1`` source values, newest first, the head of its source's
+    segment (empty for delay 1)."""
+    arr = config.arrays
+    starts = arr.segment_bounds.take(arr.pre).tolist()
+    return [queue[s : s + d - 1].tolist() for s, d in zip(starts, arr.delay.tolist())]
 
 
 def pack_queue_rows(config: ModelConfig, rows) -> np.ndarray:
     """Flat queue from per-pair rows in ``config.pairs`` order; the inverse
     of ``queue_rows``. Raises ValueError when the rows do not match the
-    pair delays or when two rows from one unit disagree (``TraceState``)."""
+    pair delays or when two rows from one unit disagree (``_join_rows``)."""
     lengths = [len(row) for row in rows]
     if lengths != [d - 1 for d in config.arrays.delay.tolist()]:
         raise ValueError("queue rows do not match the pair delays")
-    queue = np.array([bit for row in rows for bit in row], dtype=np.uint8)
-    _check_queue_history(config, queue)
+    queue, fault = _join_rows(config, np.array([bit for row in rows for bit in row], dtype=np.uint8))
+    if fault is not None:
+        raise ValueError(fault)
     return queue
 
 
-def _check_queue_history(config: ModelConfig, queue: np.ndarray) -> None:
-    """Raise ValueError unless every pair's segment of the flat ``queue`` is
-    a prefix of the first longest segment from its source unit, the one
-    the near-window trace reads (``TraceState``)."""
+def _join_rows(config: ModelConfig, bits: np.ndarray) -> tuple[np.ndarray, str | None]:
+    """The flat queue of per-pair rows, each pair's ``d - 1`` bits in pair
+    order in ``bits``: each unit's segment is its first longest row. With
+    it, the message for the first pair whose row is not a prefix of that
+    one, or None when every row is."""
     arr = config.arrays
-    pair = np.repeat(np.arange(config.n_pairs), arr.delay - 1)  # of each queue bit
-    lead = arr.lead_start[arr.pre[pair]] + np.arange(queue.size) - arr.queue_bounds[pair]
-    differs = queue != queue.take(lead)
-    if differs.any():
-        m = pair[differs.argmax()]
-        i, j = int(arr.pre[m]), int(arr.post[m])
-        raise ValueError(
-            f"pair ({i}, {j}) disagrees with another queue from unit {i}; every queue "
-            "from one unit holds a prefix of the same history"
-        )
+    lengths = arr.delay - 1
+    shift = arr.segment_bounds.take(arr.pre) - np.cumsum(lengths) + lengths
+    at = np.arange(bits.size) + np.repeat(shift, lengths)  # the queue position of each bit
+    longest = np.repeat(lengths == np.diff(arr.segment_bounds).take(arr.pre), lengths)
+    queue = bits[longest][np.unique(at[longest], return_index=True)[1]]
+    differs = bits != queue.take(at)
+    if not differs.any():
+        return queue, None
+    m = np.searchsorted(np.cumsum(lengths), differs.argmax(), side="right")
+    i, j = int(arr.pre[m]), int(arr.post[m])
+    return queue, (
+        f"pair ({i}, {j}) disagrees with another queue from unit {i}; every queue "
+        "from one unit holds a prefix of the same history"
+    )
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,7 @@ def init_state(config: ModelConfig) -> TraceState:
     return TraceState(
         alpha=np.zeros((config.n_pairs, config.n_lambda)),
         gamma=np.zeros((config.n_units, config.n_mu)),
-        queue=np.zeros(int(config.arrays.queue_bounds[-1]), dtype=np.uint8),
+        queue=np.zeros(int(config.arrays.segment_bounds[-1]), dtype=np.uint8),
         step_count=0,
     )
 
@@ -158,7 +163,7 @@ def advance(state: TraceState, config: ModelConfig, new_slice) -> TraceState:
     out, arr = state.copy(), config.arrays
     arrived = np.concatenate((x, out.queue)).take(arr.arrival_k)  # before the shift
     out.queue[1:] = out.queue[:-1]
-    out.queue[arr.queue_start] = x.take(arr.queue_pre)
+    out.queue[arr.segment_head] = x.take(arr.segment_unit)
     _trace_step(arr, out.alpha, out.gamma, arrived, x[:, None], out.alpha, out.gamma, out.alpha)
     out.step_count += 1
     return out
@@ -190,11 +195,10 @@ def _near_window(w: np.ndarray, arr, out: np.ndarray | None = None) -> np.ndarra
     place along its lags, in lag order, by row adds or one accumulate, and
     pair (i, j) with delay d reads the partial sum of source i after lag
     d - 1 (``arr.beta_at``): the same terms added in the same order as a sum
-    over the pair's own segment. Delay-1 pairs read the zero in the last
-    slot. Every pair from one unit queues a prefix of the same history
-    (``TraceState``), so the work is fewer than twice the distinct (unit,
-    lag, rate) terms, a few calls per block and one gather per pair and
-    rate."""
+    over the pair's own queue. Delay-1 pairs read the zero in the last
+    slot. Each unit's history is queued once (``TraceState``), so the work
+    is fewer than twice the distinct (unit, lag, rate) terms, a few calls
+    per block and one gather per pair and rate."""
     for lo, hi, shape, accumulates in arr.lag_runs:
         run = w.T[lo:hi].reshape(*shape, -1)  # (lags, width, R): a lag is one plain index
         if accumulates:
@@ -213,9 +217,7 @@ def _check_index(kind: str, index: int, size: int) -> None:
 def beta(state: TraceState, config: ModelConfig, i: int, j: int, ell: int) -> float:
     """Near-window trace of pair (i, j) for decay rate index ``ell``:
     sum over lag s in [1, d-1] of mus[ell]**(-s) * x_i[t - s], unit i's
-    value s steps back. Every queue from unit i holds those bits, the
-    pair's own among them, as long as the state keeps the ``TraceState``
-    invariant; the sum reads them from the longest queue from i."""
+    value s steps back, read from unit i's queue segment."""
     try:
         m = config.pair_index[(i, j)]
     except KeyError:
@@ -339,12 +341,15 @@ def cond_prob(
 
 def expected_footprint(config: ModelConfig) -> Footprint:
     """Storage the model is allowed: one trace real per (pair, arrival rate)
-    plus one per (unit, source rate); one queue bit per in-transit step; one
-    parameter real per bias and per pair-rate coefficient."""
+    plus one per (unit, source rate); (longest delay - 1) queue bits per
+    source unit, its history still in transit on its longest pair (the
+    largest delay, sorted last, wins); one parameter real per bias and per
+    pair-rate coefficient."""
     m = config.n_pairs
+    longest = {i: d for (i, _), d in sorted(config.delays.items(), key=lambda item: item[1])}
     return Footprint(
         trace_scalars=m * config.n_lambda + config.n_units * config.n_mu,
-        queue_bits=sum(d - 1 for d in config.delays.values()),
+        queue_bits=sum(longest.values()) - len(longest),
         param_scalars=config.n_units + m * (config.n_lambda + config.n_mu),
     )
 

@@ -17,8 +17,8 @@ These are deliberately slow and deliberately independent of the code they
 check. They read a config only through its fields (``delays``,
 ``lambdas``, ``mus``, ``temperature``) and its sorted ``pairs`` and
 ``pair_index``, the row order of the parameter banks, never through the
-derived tables of ``config.arrays``; a flat queue is joined from per-pair
-bits in ``pairs`` order here. From the fast path they take only
+derived tables of ``config.arrays``; a flat queue is joined from each
+unit's history, in unit order, here. From the fast path they take only
 ``TraceState`` and the logistic function.
 """
 
@@ -183,8 +183,8 @@ def traces_from_scratch(config: ModelConfig, history: list) -> TraceState:
     absorbing all of it (zero slices are implied before the first entry).
     Arrival traces sum ``lambda**age`` over every spike that has already
     crossed the pair delay, where age counts steps since arrival. Source
-    traces sum ``mu**lag`` over the unit's own spikes. Queues hold the last
-    ``d - 1`` source values, newest first.
+    traces sum ``mu**lag`` over the unit's own spikes. The queue holds each
+    unit's last (longest delay from it) - 1 values, newest first.
     """
     slices = [as_time_slice(s, config.n_units) for s in history]
     n = len(slices)
@@ -194,7 +194,6 @@ def traces_from_scratch(config: ModelConfig, history: list) -> TraceState:
         return int(slices[t - 1][i]) if t >= 1 else 0
 
     alpha = np.zeros((config.n_pairs, config.n_lambda))
-    queue: list[int] = []
     for m, (i, j) in enumerate(config.pairs):
         d = config.delays[(i, j)]
         # spikes at time s arrive at s + d; at prediction time n + 1 the
@@ -205,7 +204,10 @@ def traces_from_scratch(config: ModelConfig, history: list) -> TraceState:
                 age = (n + 1 - d) - s
                 total += lam**age * value(i, s)
             alpha[m, k] = total
-        queue += [value(i, n - lag + 1) for lag in range(1, d)]
+    queue: list[int] = []
+    for i in range(config.n_units):
+        longest = max((d for (src, _), d in config.delays.items() if src == i), default=1)
+        queue += [value(i, n - lag + 1) for lag in range(1, longest)]
 
     gamma = np.zeros((config.n_units, config.n_mu))
     for i in range(config.n_units):

@@ -110,7 +110,8 @@ def _report(name: str, tolerance: float, errors: list[float], detail: str = "") 
 
 def check_trace_recursion(seed: int = 0, cases: int = 200, max_len: int = 64) -> PropertyReport:
     """Incremental trace updates must equal the definitions evaluated from
-    scratch on the full history (and the queues must match exactly)."""
+    scratch on the full history, and the queues must match exactly: the
+    flat queue, and each pair's row, its source's last d - 1 values."""
     rng = np.random.default_rng(seed)
 
     def error() -> float:
@@ -120,8 +121,11 @@ def check_trace_recursion(seed: int = 0, cases: int = 200, max_len: int = 64) ->
         for x in history:
             state = model.advance(state, config, x)
         direct = oracle.traces_from_scratch(config, list(history))
+        padded = np.vstack((np.zeros((config.max_delay, config.n_units), np.int64), history))
+        rows = [padded[: -config.delays[p] : -1, p[0]].tolist() for p in config.pairs]
         if (
             not np.array_equal(state.queue, direct.queue)
+            or model.queue_rows(config, state.queue) != rows
             or state.step_count != direct.step_count
         ):
             return math.inf

@@ -207,7 +207,8 @@ def test_criterion_7_footprint_audit():
         all_exact = all_exact and expected.trace_scalars == m * k + n * l
         all_exact = all_exact and expected.param_scalars == n + m * (k + l)
         all_exact = all_exact and expected.queue_bits == sum(
-            d - 1 for d in config.delays.values()
+            max((d for (i, _), d in config.delays.items() if i == unit), default=1) - 1
+            for unit in range(n)
         )
     report(
         7,

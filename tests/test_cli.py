@@ -334,7 +334,7 @@ class TestBench:
             assert m == n * 3
             assert entry["trace_scalars"]["measured"] == entry["trace_scalars"]["expected"] == m + n
             assert entry["param_scalars"]["measured"] == entry["param_scalars"]["expected"] == 2 * m + n
-            assert entry["queue_bits"]["measured"] == entry["queue_bits"]["expected"] == 2 * m
+            assert entry["queue_bits"]["measured"] == entry["queue_bits"]["expected"] == 2 * n
             assert entry["per_synapse_update_us"] > 0
 
     def test_audited_state_has_absorbed_the_series(self, monkeypatch):

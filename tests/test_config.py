@@ -337,9 +337,12 @@ class TestVectorPass:
         assert shuffled.pairs == pairs
         assert shuffled.pair_index == {p: m for m, p in enumerate(pairs)}
         assert shuffled.max_delay == max(dict(items).values(), default=1)
-        lengths = delay - 1
-        assert arr.queue_bounds.tolist() == [0, *np.cumsum(lengths).tolist()]
-        assert arr.queue_pre.tolist() == [i for (i, _), n in zip(pairs, lengths) if n > 0]
+        depth = [
+            max((d - 1 for (i, _), d in zip(pairs, delay.tolist()) if i == u), default=0)
+            for u in range(cfg.n_units)
+        ]
+        assert arr.segment_bounds.tolist() == [0, *np.cumsum(depth).tolist()]
+        assert arr.segment_unit.tolist() == [u for u, n in enumerate(depth) if n > 0]
         assert arr.post_k.tolist() == [[j] * cfg.n_lambda for _, j in pairs]
         assert arr.pre_l.tolist() == [[i] * cfg.n_mu for i, _ in pairs]
         assert arr.gamma_post.tolist() == [[j * cfg.n_mu + l for l in range(cfg.n_mu)] for _, j in pairs]
@@ -427,7 +430,7 @@ class TestDerivedArraysReadOnly:
     @settings(max_examples=10)
     def test_every_table_but_the_bincount_indexes_is_read_only(self, cfg):
         tables = {k: a for k, a in vars(cfg.arrays).items() if isinstance(a, np.ndarray)}
-        assert len(tables) == 19
+        assert len(tables) == 18
         writeable = {k for k, a in tables.items() if a.flags.writeable}
         assert writeable == set(_DerivedArrays.BINCOUNT_INDEXES)
 

@@ -211,20 +211,21 @@ class TestAgainstTraceDefinitions:
 
 
 def beta_per_pair(cfg, state) -> np.ndarray:
-    """The near-window trace summed over each pair's own queue segment, lag
-    by lag from 0.0, newest bit (lag 1) first. The coefficients are numpy's
-    powers of every queue position's lag in one call, as the model's are:
-    numpy rounds the last bit of a power differently for another array
-    layout, and so does Python's ``**``."""
-    bounds = cfg.arrays.queue_bounds
+    """The near-window trace summed over each pair's own queue row
+    (``queue_rows``), lag by lag from 0.0, newest bit (lag 1) first. The
+    coefficients are numpy's powers of every pair's lags, in pair order, in
+    one call, as the model's are: numpy rounds the last bit of a power
+    differently for another array layout, and so does Python's ``**``."""
+    rows = queue_rows(cfg, state.queue)
+    bounds = np.cumsum([0] + [len(row) for row in rows])
     lags = np.array([lag for d in cfg.arrays.delay.tolist() for lag in range(1, d)], dtype=np.int64)
     coeff = np.asarray(cfg.mus)[:, None] ** (-lags[None, :])
     out = np.zeros((cfg.n_pairs, cfg.n_mu))
-    for m in range(cfg.n_pairs):
+    for m, row in enumerate(rows):
         start, stop = bounds[m], bounds[m + 1]
         for ell in range(cfg.n_mu):
             total = 0.0
-            for bit, c in zip(state.queue[start:stop].tolist(), coeff[ell, start:stop]):
+            for bit, c in zip(row, coeff[ell, start:stop]):
                 total += c * bit
             out[m, ell] = total
     return out
@@ -282,7 +283,7 @@ class TestPerSourceBeta:
         arr = cfg.arrays
         terms = 999 + 69999  # distinct (unit, lag) terms, one rate
         assert arr.lag_src.size == arr.lag_coeff.size <= 2 * terms + 1
-        tables = (arr.lag_src, arr.lag_coeff, arr.beta_at, arr.lead_start)
+        tables = (arr.lag_src, arr.lag_coeff, arr.beta_at, arr.segment_bounds)
         assert sum(a.nbytes for a in tables) < 2 * 16 * terms + 8 * (cfg.n_pairs + cfg.n_units) + 16
         rng = np.random.default_rng(67)
         history = [rng.random(69999) < 0.5] + [rng.random(1) < 0.5 for _ in range(999)]
@@ -553,7 +554,7 @@ class TestBlocksFromSeries:
             return block_bytes
 
         cfg, block_bytes, got = peak(blocks)
-        state_bytes = 8 * (cfg.arrays.queue_bounds[-1] + cfg.arrays.lag_coeff.size)
+        state_bytes = 8 * (cfg.arrays.segment_bounds[-1] + cfg.arrays.lag_coeff.size)
         assert got <= 2 * block_bytes + 4 * 8 * n * steps + 4 * state_bytes
         chunk_bytes = learning._block_steps(cfg) * learning._step_bytes(cfg)
         assert learning._block_steps(cfg) < len(series) < 2 * learning._block_steps(cfg)

@@ -92,7 +92,7 @@ class TestSampleStep:
         state = init_state(cfg)
         sample_step(Parameters.zeros(cfg), state, cfg, step_stream(0, 0))
         assert state.step_count == 0
-        assert state.queue.tolist() == [0] * 8
+        assert state.queue.tolist() == [0] * 4
 
 
 class TestRollout:

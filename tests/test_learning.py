@@ -379,8 +379,9 @@ class TestTrain:
     )
     def test_ragged_series_names_the_short_slice(self, entry):
         cfg = ModelConfig.dense(2)
-        with pytest.raises(ValueError, match=r"^time slice must be a length-2 vector, got shape \(1,\)$"):
-            entry(Parameters.zeros(cfg), cfg, [[0, 1], [1]])
+        for series, got in (([[0, 1], [1]], r"shape \(1,\)"), ([[0, 1], [0, [1]]], "a ragged sequence")):
+            with pytest.raises(ValueError, match=rf"^time slice must be a length-2 vector, got {got}$"):
+                entry(Parameters.zeros(cfg), cfg, series)
 
     @pytest.mark.parametrize(
         "entry, scalars",

@@ -329,7 +329,8 @@ class TestFootprint:
         assert measured == expected
         assert measured.param_scalars == params.theta.size
         assert expected.trace_scalars == cfg.n_pairs * cfg.n_lambda + cfg.n_units * cfg.n_mu
-        assert expected.queue_bits == sum(d - 1 for d in cfg.delays.values())
+        longest = [max((d for (i, _), d in cfg.delays.items() if i == u), default=1) for u in range(cfg.n_units)]
+        assert expected.queue_bits == sum(longest) - cfg.n_units
         assert expected.param_scalars == cfg.n_units + cfg.n_pairs * (cfg.n_lambda + cfg.n_mu)
 
     def test_footprint_stable_under_advance(self):
