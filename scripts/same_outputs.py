@@ -31,8 +31,9 @@ Compares each command's exit code, stdout and written checkpoint byte for
 byte, with ``wall_ms`` masked in the training records and
 ``per_synapse_update_us`` in the bench report, and the stderr of
 each command that exits non-zero (the stderr of a command that succeeds
-carries timings and is not compared). Prints each difference and exits 1
-when there is any, 0 otherwise.
+carries timings and is not compared). Prints one line per differing
+output, with its first differing lines and the numbers of every other
+one, and exits 1 when there is any, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ REJECTED = {
 MIXED_RATES = {"lambdas": [0.5, 0.8], "mus": [0.75, 0.85, 0.95]}
 MIXED_DELAYS = (1, 2, 5, 9)
 MIXED_LEARNING_RATE = 3e-4
+SHOWN = 3  # differing lines of one output that are printed; the others are numbered
 # diverging training runs on random_n3: name -> (mode, learning rate)
 DIVERGING = {
     "diverged-online": ("online", "1e5"),
@@ -216,15 +218,33 @@ def _outputs(tree: Path, work: Path) -> dict[str, str]:
 
 
 def _differences(base: dict[str, str], change: dict[str, str]) -> list[str]:
-    """Names of the outputs that differ, with the first differing line."""
+    """Names of the outputs that differ, each with its first ``SHOWN``
+    differing lines and the numbers of all the others."""
     found = []
     for name in base.keys() | change.keys():
         a, b = base.get(name, "").splitlines(), change.get(name, "").splitlines()
         if a != b:
-            i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
-            x, y = (lines[i][:60] if i < len(lines) else "<end>" for lines in (a, b))
-            found.append(f"{name}, line {i + 1}: {x!r} -> {y!r}")
+            at = [i for i in range(max(len(a), len(b))) if a[i : i + 1] != b[i : i + 1]]
+            shown = [f"line {i + 1}: {_line(a, i)!r} -> {_line(b, i)!r}" for i in at[:SHOWN]]
+            if len(at) > SHOWN:
+                shown.append(f"also lines {_spans(at[SHOWN:])}")
+            found.append(f"{name}, " + "; ".join(shown))
     return sorted(found)
+
+
+def _line(lines: list[str], i: int) -> str:
+    return lines[i][:60] if i < len(lines) else "<end>"
+
+
+def _spans(at: list[int]) -> str:
+    """1-based line numbers from sorted 0-based indices, runs written as ``first-last``."""
+    runs = []
+    for i in at:
+        if runs and runs[-1][1] == i:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i + 1, i + 1])
+    return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
 
 
 def main() -> int:

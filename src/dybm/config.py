@@ -298,7 +298,8 @@ class _DerivedArrays:
     broadcasting along the short rate axis costs one loop per row.
     ``post_k``/``post_l`` and ``pre_l`` repeat each pair's target and source
     unit along its rates (``post_l`` is ``post_k`` itself when there are as
-    many near-window as arrival rates), ``lam_k`` repeats the arrival rates
+    many near-window as arrival rates; ``pair_units`` holds the three raveled, as
+    the drive's bincounts read them), ``lam_k`` repeats the arrival rates
     along the pairs and ``mu_l`` the source rates along the units, ``gamma_post``
     indexes the flattened source trace of each pair's target, and
     ``arrival_k`` indexes the bit that arrives on each pair in
@@ -369,6 +370,8 @@ class _DerivedArrays:
         self.post_k = np.repeat(post[:, None], n_lambda, axis=1)
         self.post_l = self.post_k if n_mu == n_lambda else np.repeat(post[:, None], n_mu, axis=1)
         self.pre_l = np.repeat(pre[:, None], n_mu, axis=1)
+        k = self.post_k.ravel()
+        self.pair_units = k, k if self.post_l is self.post_k else self.post_l.ravel(), self.pre_l.ravel()
         self.lam_k = np.tile(self.lam, (config.n_pairs, 1))
         self.mu_l = np.tile(self.mu, (config.n_units, 1))
         self.gamma_post = np.ascontiguousarray((np.arange(n_mu)[:, None] + post * n_mu).T)

@@ -11,15 +11,14 @@ sampled all step through ``learning``'s trace builder.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ConfigError, ModelConfig, Parameters, _count
-from .learning import _block_steps, _builder, _normalize_series, _score, _TraceBuilder
+from .learning import _block_steps, _builder, _normalize_series, _score
 # ``advance`` is not called here, but the benchmark's span shims look it up in this module
-from .model import TraceState, _drives, _Features, _sigmoid, advance, fire_probs
+from .model import TraceState, _drives, _Features, _Scratch, _sigmoid, advance, fire_probs
 from .rng import _reseater, step_stream
 
 __all__ = [
@@ -72,26 +71,23 @@ def rollout(params: Parameters, config: ModelConfig, rollout_cfg: RolloutConfig)
     The rollout builds one Philox, the step-0 stream, and re-seats it at
     each step, which gives the same draws as a fresh jumped stream per step.
     The trace builder steps through the primer and then through each
-    generated slice as it is written. A primer is read in the chunk that
-    scoring it takes, so a window that was just scored continues on the
-    same idle builder; an unprimed rollout shares no builder, so it steps
-    one of its own, a slice per chunk, and keeps none idle.
+    generated slice as it is written, through one drive scratch. A primer
+    is read in the chunk that scoring it takes, so a window that was just
+    scored continues on the same idle builder.
     """
     n, horizon = config.n_units, rollout_cfg.horizon
-    if rollout_cfg.primer is None:
-        primer, context = np.empty((0, n), np.int64), nullcontext(_TraceBuilder(config, 1))
-    else:
-        primer = _normalize_series(rollout_cfg.primer, n)
-        context = _builder(config, _block_steps(config, len(primer)))
+    primer = rollout_cfg.primer
+    primer = np.empty((0, n), np.int64) if primer is None else _normalize_series(primer, n)
     sample = rollout_cfg.mode == "sample"
     if sample:
         stream_at = _reseater(step_stream(rollout_cfg.seed, 0))
-    arr = config.arrays
+    f, work = _Features(None, None, None, None, *config.arrays.pair_units), _Scratch(config)
     out = np.empty((horizon, n), dtype=np.int64)
-    with context as builder:
-        for t, (alpha, beta, gamma_post) in enumerate(builder.extend(primer, out)):
-            f = _Features(None, alpha, beta, gamma_post, arr.post_k, arr.post_l, arr.pre_l)
-            p = _sigmoid(_drives(params, f, config) / config.temperature)
+    with _builder(config, _block_steps(config, max(1, len(primer)))) as builder:
+        for t, (f.alpha, f.beta, f.gamma_post) in enumerate(builder.extend(primer, out)):
+            z = _drives(params, f, config, work)
+            z /= config.temperature  # as z / temperature rounds
+            p = _sigmoid(z, work)
             out[t] = stream_at(t).random(n) < p if sample else p > 0.5
     return out
 

@@ -19,8 +19,8 @@ Online training reuses one gradient row and steps its own copy of the
 parameters in place; ``sgd_update``, the public step, returns new ones.
 ``train`` allocates one workspace (``_Workspace``) per call, as
 ``sequence_gradient`` does: the drive's pair terms, the scorer's gathers
-of r, η·g and the norm's squares are written into it, so no update
-allocates an M- or P-sized array. The
+of r, η·g and the norm's squares are written into it, through views it
+builds once, so no update allocates an M- or P-sized array. The
 divergence guard costs O(1) per update: a running bound B on max |θ|,
 B ← (B + η·(‖g‖ + 2⁻⁵⁰⁰))·(1 + 2⁻³⁰), fed by the gradient norm that every
 record needs, and one exact pass over θ only when B is not ≤
@@ -44,7 +44,8 @@ from .config import (
 )
 # ``advance`` is not called here, but the benchmark's span shims look it up in this module
 from .model import (
-    TraceState, _drives, _features, _Features, _log_probs, _near_window, _sigmoid, _trace_step, advance
+    TraceState, _drives, _features, _Features, _log_probs, _near_window, _Scratch, _sigmoid, _trace_step,
+    advance,
 )
 
 __all__ = [
@@ -104,38 +105,51 @@ class Gradient(_FlatBanks):
         return self
 
     def norm(self) -> float:
-        return _norm(self, np.empty_like(self._theta))
+        flat = tuple((math.prod(s),) for s in self._shapes)
+        return _norm(self._theta, Gradient._wrap(np.empty_like(self._theta), flat))
 
 
-def _norm(grad: Gradient, squares: np.ndarray) -> float:
-    """The one gradient norm: θ squared once, into ``squares``, then summed
-    bank by bank; a single sum over θ would round the recorded grad_norm
-    values differently."""
-    sq = np.multiply(grad.theta, grad.theta, out=squares)
-    a = grad.d_bias.size
-    b = a + grad.d_u.size
+def _norm(theta: np.ndarray, squares: Gradient) -> float:
+    """The one gradient norm: θ squared once, into ``squares``, a gradient
+    with flat banks, then summed bank by bank; a single sum over θ would
+    round the recorded grad_norm values differently."""
+    np.multiply(theta, theta, out=squares._theta)
+    a, b, c = squares._banks
     add = np.add.reduce
-    return math.sqrt(add(sq[:a]) + add(sq[a:b]) + add(sq[b:]))
+    return math.sqrt(add(a) + add(b) + add(c))
+
+
+class _Rows(_Scratch):
+    """What one scoring of the rows ``out`` (…, n_params + 1) writes
+    through: a ``model._Scratch`` for their states, and the views of
+    ``out`` that ``_grad_logp`` fills, shaped like the features: ``r``,
+    ``d_u``, ``d_v`` and ``log_p``."""
+
+    def __init__(self, config: ModelConfig, out: np.ndarray) -> None:
+        super().__init__(config, out.shape[:-1])
+        a, b = config.n_units, config.n_units + config.arrays.post_k.size
+        self.out, self.r, self.log_p = out, out[..., :a], out[..., -1]
+        self.d_u, self.d_v = out[..., a:b].reshape(self.k.shape), out[..., b:-1].reshape(self.l.shape)
 
 
 class _Workspace:
     """Scratch that one ``train`` call allocates once, for scored blocks of
     at most ``steps`` rows (one for online training), so that no update
-    allocates an M- or P-sized temporary: ``pairs(n)``, one array shaped
-    like n states' α and one like their β, takes the drive's pair terms and
-    then the scorer's gathers of r (``model._drives``, ``_grad_logp``);
-    ``rows`` takes the scored rows, each a gradient and then log p; and
-    ``theta`` takes η·g and then the norm's squares (``_norm``)."""
+    allocates an M- or P-sized temporary: ``rows`` takes the scored rows,
+    each a gradient and then log p, through the ``_Rows`` of ``step`` (one
+    online step's) or of ``block(n)`` (built once per block length); and
+    ``theta`` takes η·g and then the norm's squares (``squares``)."""
 
     def __init__(self, config: ModelConfig, steps: int) -> None:
         arr = config.arrays
-        self.alpha = np.empty((steps, config.n_pairs, config.n_lambda))
-        self.beta = np.empty((steps, config.n_pairs, config.n_mu))
+        self.config, self.blocks = config, {}
         self.rows = np.empty((steps, arr.n_params + 1))
         self.theta = np.empty(arr.n_params)
+        self.squares = Gradient._wrap(self.theta, tuple((math.prod(s),) for s in arr.bank_shapes))
+        self.step = _Rows(config, self.rows[0])
 
-    def pairs(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.alpha[:n], self.beta[:n]
+    def block(self, n: int) -> _Rows:
+        return self.blocks.get(n) or self.blocks.setdefault(n, _Rows(self.config, self.rows[:n]))
 
 
 @dataclass
@@ -190,38 +204,34 @@ def step_gradient(
 
 
 def _grad_logp(
-    params: Parameters, config: ModelConfig, f: _Features, out: np.ndarray, work: tuple | None = None
+    params: Parameters, config: ModelConfig, f: _Features, out: np.ndarray, work: _Rows | None = None
 ) -> np.ndarray:
     """The one scorer, of one step or of a block: writes each step's
     gradient, laid out as a ``Gradient.theta``, then its log-probability
     into ``out``, shaped (…, n_params + 1) like ``f.x`` with its last axis
     widened, and returns it. The arithmetic is elementwise per step, so a
-    block row is its step scored alone, bit for bit. ``work``, two scratch
-    arrays shaped like ``f.alpha`` and ``f.beta``, takes the drive's pair
-    terms and then the gathers of r; when it is None, fresh arrays do."""
-    a = config.n_units
-    b = a + config.arrays.post_k.size
-    t = config.temperature
-    r_k, r_l = work or (None, None)
-    z = _drives(params, f, config, work)
+    block row is its step scored alone, bit for bit. ``work`` is the
+    ``_Rows`` of ``out``, built when None; its pair arrays take the drive's
+    pair terms and then the gathers of r."""
+    w, t = work or _Rows(config, out), config.temperature
+    z = _drives(params, f, config, w)
     # x / 1.0 is x, so both divisions are skipped at the default temperature:
     # on a model of a few units they are a few percent of a full-batch epoch
     if t != 1.0:
         z /= t
-    e = np.abs(z)
-    np.exp(np.negative(e, out=e), out=e)
-    r = np.subtract(f.x, _sigmoid(z, e), out=out[..., :a])
+    r = np.subtract(f.x, _sigmoid(z, w), out=w.r)
     if t != 1.0:
         r /= t
     flat = r.ravel()  # the feature indices address the flattened unit axis
-    r_post = flat.take(f.post_k, None, r_k, "clip")
-    np.multiply(f.alpha, r_post, out=out[..., a:b].reshape(f.alpha.shape))
-    if f.post_l is not f.post_k:
-        r_post = flat.take(f.post_l, None, r_l, "clip")
-    d_v = np.multiply(f.beta, r_post, out=out[..., b:-1].reshape(f.beta.shape))
+    flat.take(f.post_k, None, w.flat_k, "clip")
+    np.multiply(f.alpha, w.k, out=w.d_u)
+    if f.post_l is not f.post_k:  # else ``w.l`` is ``w.k``
+        flat.take(f.post_l, None, w.flat_l, "clip")
+    d_v = np.multiply(f.beta, w.l, out=w.d_v)
     np.negative(d_v, out=d_v)  # -(β·r) rounds as (-β)·r does
-    d_v -= np.multiply(flat.take(f.pre_l, None, r_l, "clip"), f.gamma_post, out=r_l)
-    out[..., -1] = _log_probs(z, f.x, e)
+    flat.take(f.pre_l, None, w.flat_l, "clip")
+    d_v -= np.multiply(w.l, f.gamma_post, out=w.l)
+    _log_probs(z, f.x, w, w.log_p)
     return out
 
 
@@ -294,14 +304,14 @@ class _TraceBuilder:
         self.arr = weakref.proxy(arr)  # ``arr`` keeps the idle builder: no cycle to outlive a config
 
     def rows(self, x, alpha, beta, gamma_post) -> _Features:
-        """Features of ``len(x)`` rows, with the first rows of the bincount indices of C
-        rows, N apart, made on first use (online training reads its rows with the config's)."""
+        """Features of ``len(x)`` rows, with the first rows of the raveled bincount indices of
+        C rows, N apart, made on first use (online training reads its rows with the config's)."""
         if self.index is None:
-            arr, offset = self.arr, self.gamma.shape[1] * np.arange(self.steps)[:, None, None]
-            post_k = arr.post_k + offset
-            post_l = post_k if arr.post_l is arr.post_k else arr.post_l + offset
-            self.index = post_k, post_l, arr.pre_l + offset
-        k, l, p = (a[: len(x)] for a in self.index)
+            offset = self.gamma.shape[1] * np.arange(self.steps)[:, None]
+            post_k, post_l, pre_l = self.arr.pair_units
+            k = post_k + offset
+            self.index = k, k if post_l is post_k else post_l + offset, pre_l + offset
+        k, l, p = (a[: len(x)].ravel() for a in self.index)
         return _Features(x, alpha, beta, gamma_post, k, k if self.index[1] is self.index[0] else l, p)
 
     def _step(self, slices: np.ndarray, start: int, stop: int, more: bool) -> None:
@@ -425,10 +435,11 @@ def _score(params: Parameters, config: ModelConfig, slices: np.ndarray) -> tuple
     with _builder(config, _block_steps(config, len(slices))) as builder:
         for chunk in builder.chunks(slices):
             f = builder.rows(*chunk)
-            z = _drives(params, f, config) / config.temperature
-            e = np.exp(-np.abs(z))
-            total = _add_in_order(_log_probs(z, f.x, e), total)
-            correct += int(np.count_nonzero((_sigmoid(z, e) > 0.5) == f.x))
+            w = _Scratch(config, f.x.shape[:1])
+            z = _drives(params, f, config, w)
+            z /= config.temperature  # as z / temperature rounds
+            correct += int(np.count_nonzero((_sigmoid(z, w) > 0.5) == f.x))
+            total = _add_in_order(_log_probs(z, f.x, w), total)
     return float(total), correct
 
 
@@ -469,8 +480,8 @@ def _sequence_grad_ll(
     arr = config.arrays
     total = np.zeros(arr.n_params + 1)
     for block in blocks:
-        n = len(block.x)
-        rows = _grad_logp(params, config, block, work.rows[:n], work.pairs(n))
+        scored = work.block(len(block.x))
+        rows = _grad_logp(params, config, block, scored.out, scored)
         if step_nll is not None:
             step_nll.extend((-rows[:, -1]).tolist())
         total = _add_in_order(rows, total)
@@ -560,8 +571,9 @@ def train(
     arr, rate = config.arrays, trainer.learning_rate
     work = _Workspace(config, max_steps if trainer.mode == "full_batch" else 1)
     bound = float(np.abs(params.theta).max(initial=0.0))  # of max |θ|; see update
+    theta, squares = params.theta, work.squares
 
-    def update(grad: Gradient, log_likelihood: float, epoch: int, step: int) -> None:
+    def update(g: np.ndarray, log_likelihood: float, epoch: int, step: int) -> None:
         # sgd_update's add, θ + η·g, in place, with η·g in the workspace,
         # whose next use holds the norm's squares. The guard runs its exact
         # pass over θ (_exact_guard) only when the running bound B on max |θ|
@@ -576,13 +588,13 @@ def train(
         # makes ‖g‖, and so B, non-finite, which forces the exact pass.
         nonlocal bound
         with np.errstate(over="ignore", invalid="ignore"):
-            np.add(params.theta, np.multiply(grad.theta, rate, out=work.theta), out=params.theta)
-            gnorm = _norm(grad, work.theta)
+            np.add(theta, np.multiply(g, rate, out=work.theta), out=theta)
+            gnorm = _norm(g, squares)
         bound = (bound + rate * (gnorm + _TINY)) * _SLACK
         if not bound <= DIVERGENCE_LIMIT:
             bound = _exact_guard(params, epoch, step)
             if not math.isfinite(gnorm):  # warn of an overflowed norm as the unguarded one does
-                gnorm = _norm(grad, work.theta)
+                gnorm = _norm(g, squares)
         metrics.grad_norms.append(gnorm)
         if record_sink is not None:
             record_sink(
@@ -595,9 +607,8 @@ def train(
                 }
             )
 
-    row = work.rows[0]  # one online step's gradient, then log p
-    grad = Gradient._wrap(row[:-1], arr.bank_shapes)
-    pairs = work.alpha[0], work.beta[0]
+    step, f = work.step, _Features(None, None, None, None, *arr.pair_units)
+    row, g = step.out, step.out[:-1]  # one online step's gradient, then log p
     global_step = 0
     with _builder(config, max_steps) if trainer.mode == "online" else nullcontext() as builder:
         for epoch in range(trainer.epochs):
@@ -606,19 +617,18 @@ def train(
                 blocks = kept or _blocks(config, series_list, max_steps)
                 total, epoch_ll = _sequence_grad_ll(params, config, blocks, work, metrics.step_nll)
                 global_step += steps
-                update(total, epoch_ll, epoch, global_step)
+                update(total.theta, epoch_ll, epoch, global_step)
             else:
                 order = list(range(len(series_list)))
                 if rng is not None:
                     rng.shuffle(order)
                 for series_idx in order:
                     for chunk in builder.chunks(series_list[series_idx]):
-                        for step in zip(*chunk):  # row t of the chunk, as one step's features
-                            f = _Features(*step, arr.post_k, arr.post_l, arr.pre_l)
-                            _grad_logp(params, config, f, row, pairs)
+                        for f.x, f.alpha, f.beta, f.gamma_post in zip(*chunk):  # row t, as one step
+                            _grad_logp(params, config, f, row, step)
                             log_p = float(row[-1])
                             global_step += 1
-                            update(grad, log_p, epoch, global_step)
+                            update(g, log_p, epoch, global_step)
                             epoch_ll += log_p
                             metrics.step_nll.append(-log_p)
             metrics.epoch_log_likelihood.append(epoch_ll)

@@ -41,7 +41,6 @@ passes (training, scoring and rollouts, generated slices included) step
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,11 +98,17 @@ def queue_rows(config: ModelConfig, queue: np.ndarray) -> list[list[int]]:
 def pack_queue_rows(config: ModelConfig, rows) -> np.ndarray:
     """Flat queue from per-pair rows in ``config.pairs`` order; the inverse
     of ``queue_rows``. Raises ValueError when the rows do not match the
-    pair delays or when two rows from one unit disagree (``_join_rows``)."""
+    pair delays, when a bit is not 0 or 1, or when two rows from one unit
+    disagree (``_join_rows``)."""
     lengths = [len(row) for row in rows]
     if lengths != [d - 1 for d in config.arrays.delay.tolist()]:
         raise ValueError("queue rows do not match the pair delays")
-    queue, fault = _join_rows(config, np.array([bit for row in rows for bit in row], dtype=np.uint8))
+    bits = np.array([bit for row in rows for bit in row])
+    bad = np.flatnonzero((bits != 0) & (bits != 1))
+    if bad.size:
+        m = np.searchsorted(np.cumsum(lengths), bad[0], side="right")
+        raise ValueError(f"pair {config.pairs[m]}: queue bits must be 0 or 1")
+    queue, fault = _join_rows(config, bits.astype(np.uint8))
     if fault is not None:
         raise ValueError(fault)
     return queue
@@ -233,9 +238,10 @@ class _Features:
     ``alpha`` (…, M, K), the near-window traces ``beta`` (…, M, L) and the
     source traces of each pair's target ``gamma_post`` (…, M, L); ``x`` is
     None when only the drive is wanted. ``post_k``, ``post_l`` and
-    ``pre_l`` give each pair term's unit in the flattened (…, N) unit axis,
-    offset by ``t * N`` for step ``t``, so one bincount sums every step's
-    pair terms into that step's units."""
+    ``pre_l``, raveled, give each pair term's unit in the flattened (…, N)
+    unit axis, offset by ``t * N`` for step ``t``, so one bincount sums
+    every step's pair terms into that step's units; one record serves all
+    the steps of online training or of a rollout, re-pointed at each."""
 
     x: np.ndarray | None
     alpha: np.ndarray
@@ -246,17 +252,34 @@ class _Features:
     pre_l: np.ndarray
 
 
+class _Scratch:
+    """What the drive of the states stacked on ``lead`` and its logistic
+    write through, built once for many calls: the pair terms ``k`` and
+    ``l``, shaped like α and β (one array when they have one shape;
+    ``flat_k`` and ``flat_l`` raveled), the drive ``z`` (``flat_z``
+    raveled), and ``e``, ``e1`` and ``p`` (then the log-prob terms), shaped
+    like it."""
+
+    def __init__(self, config: ModelConfig, lead: tuple = ()) -> None:
+        arr = config.arrays
+        self.k = np.empty(lead + arr.post_k.shape)
+        self.l = self.k if arr.post_l is arr.post_k else np.empty(lead + arr.post_l.shape)
+        self.flat_k, self.flat_l = self.k.reshape(-1), self.l.reshape(-1)
+        self.shape = lead + (config.n_units,)
+        self.z, self.e, self.e1, self.p = np.empty((4, *self.shape))
+        self.flat_z, self.size = self.z.reshape(-1), self.z.size
+
+
 def _features(state: TraceState, config: ModelConfig, x: np.ndarray | None = None) -> _Features:
     """Features of one state: its own ``alpha``, its near-window trace
     computed once, and ``config.arrays``' pair-to-unit indices."""
     arr = config.arrays
     b = _beta_matrix(state, config)
-    gamma_post = state.gamma.take(arr.gamma_post)
-    return _Features(x, state.alpha, b, gamma_post, arr.post_k, arr.post_l, arr.pre_l)
+    return _Features(x, state.alpha, b, state.gamma.take(arr.gamma_post), *arr.pair_units)
 
 
 def _drives(
-    params: Parameters, f: _Features, config: ModelConfig, work: tuple | None = None
+    params: Parameters, f: _Features, config: ModelConfig, work: _Scratch | None = None
 ) -> np.ndarray:
     """Per-unit input drive of every state in ``f``: bias plus the
     trace-weighted pair terms.
@@ -265,23 +288,18 @@ def _drives(
     minus, for each outgoing pair (j, i), v[(j, i)] . gamma[i]. The energy
     of firing is minus the drive; staying silent always has energy zero.
     The sums are taken over the flattened unit axis and subtracted in
-    place, which rounds as ``bias + a - b - c`` does. The pair terms are
-    written into ``work``, two scratch arrays shaped like ``f.alpha`` and
-    ``f.beta``, or into fresh arrays when it is None; the drive is a new
-    array.
+    place, which rounds as ``bias + a - b - c`` does. The pair terms and
+    the drive are written into ``work``, a ``_Scratch`` for the states of
+    ``f`` (a fresh one when None), and the drive is returned.
     """
-    shape = f.alpha.shape[:-2] + (config.n_units,)
-    size = math.prod(shape)
-    u_alpha, v_beta = work or (None, None)
-
-    def units(index: np.ndarray, terms: np.ndarray) -> np.ndarray:
-        return np.bincount(index.ravel(), weights=terms.ravel(), minlength=size)
-
-    drive = params.bias + units(f.post_k, np.multiply(params.u, f.alpha, out=u_alpha)).reshape(shape)
-    flat = drive.reshape(size)
-    flat -= units(f.post_l, np.multiply(params.v, f.beta, out=v_beta))
-    flat -= units(f.pre_l, np.multiply(params.v, f.gamma_post, out=v_beta))
-    return drive
+    w, (bias, u, v) = work or _Scratch(config, f.alpha.shape[:-2]), params._banks
+    np.multiply(u, f.alpha, out=w.k)
+    z, flat = np.add(bias, np.bincount(f.post_k, w.flat_k, w.size).reshape(w.shape), out=w.z), w.flat_z
+    np.multiply(v, f.beta, out=w.l)
+    flat -= np.bincount(f.post_l, w.flat_l, w.size)
+    np.multiply(v, f.gamma_post, out=w.l)
+    flat -= np.bincount(f.pre_l, w.flat_l, w.size)
+    return z
 
 
 def unit_energy(
@@ -296,20 +314,31 @@ def unit_energy(
     return float(-_drives(params, _features(state, config), config)[j])
 
 
-def _sigmoid(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function, evaluated through ``e`` = exp(-|z|) (computed
-    when not given) so that no branch can overflow."""
-    e = np.exp(-np.abs(z)) if e is None else e
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+_ZERO, _ONE, _MINUS = np.array(0.0), np.array(1.0), np.array(-1.0)  # 0-d: a float converts per call
 
 
-def _log_probs(z: np.ndarray, x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+def _sigmoid(z: np.ndarray, work: _Scratch | None = None) -> np.ndarray:
+    """Logistic function of ``z`` into ``work.p``, through ``work.e`` =
+    exp(-|z|) and ``work.e1`` = 1 + e (fresh arrays when ``work`` is None),
+    so that no branch can overflow: where(z >= 0, 1, e) / (1 + e), with the
+    numerator taken as max(e, [z >= 0]), since e is at most 1."""
+    e, e1, p = np.empty((3, *z.shape)) if work is None else (work.e, work.e1, work.p)
+    np.exp(np.copysign(z, _MINUS, out=e), out=e)  # copysign(z, -1) is -|z|
+    np.maximum(e, np.heaviside(z, _ONE, out=p), out=p)  # heaviside: 1 where z >= 0, else 0
+    return np.divide(p, np.add(e, _ONE, out=e1), out=p)
+
+
+def _log_probs(z: np.ndarray, x: np.ndarray, work: _Scratch, out: np.ndarray | None = None) -> np.ndarray:
     """Log-probability of the 0/1 slice ``x`` when each unit fires with
-    logit ``z``: a sum over the last (unit) axis, one per slice stacked on
-    leading axes, of log(sigmoid(±z)) = min(±z, 0) - log(1 + e), which is
-    overflow-free; ``e`` = exp(-|z|) is computed when not given."""
-    e = np.exp(-np.abs(z)) if e is None else e
-    return (np.minimum(np.where(x == 1, z, -z), 0.0) - np.log1p(e)).sum(axis=-1)
+    logit ``z``, into ``out`` when given: a sum over the last (unit) axis,
+    one per slice stacked on leading axes, of log(sigmoid(±z)) = min(±z, 0)
+    - log(1 + e), which is overflow-free; ``work.e`` = exp(-|z|) is the
+    one ``_sigmoid(z, work)`` left there, and the terms take ``work.p``."""
+    terms = np.negative(z, out=work.p)
+    np.copyto(terms, z, where=x.astype(bool))  # np.where(x, z, -z), with no temporaries
+    np.minimum(terms, _ZERO, out=terms)
+    terms -= np.log1p(work.e, out=work.e1)
+    return np.add.reduce(terms, -1, None, out)
 
 
 def fire_probs(params: Parameters, state: TraceState, config: ModelConfig) -> np.ndarray:
@@ -334,8 +363,10 @@ def cond_prob(
     the numerically safe one; the plain probability may underflow to 0 for
     wide networks, which is why both are returned.
     """
-    x = as_time_slice(slice_values, config.n_units)
-    log_p = float(_log_probs(_drives(params, _features(state, config), config) / config.temperature, x))
+    x, work = as_time_slice(slice_values, config.n_units), _Scratch(config)
+    z = _drives(params, _features(state, config), config, work) / config.temperature
+    _sigmoid(z, work)
+    log_p = float(_log_probs(z, x, work))
     return float(np.exp(log_p)), log_p
 
 

@@ -76,6 +76,9 @@ TWO_RUNS = ModelConfig(
     (0.6, 0.85),
     {((j - r) % 160, j): 3 for j in range(160) for r in (1, 2)} | {(0, 5): 40},
 )
+# MIXED with one arrival rate (K != L) at temperature 0.7: the scorer
+# divides the drive and r by the temperature, and gathers r twice
+WARM = ModelConfig(3, (0.5,), (0.4, 0.25), dict(MIXED.delays), temperature=0.7)
 # the network of the fullbatch_small benchmark workload
 SMALL_DENSE = ModelConfig.dense(3, lambdas=(0.5,), mus=(0.25,), delay=2)
 # unit 0 feeds every unit at delay 3 (one (source, delay) key, three
@@ -194,6 +197,13 @@ class TestAgainstTraceDefinitions:
         np.testing.assert_array_equal(packed, state.queue)
         with pytest.raises(ValueError, match="delays"):
             pack_queue_rows(MIXED, rows[:-1])
+        one = ModelConfig(1, (0.5,), (0.5,), {(0, 0): 3})
+        for bad in ([[2, 0]], [[1, -1]]):
+            with pytest.raises(ValueError, match=r"^pair \(0, 0\): queue bits must be 0 or 1$"):
+                pack_queue_rows(one, bad)
+        rows[MIXED.pair_index[(2, 0)]][2] = 2
+        with pytest.raises(ValueError, match=r"^pair \(2, 0\): queue bits must be 0 or 1$"):
+            pack_queue_rows(MIXED, rows)
 
     @pytest.mark.parametrize(
         "pair, lag, named",
@@ -651,7 +661,8 @@ class TestOnlineStep:
     @pytest.mark.parametrize("shuffle_seed", [None, 7], ids=["in-order", "shuffled"])
     @pytest.mark.parametrize("epochs", [1, 2, 3])
     @pytest.mark.parametrize(
-        "cfg", [MIXED, ALL_DELAY_ONE, EMPTY, ONE_UNIT], ids=["mixed", "delay1", "empty", "one-unit"]
+        "cfg", [MIXED, ALL_DELAY_ONE, EMPTY, ONE_UNIT, WARM],
+        ids=["mixed", "delay1", "empty", "one-unit", "warm"],
     )
     def test_matches_pure_public_loop_bit_for_bit(self, cfg, epochs, shuffle_seed):
         rng = np.random.default_rng(53)
@@ -891,8 +902,8 @@ class TestRolloutBuilder:
     steps' features (C = 5), so primer and horizon each cross chunk ends."""
 
     CONFIGS = pytest.mark.parametrize(
-        "cfg", [MIXED, ALL_DELAY_ONE, EMPTY, ONE_UNIT, TWO_RUNS],
-        ids=["mixed", "delay1", "empty", "one-unit", "two-runs"],
+        "cfg", [MIXED, ALL_DELAY_ONE, EMPTY, ONE_UNIT, TWO_RUNS, WARM],
+        ids=["mixed", "delay1", "empty", "one-unit", "two-runs", "warm"],
     )
 
     @staticmethod

@@ -49,6 +49,15 @@ def test_only_wall_ms_is_masked(same_outputs):
     assert same_outputs._differences(base, change) == ["eval stdout, line 2: '2' -> '3'"]
 
 
+def test_every_differing_line_is_listed(same_outputs):
+    base = {"bench stdout": "a\nb\nc\n", "eval stdout": "1\n2\n3\n4\n5\n6\n7\n8\n"}
+    change = {"bench stdout": "A\nb\nC\n", "eval stdout": "0\n2\n0\n0\n5\n0\n0\n0\n9\n"}
+    assert same_outputs._differences(base, change) == [
+        "bench stdout, line 1: 'a' -> 'A'; line 3: 'c' -> 'C'",
+        "eval stdout, line 1: '1' -> '0'; line 3: '3' -> '0'; line 4: '4' -> '0'; also lines 6-9",
+    ]
+
+
 def test_bench_timing_is_masked(same_outputs):
     # bench prints its report indented, one field a line
     entry = {"pairs": 24, "per_synapse_update_us": 2.5, "queue_bits": 48}
