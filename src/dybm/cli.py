@@ -104,7 +104,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         config,
         dataset,
         trainer,
-        record_sink=lambda rec: print(_json(rec), flush=False),
+        record_sink=lambda rec: sys.stdout.write(_json(rec) + "\n"),  # one write; print makes two
     )
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(save_checkpoint(params, config))

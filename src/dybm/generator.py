@@ -81,7 +81,7 @@ def rollout(params: Parameters, config: ModelConfig, rollout_cfg: RolloutConfig)
     sample = rollout_cfg.mode == "sample"
     if sample:
         stream_at = _reseater(step_stream(rollout_cfg.seed, 0))
-    f, work = _Features(None, None, None, None, *config.arrays.pair_units), _Scratch(config)
+    f, work = _Features(None, None, None, None, None, *config.arrays.pair_units), _Scratch(config)
     out = np.empty((horizon, n), dtype=np.int64)
     with _builder(config, _block_steps(config, max(1, len(primer)))) as builder:
         for t, (f.alpha, f.beta, f.gamma_post) in enumerate(builder.extend(primer, out)):

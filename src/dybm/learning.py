@@ -12,15 +12,17 @@ the one kernel a single state uses (``model._near_window``); a rollout's
 generated slices take it too, each read as soon as it is sampled. Online
 training reads each row as one step's features, scoring drives a chunk, and
 full-batch training builds the dataset's features once, as one stream of
-blocks that cross series ends, and rescores it every epoch. One scorer,
-``_grad_logp``, serves both modes. Totals over steps are added one step at
-a time in step order (``_add_in_order``), so both modes round alike.
-Online training reuses one gradient row and steps its own copy of the
-parameters in place; ``sgd_update``, the public step, returns new ones.
-``train`` allocates one workspace (``_Workspace``) per call, as
-``sequence_gradient`` does: the drive's pair terms, the scorer's gathers
-of r, η·g and the norm's squares are written into it, through views it
-builds once, so no update allocates an M- or P-sized array. The
+blocks that cross series ends, and rescores it every epoch. A chunk or a
+block carries its slices' sign, 2x − 1, once for every scoring of it. One
+scorer, ``_grad_logp``, serves both modes. Totals over steps are added one
+step at a time in step order (``_add_in_order``), so both modes round
+alike, and a full-batch epoch updates from its summed row. Online training
+reuses one gradient row and steps its own copy of the parameters in place;
+``sgd_update``, the public step, returns new ones. ``train`` allocates one
+workspace (``_Workspace``) per call, as ``sequence_gradient`` does: the
+drive's pair terms (one pair scratch for every block length), the scorer's
+gathers of r, η·g and the norm's squares are written into it, through
+views it builds once, so no update allocates an M- or P-sized array. The
 divergence guard costs O(1) per update: a running bound B on max |θ|,
 B ← (B + η·(‖g‖ + 2⁻⁵⁰⁰))·(1 + 2⁻³⁰), fed by the gradient norm that every
 record needs, and one exact pass over θ only when B is not ≤
@@ -121,12 +123,12 @@ def _norm(theta: np.ndarray, squares: Gradient) -> float:
 
 class _Rows(_Scratch):
     """What one scoring of the rows ``out`` (…, n_params + 1) writes
-    through: a ``model._Scratch`` for their states, and the views of
-    ``out`` that ``_grad_logp`` fills, shaped like the features: ``r``,
-    ``d_u``, ``d_v`` and ``log_p``."""
+    through: a ``model._Scratch`` for their states (on ``longer``'s pair
+    terms), and the views of ``out`` that ``_grad_logp`` fills, shaped
+    like the features: ``r``, ``d_u``, ``d_v`` and ``log_p``."""
 
-    def __init__(self, config: ModelConfig, out: np.ndarray) -> None:
-        super().__init__(config, out.shape[:-1])
+    def __init__(self, config: ModelConfig, out: np.ndarray, longer: _Scratch | None = None) -> None:
+        super().__init__(config, out.shape[:-1], longer)
         a, b = config.n_units, config.n_units + config.arrays.post_k.size
         self.out, self.r, self.log_p = out, out[..., :a], out[..., -1]
         self.d_u, self.d_v = out[..., a:b].reshape(self.k.shape), out[..., b:-1].reshape(self.l.shape)
@@ -137,8 +139,9 @@ class _Workspace:
     at most ``steps`` rows (one for online training), so that no update
     allocates an M- or P-sized temporary: ``rows`` takes the scored rows,
     each a gradient and then log p, through the ``_Rows`` of ``step`` (one
-    online step's) or of ``block(n)`` (built once per block length); and
-    ``theta`` takes η·g and then the norm's squares (``squares``)."""
+    online step's) or of ``block(n)`` (built once per block length, with one
+    pair scratch, the longest block's, for every length); and ``theta``
+    takes η·g and then the norm's squares (``squares``)."""
 
     def __init__(self, config: ModelConfig, steps: int) -> None:
         arr = config.arrays
@@ -149,7 +152,8 @@ class _Workspace:
         self.step = _Rows(config, self.rows[0])
 
     def block(self, n: int) -> _Rows:
-        return self.blocks.get(n) or self.blocks.setdefault(n, _Rows(self.config, self.rows[:n]))
+        longest = None if n == len(self.rows) else self.block(len(self.rows))
+        return self.blocks.get(n) or self.blocks.setdefault(n, _Rows(self.config, self.rows[:n], longest))
 
 
 @dataclass
@@ -212,7 +216,7 @@ def _grad_logp(
     widened, and returns it. The arithmetic is elementwise per step, so a
     block row is its step scored alone, bit for bit. ``work`` is the
     ``_Rows`` of ``out``, built when None; its pair arrays take the drive's
-    pair terms and then the gathers of r."""
+    pair terms and then the gathers of r, and log p reads ``f.sign``."""
     w, t = work or _Rows(config, out), config.temperature
     z = _drives(params, f, config, w)
     # x / 1.0 is x, so both divisions are skipped at the default temperature:
@@ -231,7 +235,7 @@ def _grad_logp(
     np.negative(d_v, out=d_v)  # -(β·r) rounds as (-β)·r does
     flat.take(f.pre_l, None, w.flat_l, "clip")
     d_v -= np.multiply(w.l, f.gamma_post, out=w.l)
-    _log_probs(z, f.x, w, w.log_p)
+    _log_probs(z, f.sign, w, w.log_p)
     return out
 
 
@@ -304,15 +308,16 @@ class _TraceBuilder:
         self.arr = weakref.proxy(arr)  # ``arr`` keeps the idle builder: no cycle to outlive a config
 
     def rows(self, x, alpha, beta, gamma_post) -> _Features:
-        """Features of ``len(x)`` rows, with the first rows of the raveled bincount indices of
-        C rows, N apart, made on first use (online training reads its rows with the config's)."""
+        """Features of ``len(x)`` rows and their sign, with the first rows of the raveled bincount
+        indices of C rows, N apart, made on first use (online training reads its rows with the config's)."""
         if self.index is None:
             offset = self.gamma.shape[1] * np.arange(self.steps)[:, None]
             post_k, post_l, pre_l = self.arr.pair_units
             k = post_k + offset
             self.index = k, k if post_l is post_k else post_l + offset, pre_l + offset
         k, l, p = (a[: len(x)].ravel() for a in self.index)
-        return _Features(x, alpha, beta, gamma_post, k, k if self.index[1] is self.index[0] else l, p)
+        l = k if self.index[1] is self.index[0] else l
+        return _Features(x, 2.0 * x - 1.0, alpha, beta, gamma_post, k, l, p)
 
     def _step(self, slices: np.ndarray, start: int, stop: int, more: bool) -> None:
         """Step α and γ over slices ``start`` (0 or the last ``stop``) to ``stop - 1``
@@ -398,8 +403,8 @@ def _builder(config: ModelConfig, steps: int) -> Iterator[_TraceBuilder]:
 def _blocks(config: ModelConfig, series_list: list[np.ndarray], max_steps: int) -> Iterator[_Features]:
     """Each series in turn, as one stream of fresh feature blocks of at most
     ``max_steps`` (series, step) rows in dataset order, copied from a
-    ``_TraceBuilder`` of that chunk length; they cross series ends, and one
-    is held at a time."""
+    ``_TraceBuilder`` of that chunk length, each with its sign; they cross
+    series ends, and one is held at a time."""
     left, i = sum(map(len, series_list)), 0
     with _builder(config, max_steps) as builder:
         for slices in series_list:
@@ -408,14 +413,13 @@ def _blocks(config: ModelConfig, series_list: list[np.ndarray], max_steps: int) 
                 if i == 0:
                     n = min(max_steps, left)
                     like = (slices, builder.alpha, builder.beta, builder.gamma_post)
-                    block = builder.rows(*(np.empty((n, *a.shape[1:]), a.dtype) for a in like))
-                stop = min(len(slices), start + len(block.x) - i)
-                chunk = builder.fill(slices, start, stop, stop < len(slices))
-                for a, b in zip((block.x, block.alpha, block.beta, block.gamma_post), chunk):
+                    block = [np.empty((n, *a.shape[1:]), a.dtype) for a in like]
+                stop = min(len(slices), start + n - i)
+                for a, b in zip(block, builder.fill(slices, start, stop, stop < len(slices))):
                     a[i : i + stop - start] = b
                 i, left, start = i + stop - start, left - (stop - start), stop
-                if i == len(block.x):
-                    yield block
+                if i == n:
+                    yield builder.rows(*block)
                     i = 0
 
 
@@ -439,7 +443,7 @@ def _score(params: Parameters, config: ModelConfig, slices: np.ndarray) -> tuple
             z = _drives(params, f, config, w)
             z /= config.temperature  # as z / temperature rounds
             correct += int(np.count_nonzero((_sigmoid(z, w) > 0.5) == f.x))
-            total = _add_in_order(_log_probs(z, f.x, w), total)
+            total = _add_in_order(_log_probs(z, f.sign, w), total)
     return float(total), correct
 
 
@@ -462,7 +466,7 @@ def sequence_gradient(params: Parameters, config: ModelConfig, series) -> Gradie
     slices = _normalize_series(series, config.n_units)
     steps = _block_steps(config, len(slices))
     blocks = _blocks(config, [slices], steps)
-    return _sequence_grad_ll(params, config, blocks, _Workspace(config, steps))[0]
+    return _sequence_grad_ll(params, config, blocks, _Workspace(config, min(steps, len(slices))))[0]
 
 
 def _sequence_grad_ll(
@@ -472,20 +476,26 @@ def _sequence_grad_ll(
     work: _Workspace,
     step_nll: list[float] | None = None,
 ) -> tuple[Gradient, float]:
-    """Gradient and log-likelihood of a dataset from its block stream, both
-    added one step at a time in dataset order, the order an online epoch
-    adds its steps in, so the log-likelihood is the in-order sum of the
-    per-step NLLs appended to ``step_nll``. Each block, of at most the
-    workspace's rows, is scored in ``work``."""
-    arr = config.arrays
-    total = np.zeros(arr.n_params + 1)
+    """``_summed_row``'s gradient, as a ``Gradient``, and its log-likelihood."""
+    total = _summed_row(params, config, blocks, work, step_nll)
+    return Gradient._wrap(total[:-1], config.arrays.bank_shapes), float(total[-1])
+
+
+def _summed_row(params: Parameters, config: ModelConfig, blocks, work: _Workspace, step_nll=None) -> np.ndarray:
+    """Gradient and log-likelihood of a dataset from its block stream, as
+    one row laid out like a scored row, both added one step at a time in
+    dataset order, the order an online epoch adds its steps in, so the
+    log-likelihood is the in-order sum of the per-step NLLs appended to
+    ``step_nll``. Each block, of at most the workspace's rows, is scored
+    in ``work``."""
+    total = np.zeros(config.arrays.n_params + 1)
     for block in blocks:
         scored = work.block(len(block.x))
         rows = _grad_logp(params, config, block, scored.out, scored)
         if step_nll is not None:
             step_nll.extend((-rows[:, -1]).tolist())
         total = _add_in_order(rows, total)
-    return Gradient._wrap(total[:-1], arr.bank_shapes), float(total[-1])
+    return total
 
 
 def sgd_update(params: Parameters, grad: Gradient, learning_rate: float) -> Parameters:
@@ -568,8 +578,8 @@ def train(
     max_steps = _block_steps(config, steps)
     fits = trainer.mode == "full_batch" and steps * _step_bytes(config) <= _FEATURE_BYTES
     kept = list(_blocks(config, series_list, max_steps)) if fits else None
-    arr, rate = config.arrays, trainer.learning_rate
-    work = _Workspace(config, max_steps if trainer.mode == "full_batch" else 1)
+    arr, rate, eta = config.arrays, trainer.learning_rate, np.array(trainer.learning_rate)
+    work = _Workspace(config, min(max_steps, steps) if trainer.mode == "full_batch" else 1)  # the longest block
     bound = float(np.abs(params.theta).max(initial=0.0))  # of max |θ|; see update
     theta, squares = params.theta, work.squares
 
@@ -588,7 +598,7 @@ def train(
         # makes ‖g‖, and so B, non-finite, which forces the exact pass.
         nonlocal bound
         with np.errstate(over="ignore", invalid="ignore"):
-            np.add(theta, np.multiply(g, rate, out=work.theta), out=theta)
+            np.add(theta, np.multiply(g, eta, out=work.theta), out=theta)  # 0-d η: a float converts per call
             gnorm = _norm(g, squares)
         bound = (bound + rate * (gnorm + _TINY)) * _SLACK
         if not bound <= DIVERGENCE_LIMIT:
@@ -607,7 +617,7 @@ def train(
                 }
             )
 
-    step, f = work.step, _Features(None, None, None, None, *arr.pair_units)
+    step, f = work.step, _Features(None, None, None, None, None, *arr.pair_units)
     row, g = step.out, step.out[:-1]  # one online step's gradient, then log p
     global_step = 0
     with _builder(config, max_steps) if trainer.mode == "online" else nullcontext() as builder:
@@ -615,16 +625,16 @@ def train(
             epoch_ll = 0.0
             if trainer.mode == "full_batch":
                 blocks = kept or _blocks(config, series_list, max_steps)
-                total, epoch_ll = _sequence_grad_ll(params, config, blocks, work, metrics.step_nll)
-                global_step += steps
-                update(total.theta, epoch_ll, epoch, global_step)
+                total = _summed_row(params, config, blocks, work, metrics.step_nll)
+                epoch_ll, global_step = float(total[-1]), global_step + steps
+                update(total[:-1], epoch_ll, epoch, global_step)
             else:
                 order = list(range(len(series_list)))
                 if rng is not None:
                     rng.shuffle(order)
                 for series_idx in order:
-                    for chunk in builder.chunks(series_list[series_idx]):
-                        for f.x, f.alpha, f.beta, f.gamma_post in zip(*chunk):  # row t, as one step
+                    for x, *traces in builder.chunks(series_list[series_idx]):
+                        for f.x, f.sign, f.alpha, f.beta, f.gamma_post in zip(x, 2.0 * x - 1.0, *traces):
                             _grad_logp(params, config, f, row, step)
                             log_p = float(row[-1])
                             global_step += 1

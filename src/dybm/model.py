@@ -233,17 +233,19 @@ def beta(state: TraceState, config: ModelConfig, i: int, j: int, ell: int) -> fl
 
 @dataclass(eq=False)
 class _Features:
-    """What the conditional of the next slice ``x`` reads of one state, or
-    of T states stacked on a leading step axis: the arrival traces
-    ``alpha`` (…, M, K), the near-window traces ``beta`` (…, M, L) and the
-    source traces of each pair's target ``gamma_post`` (…, M, L); ``x`` is
-    None when only the drive is wanted. ``post_k``, ``post_l`` and
-    ``pre_l``, raveled, give each pair term's unit in the flattened (…, N)
-    unit axis, offset by ``t * N`` for step ``t``, so one bincount sums
-    every step's pair terms into that step's units; one record serves all
-    the steps of online training or of a rollout, re-pointed at each."""
+    """What the conditional of the next slice ``x`` reads of one state, or of
+    T states stacked on a leading step axis: the arrival traces ``alpha``
+    (…, M, K), the near-window traces ``beta`` (…, M, L) and the source
+    traces of each pair's target ``gamma_post`` (…, M, L). ``x`` and its
+    ``sign`` (2x − 1 as ±1.0, which log p reads) are None when only the
+    drive is wanted. ``post_k``, ``post_l`` and ``pre_l``, raveled, give
+    each pair term's unit in the flattened (…, N) unit axis, offset by
+    ``t * N`` for step ``t``, so one bincount sums every step's pair terms
+    into that step's units; one record serves all the steps of online
+    training or of a rollout, re-pointed at each."""
 
     x: np.ndarray | None
+    sign: np.ndarray | None
     alpha: np.ndarray
     beta: np.ndarray
     gamma_post: np.ndarray
@@ -255,15 +257,18 @@ class _Features:
 class _Scratch:
     """What the drive of the states stacked on ``lead`` and its logistic
     write through, built once for many calls: the pair terms ``k`` and
-    ``l``, shaped like α and β (one array when they have one shape;
-    ``flat_k`` and ``flat_l`` raveled), the drive ``z`` (``flat_z``
-    raveled), and ``e``, ``e1`` and ``p`` (then the log-prob terms), shaped
-    like it."""
+    ``l``, shaped like α and β (one array when they have one shape, the
+    leading rows of ``longer``'s when given; ``flat_k`` and ``flat_l``
+    raveled), the drive ``z`` (``flat_z`` raveled), and ``e``, ``e1`` and
+    ``p`` (then the log-prob terms), shaped like it."""
 
-    def __init__(self, config: ModelConfig, lead: tuple = ()) -> None:
+    def __init__(self, config: ModelConfig, lead: tuple = (), longer: "_Scratch | None" = None) -> None:
         arr = config.arrays
-        self.k = np.empty(lead + arr.post_k.shape)
-        self.l = self.k if arr.post_l is arr.post_k else np.empty(lead + arr.post_l.shape)
+        if longer is None:
+            self.k = np.empty(lead + arr.post_k.shape)
+            self.l = self.k if arr.post_l is arr.post_k else np.empty(lead + arr.post_l.shape)
+        else:  # views of one memory when ``longer``'s are
+            self.k, self.l = longer.k[: lead[0]], longer.l[: lead[0]]
         self.flat_k, self.flat_l = self.k.reshape(-1), self.l.reshape(-1)
         self.shape = lead + (config.n_units,)
         self.z, self.e, self.e1, self.p = np.empty((4, *self.shape))
@@ -273,9 +278,9 @@ class _Scratch:
 def _features(state: TraceState, config: ModelConfig, x: np.ndarray | None = None) -> _Features:
     """Features of one state: its own ``alpha``, its near-window trace
     computed once, and ``config.arrays``' pair-to-unit indices."""
-    arr = config.arrays
+    arr, sign = config.arrays, None if x is None else 2.0 * x - 1.0
     b = _beta_matrix(state, config)
-    return _Features(x, state.alpha, b, state.gamma.take(arr.gamma_post), *arr.pair_units)
+    return _Features(x, sign, state.alpha, b, state.gamma.take(arr.gamma_post), *arr.pair_units)
 
 
 def _drives(
@@ -328,14 +333,14 @@ def _sigmoid(z: np.ndarray, work: _Scratch | None = None) -> np.ndarray:
     return np.divide(p, np.add(e, _ONE, out=e1), out=p)
 
 
-def _log_probs(z: np.ndarray, x: np.ndarray, work: _Scratch, out: np.ndarray | None = None) -> np.ndarray:
-    """Log-probability of the 0/1 slice ``x`` when each unit fires with
-    logit ``z``, into ``out`` when given: a sum over the last (unit) axis,
-    one per slice stacked on leading axes, of log(sigmoid(±z)) = min(±z, 0)
-    - log(1 + e), which is overflow-free; ``work.e`` = exp(-|z|) is the
-    one ``_sigmoid(z, work)`` left there, and the terms take ``work.p``."""
-    terms = np.negative(z, out=work.p)
-    np.copyto(terms, z, where=x.astype(bool))  # np.where(x, z, -z), with no temporaries
+def _log_probs(z: np.ndarray, sign: np.ndarray, work: _Scratch, out: np.ndarray | None = None) -> np.ndarray:
+    """Log-probability of the 0/1 slice x of ``sign`` s = 2x - 1 (±1.0)
+    when each unit fires with logit ``z``, into ``out`` when given: a sum
+    over the last (unit) axis, one per slice stacked on leading axes, of
+    log(sigmoid(z·s)) = min(z·s, 0) - log(1 + e), which is overflow-free;
+    z·s is z or -z exactly, ±0 and ±inf included. ``work.e`` = exp(-|z|) is
+    the one ``_sigmoid(z, work)`` left there; the terms take ``work.p``."""
+    terms = np.multiply(z, sign, out=work.p)
     np.minimum(terms, _ZERO, out=terms)
     terms -= np.log1p(work.e, out=work.e1)
     return np.add.reduce(terms, -1, None, out)
@@ -366,7 +371,7 @@ def cond_prob(
     x, work = as_time_slice(slice_values, config.n_units), _Scratch(config)
     z = _drives(params, _features(state, config), config, work) / config.temperature
     _sigmoid(z, work)
-    log_p = float(_log_probs(z, x, work))
+    log_p = float(_log_probs(z, 2.0 * x - 1.0, work))
     return float(np.exp(log_p)), log_p
 
 

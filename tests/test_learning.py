@@ -541,3 +541,27 @@ class TestFullBatchFeatureCache:
         assert metrics.epoch_log_likelihood == kept.epoch_log_likelihood
         assert metrics.step_nll == kept.step_nll
         assert metrics.grad_norms == kept.grad_norms
+
+
+class TestWorkspace:
+    def test_block_lengths_share_one_pair_scratch(self, monkeypatch):
+        # the ring of 256 units with fan-in 8 and two rates on each side: 25
+        # slices are read in blocks of 13 and 12 rows, and the 12-row
+        # block's pair terms are the leading rows of the 13-row block's
+        delays = {((j - r) % 256, j): 1 + (r - 1) % 4 for j in range(256) for r in range(1, 9)}
+        cfg = ModelConfig(256, (0.5, 0.8), (0.5, 0.8), delays)
+        made = []
+
+        class Recorded(learning._Workspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(learning, "_Workspace", Recorded)
+        slices = (np.random.default_rng(3).random((25, 256)) < 0.1).astype(np.int64)
+        train(Parameters.zeros(cfg), cfg, [slices], TrainerConfig(0.01, epochs=1))
+        (work,) = made
+        assert sorted(work.blocks) == [12, 13]
+        bases = [a if a.base is None else a.base for rows in work.blocks.values() for a in (rows.k, rows.l)]
+        held = sum({id(a): a.nbytes for a in bases}.values())
+        assert held == 13 * cfg.n_pairs * cfg.n_lambda * 8  # K = L: one array of α's shape takes both

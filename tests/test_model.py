@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from dybm.config import ModelConfig, Parameters
 from dybm.model import (
     _features,
+    _log_probs,
+    _Scratch,
+    _sigmoid,
     advance,
     beta,
     cond_prob,
@@ -317,6 +320,47 @@ class TestCondProb:
         cfg = ModelConfig.dense(2)
         with pytest.raises(ValueError):
             cond_prob(Parameters.zeros(cfg), init_state(cfg), cfg, [1])
+
+
+class TestLogProbs:
+    """``_log_probs`` reads the slice as its sign, 2x - 1; z·(±1) is z or -z
+    exactly, so every bit is the where(x, z, -z) form's."""
+
+    SPECIAL = [0.0, 5e-324, 1.0, 745.0, 1e308, math.inf]
+
+    @staticmethod
+    def where_form(z, x, e):
+        return np.add.reduce(np.minimum(np.where(x, z, -z), 0.0) - np.log1p(e), -1)
+
+    def check(self, z, x):
+        n = z.shape[-1]
+        work = _Scratch(ModelConfig(n, (0.5,), (0.5,), {}), z.shape[:-1])
+        _sigmoid(z, work)
+        with np.errstate(over="ignore"):  # a sum of terms near -1e308 overflows in both forms
+            want = self.where_form(z, x, work.e.copy())
+            got = _log_probs(z, 2.0 * x - 1.0, work)
+        assert got.shape == want.shape == z.shape[:-1]
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        return got
+
+    @pytest.mark.parametrize("fill", ["zeros", "ones", "mixed"])
+    def test_sign_form_is_the_where_form_bit_for_bit(self, fill):
+        rng = np.random.default_rng(7)
+        special = np.array([s * v for v in self.SPECIAL for s in (1.0, -1.0)])
+        for z in (special, rng.normal(0.0, 30.0, size=(5, 12)), np.tile(special, (3, 1))):
+            x = {"zeros": np.zeros(z.shape, np.int64), "ones": np.ones(z.shape, np.int64)}.get(fill)
+            x = rng.integers(0, 2, z.shape) if x is None else x
+            self.check(z, x)
+            for row in range(len(z)) if z.ndim == 2 else ():
+                self.check(z[row].copy(), x[row])
+
+    def test_nan_drive_gives_nan(self):
+        z = np.array([[0.5, math.nan, -2.0], [1.0, 2.0, 3.0]])
+        for x in (np.zeros((2, 3), np.int64), np.ones((2, 3), np.int64)):
+            work = _Scratch(ModelConfig(3, (0.5,), (0.5,), {}), (2,))
+            _sigmoid(z, work)
+            got = _log_probs(z, 2.0 * x - 1.0, work)
+            assert math.isnan(got[0]) and math.isfinite(got[1])
 
 
 class TestFootprint:
