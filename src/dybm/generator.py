@@ -18,7 +18,7 @@ import numpy as np
 from .config import ConfigError, ModelConfig, Parameters, _count
 from .learning import _block_steps, _builder, _normalize_series, _score
 # ``advance`` is not called here, but the benchmark's span shims look it up in this module
-from .model import TraceState, _drives, _Features, _Scratch, _sigmoid, advance, fire_probs
+from .model import TraceState, _drives, _Features, _sigmoid, advance, fire_probs
 from .rng import _reseater, step_stream
 
 __all__ = [
@@ -68,12 +68,12 @@ def rollout(params: Parameters, config: ModelConfig, rollout_cfg: RolloutConfig)
     The primer, when given, is absorbed first; generated slices are then
     fed back one at a time. Step ``t`` samples from the substream
     ``rng.step_stream(seed, t)``, so runs are reproducible given the seed.
-    The rollout builds one Philox, the step-0 stream, and re-seats it at
-    each step, which gives the same draws as a fresh jumped stream per step.
-    The trace builder steps through the primer and then through each
-    generated slice as it is written, through one drive scratch. A primer
-    is read in the chunk that scoring it takes, so a window that was just
-    scored continues on the same idle builder.
+    The rollout builds one Philox, the step-0 stream, and seats it at each
+    step by writing the step into its counter: the draws of a fresh jumped
+    stream per step. The trace builder steps through the primer and then
+    each generated slice as it is written, with its one-state drive scratch.
+    A primer is read in the chunk that scoring it takes, so a window that
+    was just scored continues on the same idle builder, scratch included.
     """
     n, horizon = config.n_units, rollout_cfg.horizon
     primer = rollout_cfg.primer
@@ -81,12 +81,14 @@ def rollout(params: Parameters, config: ModelConfig, rollout_cfg: RolloutConfig)
     sample = rollout_cfg.mode == "sample"
     if sample:
         stream_at = _reseater(step_stream(rollout_cfg.seed, 0))
-    f, work = _Features(None, None, None, None, None, *config.arrays.pair_units), _Scratch(config)
+    f = _Features(None, None, None, None, None, *config.arrays.pair_units)
     out = np.empty((horizon, n), dtype=np.int64)
     with _builder(config, _block_steps(config, max(1, len(primer)))) as builder:
+        work = builder.scratch(config, ())
         for t, (f.alpha, f.beta, f.gamma_post) in enumerate(builder.extend(primer, out)):
             z = _drives(params, f, config, work)
-            z /= config.temperature  # as z / temperature rounds
+            if config.temperature != 1.0:  # x / 1.0 is x
+                z /= config.temperature  # as z / temperature rounds
             p = _sigmoid(z, work)
             out[t] = stream_at(t).random(n) < p if sample else p > 0.5
     return out

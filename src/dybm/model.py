@@ -278,7 +278,7 @@ class _Scratch:
 def _features(state: TraceState, config: ModelConfig, x: np.ndarray | None = None) -> _Features:
     """Features of one state: its own ``alpha``, its near-window trace
     computed once, and ``config.arrays``' pair-to-unit indices."""
-    arr, sign = config.arrays, None if x is None else 2.0 * x - 1.0
+    arr, sign = config.arrays, None if x is None else _SIGNS.take(x)
     b = _beta_matrix(state, config)
     return _Features(x, sign, state.alpha, b, state.gamma.take(arr.gamma_post), *arr.pair_units)
 
@@ -320,6 +320,7 @@ def unit_energy(
 
 
 _ZERO, _ONE, _MINUS = np.array(0.0), np.array(1.0), np.array(-1.0)  # 0-d: a float converts per call
+_SIGNS = np.array([-1.0, 1.0])  # 2x - 1 at x = 0 and 1: a 0/1 slice's sign is _SIGNS.take(x)
 
 
 def _sigmoid(z: np.ndarray, work: _Scratch | None = None) -> np.ndarray:
@@ -371,7 +372,7 @@ def cond_prob(
     x, work = as_time_slice(slice_values, config.n_units), _Scratch(config)
     z = _drives(params, _features(state, config), config, work) / config.temperature
     _sigmoid(z, work)
-    log_p = float(_log_probs(z, 2.0 * x - 1.0, work))
+    log_p = float(_log_probs(z, _SIGNS.take(x), work))
     return float(np.exp(log_p)), log_p
 
 

@@ -354,7 +354,7 @@ class TestBlockScorer:
     )
     def test_matches_per_step_sums_bit_for_bit(self, cfg, block_steps, monkeypatch):
         if block_steps is not None:
-            monkeypatch.setattr(learning, "_FEATURE_BYTES", block_steps * learning._step_bytes(cfg))
+            monkeypatch.setattr(learning, "_FEATURE_BYTES", block_steps * cfg.arrays.step_bytes)
         rng = np.random.default_rng(11)
         params = Parameters(
             bias=rng.normal(0.0, 1.0, size=cfg.n_units),
@@ -457,7 +457,7 @@ class TestDatasetBlockStream:
         )
         dataset = [(rng.random((t, cfg.n_units)) < 0.5).astype(np.int64) for t in self.LENGTHS]
         if block_steps is not None:
-            monkeypatch.setattr(learning, "_FEATURE_BYTES", block_steps * learning._step_bytes(cfg))
+            monkeypatch.setattr(learning, "_FEATURE_BYTES", block_steps * cfg.arrays.step_bytes)
             starts = np.cumsum((0,) + self.LENGTHS[:-1])
             assert block_steps == 1 or any(starts % block_steps)  # some series starts inside a block
         got, metrics = train(params, cfg, dataset, TrainerConfig(self.RATE, epochs=self.EPOCHS))
@@ -566,7 +566,7 @@ class TestBlocksFromSeries:
         cfg, block_bytes, got = peak(blocks)
         state_bytes = 8 * (cfg.arrays.segment_bounds[-1] + cfg.arrays.lag_coeff.size)
         assert got <= 2 * block_bytes + 4 * 8 * n * steps + 4 * state_bytes
-        chunk_bytes = learning._block_steps(cfg) * learning._step_bytes(cfg)
+        chunk_bytes = learning._block_steps(cfg) * cfg.arrays.step_bytes
         assert learning._block_steps(cfg) < len(series) < 2 * learning._block_steps(cfg)
         trainer = TrainerConfig(1e-3, epochs=1, mode="online")
         for route in (
@@ -825,7 +825,7 @@ class TestTraceBuilder:
     @staticmethod
     def series(cfg, monkeypatch):
         if cfg is not RING:
-            monkeypatch.setattr(learning, "_CHUNK_BYTES", 5 * learning._step_bytes(cfg))
+            monkeypatch.setattr(learning, "_CHUNK_BYTES", 5 * cfg.arrays.step_bytes)
         c = learning._block_steps(cfg)
         assert c == (5 if cfg is not RING else 53)
         rng = np.random.default_rng(c)
@@ -908,7 +908,7 @@ class TestRolloutBuilder:
 
     @staticmethod
     def cases(cfg, monkeypatch):
-        monkeypatch.setattr(learning, "_CHUNK_BYTES", 5 * learning._step_bytes(cfg))
+        monkeypatch.setattr(learning, "_CHUNK_BYTES", 5 * cfg.arrays.step_bytes)
         c = learning._block_steps(cfg)
         assert c == 5
         rng = np.random.default_rng(71)
@@ -947,6 +947,75 @@ class TestRolloutBuilder:
                 state = advance(state, cfg, want[-1])
             got = rollout(params, cfg, roll)
             assert got.dtype == np.int64 and got.tobytes() == np.array(want).tobytes()
+
+
+class TestWarmBuilder:
+    """A config keeps an idle trace builder per chunk length, and the builder
+    keeps the drive scratch of each lead shape it serves: a chunk's rows when
+    scoring, () for a rollout. Scoring series of 1, 3, 4, 5 and 17 slices,
+    interleaved with primed, unprimed, sampled and argmax rollouts and with
+    scoring inside an open builder of the same length (which makes its own),
+    must give what a fresh ``ModelConfig`` gives for each call, bit for bit.
+    Warm calls make no scratch: they reuse the idle builder's."""
+
+    LENGTHS = (1, 3, 4, 5, 17)
+
+    @staticmethod
+    def fresh(cfg):
+        return ModelConfig(cfg.n_units, cfg.lambdas, cfg.mus, dict(cfg.delays), temperature=cfg.temperature)
+
+    @staticmethod
+    def calls(cfg):
+        """The interleaved calls, each a function of a config returning bytes or numbers."""
+        rng = np.random.default_rng(73)
+        params = Parameters(
+            bias=rng.normal(0.0, 1.0, size=cfg.n_units),
+            u=rng.normal(0.0, 1.0, size=(cfg.n_pairs, cfg.n_lambda)),
+            v=rng.normal(0.0, 1.0, size=(cfg.n_pairs, cfg.n_mu)),
+        )
+        for n in TestWarmBuilder.LENGTHS:
+            slices = (rng.random((n, cfg.n_units)) < 0.4).astype(np.int64)
+
+            def nested(c, slices=slices):
+                with learning._builder(c, learning._block_steps(c, len(slices))):
+                    return eval_prediction(params, c, slices)
+
+            yield lambda c, slices=slices: eval_prediction(params, c, slices)
+            for mode, primer in (("sample", slices), ("argmax", None), ("sample", None), ("argmax", slices)):
+                roll = RolloutConfig(n + 2, mode, seed=n, primer=primer)
+                yield lambda c, roll=roll: rollout(params, c, roll).tobytes()
+            yield nested
+            yield lambda c, slices=slices: learning.sequence_log_likelihood(params, c, slices)
+
+    @pytest.mark.parametrize("cfg", [MIXED, WARM], ids=["mixed", "warm"])
+    def test_interleaved_calls_are_the_fresh_configs(self, cfg):
+        warm = self.fresh(cfg)
+        for call in list(self.calls(cfg)) * 2:
+            assert call(warm) == call(self.fresh(cfg))
+
+    @pytest.mark.parametrize("cfg", [MIXED, RING], ids=["mixed", "ring"])
+    def test_warm_calls_reuse_the_scratch(self, cfg, monkeypatch):
+        # a nested use's builder, scratch and all, is the one kept idle after it
+        warm, made = self.fresh(cfg), []
+        unnested = [call for call in self.calls(cfg) if call.__name__ != "nested"]
+        for call in [*self.calls(cfg), *unnested]:
+            call(warm)
+        kept = {c: (b, dict(b.scratches)) for c, b in warm.arrays.trace_builders.items()}
+        assert all(scratches for _, scratches in kept.values())
+
+        class Counted(learning._Scratch):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(learning, "_Scratch", Counted)
+        for call in unnested:
+            call(warm)
+        assert made == []
+        for c, (builder, scratches) in kept.items():
+            assert warm.arrays.trace_builders[c] is builder
+            assert builder.scratches.keys() == scratches.keys()
+            assert all(builder.scratches[lead] is s for lead, s in scratches.items())
 
 
 class TestEpochLogLikelihood:
@@ -994,7 +1063,7 @@ class TestLogitScorer:
     def test_matches_chained_cond_prob(self, case, block_steps, monkeypatch):
         params, dataset = case
         if block_steps is not None:
-            monkeypatch.setattr(learning, "_FEATURE_BYTES", block_steps * learning._step_bytes(RING))
+            monkeypatch.setattr(learning, "_FEATURE_BYTES", block_steps * RING.arrays.step_bytes)
             assert learning._block_steps(RING) == block_steps
         for series in dataset:
             chained, correct = 0.0, 0

@@ -41,6 +41,23 @@ class TestStepStream:
         with pytest.raises(ConfigError, match=r"^step must be an integer >= 0, got 1.5$"):
             step_stream(0, 1.5)
 
+    # a seat writes the step into the counter's two high words, which carry into each other
+    # and wrap at 2**128 as the 256-bit counter does (step 2**128 is step 0)
+    WIDE_STEPS = (2**64 - 1, 2**64, 2**64 + 3, 2**128 - 1, 2**128)
+
+    @pytest.mark.parametrize("seed", [0, 2**40 + 3])
+    def test_wide_steps_are_the_jumped_streams(self, seed):
+        stream_at = _reseater(step_stream(seed, 0))
+        for t in self.WIDE_STEPS + (7,):
+            want = jumped(seed, t).random(64)
+            np.testing.assert_array_equal(step_stream(seed, t).random(64), want)
+            np.testing.assert_array_equal(stream_at(t).random(64), want)
+
+    @pytest.mark.parametrize("seed", [True, -1, 1.5, "3"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ConfigError, match=rf"^seed must be an integer >= 0, got {seed!r}$"):
+            step_stream(seed, 0)
+
 
 class TestSampleStep:
     def test_same_seed_same_slice(self):
