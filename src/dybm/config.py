@@ -306,9 +306,8 @@ class _DerivedArrays:
     ``concatenate((slice, queue))``: the source unit itself for delay 1,
     else bit ``d - 2`` of the source's segment.
     ``bank_shapes`` and ``n_params`` are the bank shapes and total size of
-    ``Parameters`` and ``Gradient``, ``step_bytes`` the bytes of one slice's features
-    (its slice, α, β and γ rows), which bound a trace builder's chunk. ``trace_builders``
-    keeps an idle ``learning._TraceBuilder`` (tables, buffers, drive scratch) by chunk length.
+    ``Parameters`` and ``Gradient``. ``trace_builders`` keeps an idle
+    ``learning._TraceBuilder`` (tables and buffers) by chunk length.
     """
 
     BINCOUNT_INDEXES = ("post_k", "post_l", "pre_l")
@@ -381,7 +380,6 @@ class _DerivedArrays:
 
         self.bank_shapes = ((config.n_units,), (config.n_pairs, n_lambda), (config.n_pairs, n_mu))
         self.n_params = config.n_units + config.n_pairs * (n_lambda + n_mu)
-        self.step_bytes = 8 * (n + config.n_pairs * (n_lambda + 2 * n_mu))
         self.trace_builders = {}  # an idle trace builder by chunk length, built on first use
         for name, value in vars(self).items():
             if isinstance(value, np.ndarray) and name not in self.BINCOUNT_INDEXES:

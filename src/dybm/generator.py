@@ -18,7 +18,7 @@ import numpy as np
 from .config import ConfigError, ModelConfig, Parameters, _count
 from .learning import _block_steps, _builder, _normalize_series, _score
 # ``advance`` is not called here, but the benchmark's span shims look it up in this module
-from .model import TraceState, _drives, _Features, _sigmoid, advance, fire_probs
+from .model import TraceState, _drives, _Features, _Scratch, _sigmoid, advance, fire_probs
 from .rng import _reseater, step_stream
 
 __all__ = [
@@ -71,9 +71,9 @@ def rollout(params: Parameters, config: ModelConfig, rollout_cfg: RolloutConfig)
     The rollout builds one Philox, the step-0 stream, and seats it at each
     step by writing the step into its counter: the draws of a fresh jumped
     stream per step. The trace builder steps through the primer and then
-    each generated slice as it is written, with its one-state drive scratch.
+    through each generated slice as it is written, through one drive scratch.
     A primer is read in the chunk that scoring it takes, so a window that
-    was just scored continues on the same idle builder, scratch included.
+    was just scored continues on the same idle builder.
     """
     n, horizon = config.n_units, rollout_cfg.horizon
     primer = rollout_cfg.primer
@@ -81,10 +81,9 @@ def rollout(params: Parameters, config: ModelConfig, rollout_cfg: RolloutConfig)
     sample = rollout_cfg.mode == "sample"
     if sample:
         stream_at = _reseater(step_stream(rollout_cfg.seed, 0))
-    f = _Features(None, None, None, None, None, *config.arrays.pair_units)
+    f, work = _Features(None, None, None, None, None, *config.arrays.pair_units), _Scratch(config)
     out = np.empty((horizon, n), dtype=np.int64)
     with _builder(config, _block_steps(config, max(1, len(primer)))) as builder:
-        work = builder.scratch(config, ())
         for t, (f.alpha, f.beta, f.gamma_post) in enumerate(builder.extend(primer, out)):
             z = _drives(params, f, config, work)
             if config.temperature != 1.0:  # x / 1.0 is x

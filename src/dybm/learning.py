@@ -258,10 +258,15 @@ def _normalize_series(series, n_units: int) -> np.ndarray:
     return slices
 
 
+def _step_bytes(config: ModelConfig) -> int:
+    """Bytes of one slice's features in a kept block: its slice, α, β and γ rows."""
+    return 8 * (config.n_units + config.n_pairs * (config.n_lambda + 2 * config.n_mu))
+
+
 def _block_steps(config: ModelConfig, steps: int | None = None) -> int:
     """The chunk: most slices whose features fit ``_CHUNK_BYTES`` and ``_FEATURE_BYTES``,
     or fewer, the power of two that holds ``steps`` slices (few lengths, small tables)."""
-    most = max(1, min(_CHUNK_BYTES, _FEATURE_BYTES) // config.arrays.step_bytes)
+    most = max(1, min(_CHUNK_BYTES, _FEATURE_BYTES) // _step_bytes(config))
     return most if steps is None else min(most, 1 << (steps - 1).bit_length())
 
 
@@ -281,9 +286,7 @@ class _TraceBuilder:
     ``slots``; only the zero slot when no pair queues a bit) and sums the
     rows with ``_beta_matrix``'s kernel, in sub-chunks of at most a chunk's
     β size. A state is stepped only when a row reads it. ``extend`` steps a
-    series that is written as it is read, a rollout's, one row at a time.
-    The builder also keeps what the drive of its rows writes through
-    (``scratch``), so the drive of a warm scoring or rollout allocates no pair-sized array."""
+    series that is written as it is read, a rollout's, one row at a time."""
 
     def __init__(self, config: ModelConfig, steps: int) -> None:
         arr, n, m, k = config.arrays, config.n_units, config.n_pairs, config.n_lambda
@@ -301,7 +304,7 @@ class _TraceBuilder:
         self.beta, self.gamma_post = np.empty((2, steps, m, config.n_mu))
         self.gamma = np.empty((steps + 1, n, config.n_mu))
         self.history = np.zeros(int(self.head[-1]) + steps)
-        self.steps, self.filled, self.index, self.scratches = steps, 0, None, {}
+        self.steps, self.filled, self.index = steps, 0, None
         self.arr = weakref.proxy(arr)  # ``arr`` keeps the idle builder: no cycle to outlive a config
 
     def rows(self, x, alpha, beta, gamma_post) -> _Features:
@@ -315,14 +318,6 @@ class _TraceBuilder:
         k, l, p = (a[: len(x)].ravel() for a in self.index)
         l = k if self.index[1] is self.index[0] else l
         return _Features(x, _SIGNS.take(x), alpha, beta, gamma_post, k, l, p)
-
-    def scratch(self, config: ModelConfig, lead: tuple) -> _Scratch:
-        """The drive scratch of the states on ``lead`` (a chunk's rows, or () for one state),
-        made on first use and kept; a short chunk's pair terms are a full chunk's first rows."""
-        if lead not in self.scratches:
-            longer = self.scratch(config, (self.steps,)) if lead and lead[0] < self.steps else None
-            self.scratches[lead] = _Scratch(config, lead, longer)
-        return self.scratches[lead]
 
     def _step(self, slices: np.ndarray, start: int, stop: int, more: bool) -> None:
         """Step α and γ over slices ``start`` (0 or the last ``stop``) to ``stop - 1``
@@ -397,8 +392,8 @@ class _TraceBuilder:
 @contextmanager
 def _builder(config: ModelConfig, steps: int) -> Iterator[_TraceBuilder]:
     """A ``_TraceBuilder`` of chunk length ``steps`` for the block. Fresh buffers cost a page
-    fault at every first touch, so one idle builder per length, drive scratch included, is kept
-    in ``config.arrays``; a nested or concurrent use (``dict.pop`` is atomic) makes its own."""
+    fault at every first touch, so one idle builder per length is kept in ``config.arrays``;
+    a nested or concurrent use (``dict.pop`` is atomic) makes its own."""
     idle = config.arrays.trace_builders
     builder = idle.pop(steps, None) or _TraceBuilder(config, steps)
     yield builder
@@ -444,7 +439,7 @@ def _score(params: Parameters, config: ModelConfig, slices: np.ndarray) -> tuple
     with _builder(config, _block_steps(config, len(slices))) as builder:
         for chunk in builder.chunks(slices):
             f = builder.rows(*chunk)
-            w = builder.scratch(config, f.x.shape[:1])
+            w = _Scratch(config, f.x.shape[:1])
             z = _drives(params, f, config, w)
             if config.temperature != 1.0:  # x / 1.0 is x
                 z /= config.temperature  # as z / temperature rounds
@@ -582,7 +577,7 @@ def train(
     # full-batch blocks are built once and kept when the dataset's features fit
     steps = sum(map(len, series_list))
     max_steps = _block_steps(config, steps)
-    fits = trainer.mode == "full_batch" and steps * config.arrays.step_bytes <= _FEATURE_BYTES
+    fits = trainer.mode == "full_batch" and steps * _step_bytes(config) <= _FEATURE_BYTES
     kept = list(_blocks(config, series_list, max_steps)) if fits else None
     arr, rate, eta = config.arrays, trainer.learning_rate, np.array(trainer.learning_rate)
     work = _Workspace(config, min(max_steps, steps) if trainer.mode == "full_batch" else 1)  # the longest block

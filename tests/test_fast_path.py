@@ -354,7 +354,7 @@ class TestBlockScorer:
     )
     def test_matches_per_step_sums_bit_for_bit(self, cfg, block_steps, monkeypatch):
         if block_steps is not None:
-            monkeypatch.setattr(learning, "_FEATURE_BYTES", block_steps * cfg.arrays.step_bytes)
+            monkeypatch.setattr(learning, "_FEATURE_BYTES", block_steps * learning._step_bytes(cfg))
         rng = np.random.default_rng(11)
         params = Parameters(
             bias=rng.normal(0.0, 1.0, size=cfg.n_units),
@@ -457,7 +457,7 @@ class TestDatasetBlockStream:
         )
         dataset = [(rng.random((t, cfg.n_units)) < 0.5).astype(np.int64) for t in self.LENGTHS]
         if block_steps is not None:
-            monkeypatch.setattr(learning, "_FEATURE_BYTES", block_steps * cfg.arrays.step_bytes)
+            monkeypatch.setattr(learning, "_FEATURE_BYTES", block_steps * learning._step_bytes(cfg))
             starts = np.cumsum((0,) + self.LENGTHS[:-1])
             assert block_steps == 1 or any(starts % block_steps)  # some series starts inside a block
         got, metrics = train(params, cfg, dataset, TrainerConfig(self.RATE, epochs=self.EPOCHS))
@@ -566,7 +566,7 @@ class TestBlocksFromSeries:
         cfg, block_bytes, got = peak(blocks)
         state_bytes = 8 * (cfg.arrays.segment_bounds[-1] + cfg.arrays.lag_coeff.size)
         assert got <= 2 * block_bytes + 4 * 8 * n * steps + 4 * state_bytes
-        chunk_bytes = learning._block_steps(cfg) * cfg.arrays.step_bytes
+        chunk_bytes = learning._block_steps(cfg) * learning._step_bytes(cfg)
         assert learning._block_steps(cfg) < len(series) < 2 * learning._block_steps(cfg)
         trainer = TrainerConfig(1e-3, epochs=1, mode="online")
         for route in (
@@ -825,7 +825,7 @@ class TestTraceBuilder:
     @staticmethod
     def series(cfg, monkeypatch):
         if cfg is not RING:
-            monkeypatch.setattr(learning, "_CHUNK_BYTES", 5 * cfg.arrays.step_bytes)
+            monkeypatch.setattr(learning, "_CHUNK_BYTES", 5 * learning._step_bytes(cfg))
         c = learning._block_steps(cfg)
         assert c == (5 if cfg is not RING else 53)
         rng = np.random.default_rng(c)
@@ -908,7 +908,7 @@ class TestRolloutBuilder:
 
     @staticmethod
     def cases(cfg, monkeypatch):
-        monkeypatch.setattr(learning, "_CHUNK_BYTES", 5 * cfg.arrays.step_bytes)
+        monkeypatch.setattr(learning, "_CHUNK_BYTES", 5 * learning._step_bytes(cfg))
         c = learning._block_steps(cfg)
         assert c == 5
         rng = np.random.default_rng(71)
@@ -950,13 +950,12 @@ class TestRolloutBuilder:
 
 
 class TestWarmBuilder:
-    """A config keeps an idle trace builder per chunk length, and the builder
-    keeps the drive scratch of each lead shape it serves: a chunk's rows when
-    scoring, () for a rollout. Scoring series of 1, 3, 4, 5 and 17 slices,
-    interleaved with primed, unprimed, sampled and argmax rollouts and with
-    scoring inside an open builder of the same length (which makes its own),
-    must give what a fresh ``ModelConfig`` gives for each call, bit for bit.
-    Warm calls make no scratch: they reuse the idle builder's."""
+    """A config keeps an idle trace builder per chunk length. Scoring series
+    of 1, 3, 4, 5 and 17 slices, interleaved with primed, unprimed, sampled
+    and argmax rollouts and with scoring inside an open builder of the same
+    length (which makes its own), must give what a fresh ``ModelConfig``
+    gives for each call, bit for bit. Warm calls make no builder: they reuse
+    the idle ones."""
 
     LENGTHS = (1, 3, 4, 5, 17)
 
@@ -994,28 +993,26 @@ class TestWarmBuilder:
             assert call(warm) == call(self.fresh(cfg))
 
     @pytest.mark.parametrize("cfg", [MIXED, RING], ids=["mixed", "ring"])
-    def test_warm_calls_reuse_the_scratch(self, cfg, monkeypatch):
-        # a nested use's builder, scratch and all, is the one kept idle after it
+    def test_warm_calls_reuse_the_idle_builders(self, cfg, monkeypatch):
+        # a nested use's builder is the one kept idle after it
         warm, made = self.fresh(cfg), []
         unnested = [call for call in self.calls(cfg) if call.__name__ != "nested"]
         for call in [*self.calls(cfg), *unnested]:
             call(warm)
-        kept = {c: (b, dict(b.scratches)) for c, b in warm.arrays.trace_builders.items()}
-        assert all(scratches for _, scratches in kept.values())
+        kept = dict(warm.arrays.trace_builders)
+        assert kept
 
-        class Counted(learning._Scratch):
+        class Counted(learning._TraceBuilder):
             def __init__(self, *args):
                 made.append(args)
                 super().__init__(*args)
 
-        monkeypatch.setattr(learning, "_Scratch", Counted)
+        monkeypatch.setattr(learning, "_TraceBuilder", Counted)
         for call in unnested:
             call(warm)
         assert made == []
-        for c, (builder, scratches) in kept.items():
-            assert warm.arrays.trace_builders[c] is builder
-            assert builder.scratches.keys() == scratches.keys()
-            assert all(builder.scratches[lead] is s for lead, s in scratches.items())
+        assert warm.arrays.trace_builders.keys() == kept.keys()
+        assert all(warm.arrays.trace_builders[c] is builder for c, builder in kept.items())
 
 
 class TestEpochLogLikelihood:
@@ -1063,7 +1060,7 @@ class TestLogitScorer:
     def test_matches_chained_cond_prob(self, case, block_steps, monkeypatch):
         params, dataset = case
         if block_steps is not None:
-            monkeypatch.setattr(learning, "_FEATURE_BYTES", block_steps * RING.arrays.step_bytes)
+            monkeypatch.setattr(learning, "_FEATURE_BYTES", block_steps * learning._step_bytes(RING))
             assert learning._block_steps(RING) == block_steps
         for series in dataset:
             chained, correct = 0.0, 0

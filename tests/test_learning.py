@@ -527,7 +527,7 @@ class TestFullBatchFeatureCache:
         assert len(block_bytes) == 1  # the whole dataset is one block
 
     def test_rebuilt_in_bounded_blocks_when_they_do_not(self, monkeypatch):
-        cap = 4 * self.CFG.arrays.step_bytes  # less than the shortest series
+        cap = 4 * learning._step_bytes(self.CFG)  # less than the shortest series
         kept_params, kept, _, _ = self.run(monkeypatch)
         params, metrics, calls, block_bytes = self.run(monkeypatch, cap)
         # blocks of 4 rows cut the series of 9, 14 and 6 slices into
