@@ -99,13 +99,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
         f"learning_rate={trainer.learning_rate}, epochs={trainer.epochs}"
     )
     params = Parameters.zeros(config)
-    params, metrics = train(
-        params,
-        config,
-        dataset,
-        trainer,
-        record_sink=lambda rec: sys.stdout.write(_json(rec) + "\n"),  # one write; print makes two
-    )
+    with np.errstate(all="ignore"):  # the guard and the JSON records name a non-finite value
+        params, metrics = train(
+            params,
+            config,
+            dataset,
+            trainer,
+            record_sink=lambda rec: sys.stdout.write(_json(rec) + "\n"),  # one write; print makes two
+        )
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(save_checkpoint(params, config))
     if metrics.epoch_log_likelihood:

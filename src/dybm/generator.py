@@ -18,7 +18,7 @@ import numpy as np
 from .config import ConfigError, ModelConfig, Parameters, _count
 from .learning import _block_steps, _builder, _normalize_series, _score
 # ``advance`` is not called here, but the benchmark's span shims look it up in this module
-from .model import TraceState, _drives, _Features, _Scratch, _sigmoid, advance, fire_probs
+from .model import TraceState, _Features, _logits, _Scratch, _sigmoid, advance, fire_probs
 from .rng import _reseater, step_stream
 
 __all__ = [
@@ -85,9 +85,7 @@ def rollout(params: Parameters, config: ModelConfig, rollout_cfg: RolloutConfig)
     out = np.empty((horizon, n), dtype=np.int64)
     with _builder(config, _block_steps(config, max(1, len(primer)))) as builder:
         for t, (f.alpha, f.beta, f.gamma_post) in enumerate(builder.extend(primer, out)):
-            z = _drives(params, f, config, work)
-            if config.temperature != 1.0:  # x / 1.0 is x
-                z /= config.temperature  # as z / temperature rounds
+            z = _logits(params, f, config, work)
             p = _sigmoid(z, work)
             out[t] = stream_at(t).random(n) < p if sample else p > 0.5
     return out

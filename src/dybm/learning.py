@@ -46,7 +46,7 @@ from .config import (
 )
 # ``advance`` is not called here, but the benchmark's span shims look it up in this module
 from .model import (
-    TraceState, _drives, _features, _Features, _log_probs, _near_window, _Scratch, _sigmoid, _SIGNS,
+    TraceState, _features, _Features, _log_probs, _logits, _near_window, _Scratch, _sigmoid, _SIGNS,
     _trace_step, advance,
 )
 
@@ -218,13 +218,9 @@ def _grad_logp(
     ``_Rows`` of ``out``, built when None; its pair arrays take the drive's
     pair terms and then the gathers of r, and log p reads ``f.sign``."""
     w, t = work or _Rows(config, out), config.temperature
-    z = _drives(params, f, config, w)
-    # x / 1.0 is x, so both divisions are skipped at the default temperature:
-    # on a model of a few units they are a few percent of a full-batch epoch
-    if t != 1.0:
-        z /= t
+    z = _logits(params, f, config, w)
     r = np.subtract(f.x, _sigmoid(z, w), out=w.r)
-    if t != 1.0:
+    if t != 1.0:  # skipped as ``_logits`` skips z's division
         r /= t
     flat = r.ravel()  # the feature indices address the flattened unit axis
     flat.take(f.post_k, None, w.flat_k, "clip")
@@ -440,9 +436,7 @@ def _score(params: Parameters, config: ModelConfig, slices: np.ndarray) -> tuple
         for chunk in builder.chunks(slices):
             f = builder.rows(*chunk)
             w = _Scratch(config, f.x.shape[:1])
-            z = _drives(params, f, config, w)
-            if config.temperature != 1.0:  # x / 1.0 is x
-                z /= config.temperature  # as z / temperature rounds
+            z = _logits(params, f, config, w)
             correct += int(np.count_nonzero((_sigmoid(z, w) > 0.5) == f.x))
             total = _add_in_order(_log_probs(z, f.sign, w), total)
     return float(total), correct

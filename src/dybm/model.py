@@ -307,6 +307,17 @@ def _drives(
     return z
 
 
+def _logits(
+    params: Parameters, f: _Features, config: ModelConfig, work: _Scratch | None = None
+) -> np.ndarray:
+    """The drive of every state in ``f`` over the temperature, divided in
+    place (as ``drive / temperature`` rounds), and not at all at 1.0."""
+    z = _drives(params, f, config, work)
+    if config.temperature != 1.0:
+        z /= config.temperature
+    return z
+
+
 def unit_energy(
     params: Parameters, state: TraceState, config: ModelConfig, j: int, x_j: int
 ) -> float:
@@ -349,7 +360,7 @@ def _log_probs(z: np.ndarray, sign: np.ndarray, work: _Scratch, out: np.ndarray 
 
 def fire_probs(params: Parameters, state: TraceState, config: ModelConfig) -> np.ndarray:
     """Probability that each unit fires next step, given the state."""
-    return _sigmoid(_drives(params, _features(state, config), config) / config.temperature)
+    return _sigmoid(_logits(params, _features(state, config), config))
 
 
 def fire_prob(params: Parameters, state: TraceState, config: ModelConfig, j: int) -> float:
@@ -370,7 +381,7 @@ def cond_prob(
     wide networks, which is why both are returned.
     """
     x, work = as_time_slice(slice_values, config.n_units), _Scratch(config)
-    z = _drives(params, _features(state, config), config, work) / config.temperature
+    z = _logits(params, _features(state, config), config, work)
     _sigmoid(z, work)
     log_p = float(_log_probs(z, _SIGNS.take(x), work))
     return float(np.exp(log_p)), log_p

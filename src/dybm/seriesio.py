@@ -5,9 +5,9 @@ hold only 0/1 values, and contain at least one data row; violations raise
 SeriesFormatError with the offending row, numbered by its line in the file,
 and column so the CLI can point at them.
 
-Text laid out as ``format_series`` writes it (``\n`` line ends, no blank
-line, unpadded ``0``/``1`` cells) is decoded as bytes in a few vector
-passes; any other text goes through the per-cell reader.
+Every text is read in one vector pass over its code points: CRLF line ends
+become ``\n``, a cell may be padded with what ``str.strip`` removes, and the
+first fault is named from the same pass's masks.
 """
 
 from __future__ import annotations
@@ -23,58 +23,52 @@ class SeriesFormatError(ValueError):
     """Raised when a series file does not follow the CSV schema."""
 
 
-def _header(n_units: int) -> list[str]:
-    return [f"u{i}" for i in range(n_units)]
+# A cell holds one 0/1 value, padded, exactly when the weights of its code
+# points sum to 2 ("0") or 3 ("1"): padding (what str.strip removes, up to
+# U+3000) and the cell ends "," and "\n" weigh 0, any other code point 4.
+_WEIGHT = np.array([0 if chr(c).isspace() else 4 for c in range(0x3002)], dtype=np.uint8)
+_WEIGHT[[ord(","), ord("0"), ord("1")]] = 0, 2, 3
 
 
 def parse_series(text: str) -> np.ndarray:
     """Parse CSV text into an int array of shape (steps, units)."""
-    head, _, body = text.partition("\n")
-    header = head.split(",")
-    if body.isascii() and header == _header(len(header)):
-        # every row is "c,c,...,c\n", so a row's bytes minus this one are
-        # 0 or 1 at a cell and 0 elsewhere
-        row = np.frombuffer(b"0," * (len(header) - 1) + b"0\n", dtype=np.uint8)
-        data = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-        if data.size and data.size % row.size == 0:
-            delta = data.reshape(-1, row.size) - row
-            if (delta <= (row == ord("0"))).all():
-                return delta[:, ::2].astype(np.int64)
-    return _parse_cells(text)
-
-
-def _parse_cells(text: str) -> np.ndarray:
-    """``parse_series`` one cell at a time, naming the first bad one."""
-    lines = [(r, line) for r, line in enumerate(text.replace("\r\n", "\n").split("\n"), 1) if line]
-    if not lines:
+    text = text.replace("\r\n", "\n")
+    rest = text.lstrip("\n")
+    head, _, body = rest.partition("\n")
+    if not head:
         raise SeriesFormatError("empty file: expected a header row u0,u1,...")
-    header = lines[0][1].split(",")
-    expected = _header(len(header))
+    header = head.split(",")
+    n_units, expected = len(header), [f"u{i}" for i in range(len(header))]
     if header != expected:
-        raise SeriesFormatError(
-            f"header row must be {','.join(expected[:3])},...; got {lines[0][1]!r}"
-        )
-    n_units = len(header)
-    if not lines[1:]:
+        raise SeriesFormatError(f"header row must be {','.join(expected[:3])},...; got {head!r}")
+    body += "\n"
+    cp = np.frombuffer(body.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    newline = cp == 10
+    ends = cp == 44
+    ends[1:] |= newline[1:] > newline[:-1]  # the "\n" of a blank line ends no cell
+    cells = np.flatnonzero(ends)  # the "," or "\n" that ends each cell
+    if not cells.size:
         raise SeriesFormatError("series must contain at least one data row")
-    rows = []
-    for r, line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != n_units:
-            raise SeriesFormatError(
-                f"row {r}: expected {n_units} columns, got {len(cells)}"
-            )
-        row = []
-        for c, cell in enumerate(cells):
-            value = cell.strip()
-            if value not in ("0", "1"):
-                raise SeriesFormatError(
-                    f"row {r}, column {c} ({header[c]}): value must be 0 or 1, "
-                    f"got {cell!r}"
-                )
-            row.append(int(value))
-        rows.append(row)
-    return np.asarray(rows, dtype=np.int64)
+    # a cell's sum runs over the code points after the previous cell's end (past U+3000, ``take`` clips)
+    sums = _WEIGHT.take(cp, mode="clip").cumsum(dtype=np.int64).take(cells)
+    sums[1:] -= sums[:-1]
+    bad, row_end = sums >> 1 != 1, newline[cells]
+    steps = np.count_nonzero(row_end)
+    if sums.size == steps * n_units and row_end[n_units - 1 :: n_units].all() and not bad.any():
+        return (sums & 1).reshape(steps, n_units)
+    # the first row with a wrong column count or a bad cell
+    stops = np.flatnonzero(row_end)  # each row's last cell
+    starts = np.r_[0, stops[:-1] + 1]
+    counts = stops - starts + 1
+    k = int(np.argmax((counts != n_units) | np.logical_or.reduceat(bad, starts)))
+    end = cells[stops[k]]
+    # its line in the file: after the leading blank lines, the header and the body's lines before it
+    row = len(text) - len(rest) + 2 + body.count("\n", 0, end)
+    if counts[k] != n_units:
+        raise SeriesFormatError(f"row {row}: expected {n_units} columns, got {counts[k]}")
+    c = int(np.argmax(bad[starts[k] : stops[k] + 1]))
+    cell = body[body.rfind("\n", 0, end) + 1 : end].split(",")[c]
+    raise SeriesFormatError(f"row {row}, column {c} ({header[c]}): value must be 0 or 1, got {cell!r}")
 
 
 def format_series(series) -> str:

@@ -164,6 +164,44 @@ class TestTrain:
         assert "epoch" in stderr
         assert "RuntimeWarning" not in stderr
 
+    def test_overflowing_gradient_norm_prints_no_numpy_warning(self, tmp_path):
+        # near-window coefficients up to 1e299 square past the double range
+        cfg = tmp_path / "steep.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "config": {
+                        "n_units": 1,
+                        "lambdas": [0.5],
+                        "mus": [0.1],
+                        "temperature": 1.0,
+                        "connectivity": [[0, 0, 300]],
+                    },
+                    "trainer": {"mode": "full_batch", "learning_rate": 1e-300, "epochs": 1},
+                }
+            )
+        )
+        data = tmp_path / "ones.csv"
+        data.write_text("u0\n" + "1\n" * 310)
+        code, _, stderr = run_cli("train", cfg, data, "--out", tmp_path / "m.json")
+        assert code == 2
+        assert stderr.splitlines() == [
+            "training on 1 series, mode=full_batch, learning_rate=1e-300, epochs=1",
+            "error: grad_norm is inf, which JSON output cannot hold",
+        ]
+
+    def test_subnormal_temperature_prints_no_numpy_warning(self, tmp_path):
+        doc = json.loads(random_n3_run_path().read_text(encoding="utf-8"))
+        doc["config"]["temperature"] = 1e-320
+        cfg = tmp_path / "cold.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, stderr = run_cli("train", cfg, random_n3_path(), "--out", tmp_path / "m.json")
+        assert code == 3
+        assert stderr.splitlines() == [
+            "training on 1 series, mode=full_batch, learning_rate=0.001, epochs=200",
+            "error: update produced non-finite bias at epoch 0, step 48; training aborted",
+        ]
+
 
 class TestEval:
     def test_zero_param_model_scores_ln2(self, tmp_path):

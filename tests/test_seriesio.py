@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dybm import seriesio
+from dybm.fixtures import random_n3_path
 from dybm.seriesio import SeriesFormatError, format_series, parse_series, read_series, write_series
 
 
@@ -33,6 +33,8 @@ class TestParse:
         np.testing.assert_array_equal(parse_series("\nu0,u1\n0,1\n\n1,0\n\n"), [[0, 1], [1, 0]])
         with pytest.raises(SeriesFormatError, match="row 4, column 1"):
             parse_series("u0,u1\n0,1\n\n0,2\n")
+        with pytest.raises(SeriesFormatError, match="row 5, column 1"):
+            parse_series("\n\r\nu0,u1\n0,1\n0,2\n")
 
     def test_ragged_row(self):
         with pytest.raises(SeriesFormatError, match="row 2"):
@@ -43,8 +45,52 @@ class TestParse:
             parse_series("")
 
 
+def _per_cell(text: str) -> np.ndarray:
+    """The reference reader: one cell at a time, naming the first bad one."""
+    lines = [(r, line) for r, line in enumerate(text.replace("\r\n", "\n").split("\n"), 1) if line]
+    if not lines:
+        raise SeriesFormatError("empty file: expected a header row u0,u1,...")
+    header = lines[0][1].split(",")
+    expected = [f"u{i}" for i in range(len(header))]
+    if header != expected:
+        raise SeriesFormatError(
+            f"header row must be {','.join(expected[:3])},...; got {lines[0][1]!r}"
+        )
+    n_units = len(header)
+    if not lines[1:]:
+        raise SeriesFormatError("series must contain at least one data row")
+    rows = []
+    for r, line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != n_units:
+            raise SeriesFormatError(
+                f"row {r}: expected {n_units} columns, got {len(cells)}"
+            )
+        row = []
+        for c, cell in enumerate(cells):
+            value = cell.strip()
+            if value not in ("0", "1"):
+                raise SeriesFormatError(
+                    f"row {r}, column {c} ({header[c]}): value must be 0 or 1, "
+                    f"got {cell!r}"
+                )
+            row.append(int(value))
+        rows.append(row)
+    return np.asarray(rows, dtype=np.int64)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text).tolist()
+    except SeriesFormatError as exc:
+        return str(exc)
+
+
+PADDING = " \t\x0b\x1c\xa0\u3000"  # some of what str.strip removes
+
+
 class TestVectorDecode:
-    """The byte-level decode and the per-cell reader parse the same series."""
+    """The one vector pass reads every text as the per-cell reader does."""
 
     @given(
         st.integers(1, 4),
@@ -61,8 +107,9 @@ class TestVectorDecode:
         series = (rng.random((steps, units)) < 0.5).astype(np.int64)
         lines = [",".join(f"u{i}" for i in range(units))]
         for row in series:
-            pads = rng.integers(0, 3, size=(units, 2)) * rng.integers(0, 2)
-            lines.append(",".join(" " * a + str(x) + " " * b for x, (a, b) in zip(row, pads)))
+            widths = rng.integers(0, 3, 2 * units) * rng.integers(0, 2)
+            pads = ["".join(rng.choice(list(PADDING), k)) for k in widths]
+            lines.append(",".join(pads[2 * c] + str(x) + pads[2 * c + 1] for c, x in enumerate(row)))
             if rng.random() < 0.2:
                 lines.append("")
         if leading_blank:
@@ -71,33 +118,16 @@ class TestVectorDecode:
         out = parse_series(text)
         np.testing.assert_array_equal(out, series)
         assert out.dtype == np.int64 and out.flags.c_contiguous
-        np.testing.assert_array_equal(seriesio._parse_cells(text), out)
+        np.testing.assert_array_equal(_per_cell(text), out)
 
     def test_each_one_byte_edit_reads_as_the_per_cell_reader_reads_it(self):
-        def outcome(parse, text):
-            try:
-                return parse(text).tolist()
-            except SeriesFormatError as exc:
-                return str(exc)
-
-        text = format_series(np.array([[1, 0, 1], [0, 1, 1]]))
-        for k in range(len(text)):
-            for c in "01,\n ;2\r-":
-                edited = text[:k] + c + text[k + 1 :]
-                assert outcome(parse_series, edited) == outcome(seriesio._parse_cells, edited)
-
-    @pytest.mark.parametrize("units", [1, 3, 12])
-    def test_written_layout_takes_no_per_cell_call(self, monkeypatch, units):
-        series = (np.random.default_rng(units).random((40, units)) < 0.5).astype(np.int64)
-        text = format_series(series)
-
-        def per_cell(text):
-            raise AssertionError("per-cell reader called")
-
-        monkeypatch.setattr(seriesio, "_parse_cells", per_cell)
-        out = parse_series(text)
-        np.testing.assert_array_equal(out, series)
-        assert out.dtype == np.int64 and out.flags.c_contiguous
+        """Every one-character substitution and insertion over the whole
+        ``random_n3`` fixture: the same array, or the same message."""
+        text = random_n3_path().read_text(encoding="utf-8")
+        for k in range(len(text) + 1):
+            for c in "01,\n ;2\r-\t\x1c\xa0\u3000\xe9":
+                for edited in (text[:k] + c + text[k + 1 :], text[:k] + c + text[k:]):
+                    assert _outcome(parse_series, edited) == _outcome(_per_cell, edited), (k, c)
 
 
 class TestFormat:

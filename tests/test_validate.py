@@ -25,8 +25,7 @@ def nan_drives(monkeypatch):
     def nan(*args):
         return np.full_like(drives(*args), np.nan)
 
-    monkeypatch.setattr(model, "_drives", nan)
-    monkeypatch.setattr(learning, "_drives", nan)
+    monkeypatch.setattr(model, "_drives", nan)  # every path reaches it through ``model._logits``
 
 
 class TestChecks:
